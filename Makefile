@@ -9,13 +9,13 @@ COVER_FLOOR := 70
 # clean.
 SCRATCH := .scratch
 
-.PHONY: all ci build test lint staticcheck cover fuzz bench bench-json bench-store smoke smoke-sampling smoke-planner smoke-fleet smoke-extern docs-check clean
+.PHONY: all ci build test lint vet-perfbench staticcheck cover fuzz bench bench-json bench-store smoke smoke-sampling smoke-planner smoke-fleet smoke-extern docs-check clean
 
 all: lint build test
 
 # ci runs the same gates as the GitHub workflow; it must finish with a clean
 # working tree (all droppings confined to $(SCRATCH)/ and other ignored paths).
-ci: lint staticcheck docs-check build test fuzz cover smoke smoke-sampling smoke-planner smoke-fleet smoke-extern
+ci: lint vet-perfbench staticcheck docs-check build test fuzz cover smoke smoke-sampling smoke-planner smoke-fleet smoke-extern
 	@dirty=$$(git status --porcelain); if [ -n "$$dirty" ]; then \
 		echo "make ci left the tree dirty:" >&2; echo "$$dirty" >&2; exit 1; fi
 	@echo "ci OK (tree clean)"
@@ -31,6 +31,12 @@ lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
+
+# perfbench/ is a nested module, so ./... above never compiles it; vet it on
+# its own so a change to a name it calls cannot pass CI and break the
+# benchmark.
+vet-perfbench:
+	cd perfbench && $(GO) vet ./...
 
 # staticcheck is optional locally (CI installs it); skip with a notice when
 # the binary isn't on PATH.

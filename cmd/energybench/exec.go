@@ -1,0 +1,163 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"strconv"
+	"strings"
+
+	"energybench/internal/campaign"
+	"energybench/internal/extwork"
+	"energybench/internal/fleet"
+	"energybench/internal/harness"
+	"energybench/internal/meter"
+)
+
+// execConfig is the one value every meter and executor stack is built
+// from: the execution environment a fleet batch carries (meter, mock
+// parameters, executor, parallelism, trial timeout) plus the flag-only mock
+// power schedule, which campaign files cannot set.
+type execConfig struct {
+	fleet.ExecConfig
+	mockSchedule string
+}
+
+// meterFlags registers the meter flags `run` and `worker-trial` share,
+// returning the config they fill in on fs.Parse.
+func meterFlags(fs *flag.FlagSet) *execConfig {
+	ec := &execConfig{}
+	fs.StringVar(&ec.Meter, "meter", "mock", "energy backend: mock|rapl")
+	fs.Float64Var(&ec.MockWatts, "mock-watts", 42, "constant power modeled by the mock meter")
+	fs.StringVar(&ec.mockSchedule, "mock-schedule", "", "piecewise-constant mock power schedule 'atS:watts,...' (requires --meter=mock)")
+	fs.StringVar(&ec.MockModel, "mock-model", "", "planted linear mock power model 'component:watts,...' added per active thread (requires --meter=mock)")
+	fs.Float64Var(&ec.MockNoiseW, "mock-noise", 0, "deterministic per-configuration noise amplitude for a planted mock model (watts)")
+	return ec
+}
+
+// newExecutor builds the meter and the executor stack over it. It is the
+// one constructor behind a local sweep, a fleet agent's batch, and a
+// worker child. Kernel trials run in this process (InProcess, which grafts
+// catalog kernels back onto trials that crossed a process boundary) or,
+// with the subprocess executor, in worker-trial children that receive the
+// meter configuration as flags. External workloads always run through the
+// extern executor, metered from this process with the same meter. The
+// meter is built even when only workers use it, so a systematically broken
+// backend (e.g. rapl without powercap read access) fails once here instead
+// of once per spawned worker.
+func newExecutor(ec execConfig, log func(format string, args ...any)) (harness.Executor, error) {
+	m, err := ec.newMeter()
+	if err != nil {
+		return nil, err
+	}
+	var kernels harness.Executor = &harness.InProcess{Meter: m}
+	if ec.Executor == campaign.ExecutorSubprocess {
+		self, err := os.Executable()
+		if err != nil {
+			return nil, fmt.Errorf("locating own binary for worker re-exec: %w", err)
+		}
+		kernels = &harness.Subprocess{
+			Binary:  self,
+			Args:    ec.workerArgs(),
+			Env:     []string{workerEnvMarker + "=1"},
+			Timeout: ec.TrialTimeout,
+		}
+	}
+	return &extwork.ExternExecutor{Meter: m, Fallback: kernels, Timeout: ec.TrialTimeout, Log: log}, nil
+}
+
+// workerArgs is the worker-trial command line that rebuilds this meter in
+// a child, so the parent never ships a meter across the process boundary.
+func (ec execConfig) workerArgs() []string {
+	args := []string{"worker-trial", "--meter=" + ec.Meter}
+	if ec.Meter == "mock" {
+		args = append(args, fmt.Sprintf("--mock-watts=%g", ec.MockWatts))
+		if ec.mockSchedule != "" {
+			args = append(args, "--mock-schedule="+ec.mockSchedule)
+		}
+		if ec.MockModel != "" {
+			args = append(args, "--mock-model="+ec.MockModel)
+			if ec.MockNoiseW > 0 {
+				args = append(args, fmt.Sprintf("--mock-noise=%g", ec.MockNoiseW))
+			}
+		}
+	}
+	return args
+}
+
+// newMeter constructs the energy backend, so a new backend only needs
+// wiring here.
+func (ec execConfig) newMeter() (meter.EnergyMeter, error) {
+	if ec.mockSchedule != "" && ec.Meter != "mock" {
+		return nil, fmt.Errorf("--mock-schedule requires --meter=mock, got meter %q", ec.Meter)
+	}
+	if ec.MockModel != "" && ec.Meter != "mock" {
+		return nil, fmt.Errorf("--mock-model requires --meter=mock, got meter %q", ec.Meter)
+	}
+	if ec.MockModel != "" && ec.mockSchedule != "" {
+		return nil, fmt.Errorf("--mock-model and --mock-schedule are exclusive: a planted model already defines the draw over time")
+	}
+	if ec.MockNoiseW != 0 && ec.MockModel == "" {
+		return nil, fmt.Errorf("--mock-noise requires --mock-model")
+	}
+	switch ec.Meter {
+	case "mock":
+		m := meter.NewMock(ec.MockWatts)
+		steps, err := parseMockSchedule(ec.mockSchedule)
+		if err != nil {
+			return nil, err
+		}
+		m.Steps = steps
+		if ec.MockModel != "" {
+			planted, err := meter.ParseMockModel(ec.MockModel)
+			if err != nil {
+				return nil, err
+			}
+			m.ModelW = planted
+			if ec.MockNoiseW < 0 {
+				return nil, fmt.Errorf("--mock-noise must be non-negative, got %v", ec.MockNoiseW)
+			}
+			m.NoiseW = ec.MockNoiseW
+		}
+		return m, nil
+	case "rapl":
+		return meter.NewRAPL(meter.DefaultPowercapRoot)
+	default:
+		if err := campaign.ValidateMeter(ec.Meter); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("meter %q is known but has no constructor wired here", ec.Meter)
+	}
+}
+
+// parseMockSchedule decodes the 'atS:watts,...' flag syntax into mock meter
+// schedule steps, requiring strictly increasing offsets so the piecewise
+// integral is well defined.
+func parseMockSchedule(s string) ([]meter.MockStep, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var steps []meter.MockStep
+	for _, part := range strings.Split(s, ",") {
+		atStr, wattsStr, ok := strings.Cut(strings.TrimSpace(part), ":")
+		if !ok {
+			return nil, fmt.Errorf("--mock-schedule: step %q is not of the form atS:watts", part)
+		}
+		at, err := strconv.ParseFloat(atStr, 64)
+		if err != nil {
+			return nil, fmt.Errorf("--mock-schedule: bad offset in %q: %w", part, err)
+		}
+		watts, err := strconv.ParseFloat(wattsStr, 64)
+		if err != nil {
+			return nil, fmt.Errorf("--mock-schedule: bad watts in %q: %w", part, err)
+		}
+		if at < 0 || watts < 0 {
+			return nil, fmt.Errorf("--mock-schedule: step %q must have non-negative offset and watts", part)
+		}
+		if len(steps) > 0 && at <= steps[len(steps)-1].AtS {
+			return nil, fmt.Errorf("--mock-schedule: offsets must be strictly increasing, got %g after %g", at, steps[len(steps)-1].AtS)
+		}
+		steps = append(steps, meter.MockStep{AtS: at, Watts: watts})
+	}
+	return steps, nil
+}

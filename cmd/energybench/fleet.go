@@ -13,8 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"energybench/internal/campaign"
-	"energybench/internal/extwork"
 	"energybench/internal/fleet"
 	"energybench/internal/harness"
 )
@@ -135,54 +133,16 @@ func cmdAgent(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	return a.Run(ctx)
 }
 
-// localBatchRunner executes leased batches through the ordinary trial
-// pipeline: the core-leasing Scheduler over either the subprocess executor
-// (worker children, exactly like `run --executor=subprocess`) or the
-// in-process executor (kernels grafted back from the catalog after their
-// trip over the wire, exactly like a worker child does).
+// localBatchRunner executes leased batches through the same stack a local
+// sweep uses: newExecutor over the batch's execution environment, and the
+// Scheduler dispatching the batch's trials.
 func localBatchRunner(logf func(string, ...any)) fleet.BatchRunner {
 	return fleet.BatchRunnerFunc(func(ctx context.Context, b fleet.Batch, sink harness.ResultSink) error {
-		ec := b.Exec
-		var exec harness.Executor
-		if ec.Executor == campaign.ExecutorSubprocess {
-			e, err := newSubprocessExecutor(ec.Meter, ec.MockWatts, "", ec.MockModel, ec.MockNoiseW, ec.TrialTimeout)
-			if err != nil {
-				return err
-			}
-			exec = e
-		} else {
-			for i := range b.Trials {
-				// Extern trials name a workload, not a catalog kernel — the
-				// extern executor runs their child process directly, so there
-				// is nothing to graft.
-				if b.Trials[i].Extern != nil {
-					continue
-				}
-				if err := graftKernel(&b.Trials[i].Spec); err != nil {
-					return err
-				}
-				if b.Trials[i].SpecB != nil {
-					if err := graftKernel(b.Trials[i].SpecB); err != nil {
-						return err
-					}
-				}
-			}
-			m, err := newMeter(ec.Meter, ec.MockWatts, "", ec.MockModel, ec.MockNoiseW)
-			if err != nil {
-				return err
-			}
-			exec = &harness.InProcess{Meter: m}
+		exec, err := newExecutor(execConfig{ExecConfig: b.Exec}, logf)
+		if err != nil {
+			return err
 		}
-		if hasExternTrials(b.Trials) {
-			// External workloads are always metered from the agent process
-			// itself, whichever executor runs the kernel trials.
-			m, err := newMeter(ec.Meter, ec.MockWatts, "", ec.MockModel, ec.MockNoiseW)
-			if err != nil {
-				return err
-			}
-			exec = &extwork.ExternExecutor{Meter: m, Fallback: exec, Timeout: ec.TrialTimeout, Log: logf}
-		}
-		sched := &harness.Scheduler{Executor: exec, Parallel: ec.Parallel, Log: logf}
+		sched := &harness.Scheduler{Executor: exec, Parallel: b.Exec.Parallel, Log: logf}
 		return sched.RunPlan(ctx, b.Trials, sink)
 	})
 }

@@ -25,12 +25,11 @@ import (
 	"sort"
 	"strings"
 	"syscall"
-	"time"
 
 	"energybench/internal/adapt"
 	"energybench/internal/bench"
 	"energybench/internal/campaign"
-	"energybench/internal/extwork"
+	"energybench/internal/fleet"
 	"energybench/internal/harness"
 	"energybench/internal/model"
 	"energybench/internal/perf"
@@ -350,24 +349,12 @@ func cmdList(args []string, stdout, stderr io.Writer) error {
 // run flags or from a campaign file — both routes share one execution path
 // so campaigns and flag-driven sweeps can never drift apart.
 type sweepConfig struct {
-	trials    []harness.Trial
-	meterName string
-	mockWatts float64
-	// mockSchedule is the piecewise-constant mock power schedule in
-	// 'atS:watts,...' form; empty for a constant draw.
-	mockSchedule string
-	// mockModel plants a linear power model ('component:watts,...') on the
-	// mock meter, with mockNoise the deterministic per-configuration noise
-	// amplitude; both empty/zero for a constant draw.
-	mockModel string
-	mockNoise float64
+	trials []harness.Trial
+	exec   execConfig
 	// adapt, when non-nil, replaces the exhaustive sweep with the adaptive
 	// planner: stdout gets the planner report instead of the result array
 	// (results stream to the store sink).
 	adapt     *adapt.Config
-	executor  string // campaign.ExecutorInProcess | campaign.ExecutorSubprocess
-	parallel  int
-	timeout   time.Duration
 	storePath string
 	resume    bool
 	dryRun    bool
@@ -382,21 +369,17 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	buildSpace := spaceFlags(fs)
+	ec := meterFlags(fs)
+	fs.StringVar(&ec.Executor, "executor", campaign.ExecutorInProcess, "trial backend: inprocess|subprocess")
+	fs.IntVar(&ec.Parallel, "parallel", 1, "max concurrently running trials (requires --executor=subprocess when above 1)")
+	fs.DurationVar(&ec.TrialTimeout, "trial-timeout", 0, "kill a subprocess worker running longer than this (0: no limit)")
 	var (
 		campaignPath   = fs.String("campaign", "", "run a declarative campaign file (YAML or JSON)")
-		meterName      = fs.String("meter", "mock", "energy backend: mock|rapl")
-		mockWatts      = fs.Float64("mock-watts", 42, "constant power modeled by the mock meter")
-		mockSchedule   = fs.String("mock-schedule", "", "piecewise-constant mock power schedule 'atS:watts,...' (requires --meter=mock)")
-		mockModel      = fs.String("mock-model", "", "planted linear mock power model 'component:watts,...' added per active thread (requires --meter=mock)")
-		mockNoise      = fs.Float64("mock-noise", 0, "deterministic per-configuration noise amplitude for a planted mock model (watts)")
 		algo           = fs.String("algo", adapt.AlgoAll, "campaign planning algorithm: all (exhaustive) | active (D-optimal model convergence) | bo (expected-improvement EDP search)")
 		batch          = fs.Int("batch", 0, "adaptive planner: trials dispatched per round (default 8; requires --algo=active|bo)")
 		budget         = fs.Int("budget", 0, "adaptive planner: cap on newly executed trials (default: full grid; requires --algo=active|bo)")
 		targetRSE      = fs.Float64("target-rse", 0, "adaptive planner: stop once every coefficient's relative standard error is at or below this (default 0.05; requires --algo=active)")
 		seed           = fs.Int64("seed", 0, "adaptive planner: seed for every random choice (default 1; requires --algo=active|bo)")
-		executor       = fs.String("executor", campaign.ExecutorInProcess, "trial backend: inprocess|subprocess")
-		parallel       = fs.Int("parallel", 1, "max concurrently running trials (requires --executor=subprocess when above 1)")
-		timeout        = fs.Duration("trial-timeout", 0, "kill a subprocess worker running longer than this (0: no limit)")
 		countersFlag   = fs.String("counters", "", "meter hardware activity: comma-separated event names, or 'default'")
 		counterBackend = fs.String("counter-backend", "", "activity backend: perf (default) or mock (requires --counters)")
 		storePath      = fs.String("store", "", "append results to the JSONL store at this path, flushed per configuration")
@@ -435,30 +418,18 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		if err != nil {
 			return err
 		}
-		ctimeout, err := c.Timeout()
-		if err != nil {
-			return err
-		}
 		ccounters, err := c.CounterSpec()
 		if err != nil {
 			return err
 		}
 		cfg = sweepConfig{
 			trials:    trials,
-			meterName: c.Meter,
-			mockWatts: *c.MockWatts,
-			mockModel: c.MockModel,
-			executor:  c.Executor,
-			parallel:  *c.Parallel,
-			timeout:   ctimeout,
+			exec:      execConfig{ExecConfig: fleet.ExecFromCampaign(c)},
 			storePath: c.Store,
 			resume:    c.Resume,
 			dryRun:    *dryRun,
 			progress:  *progress,
 			counters:  ccounters,
-		}
-		if c.MockNoiseW != nil {
-			cfg.mockNoise = *c.MockNoiseW
 		}
 		if ac, ok := c.AdaptConfig(); ok {
 			cfg.adapt = &ac
@@ -467,14 +438,14 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 			fmt.Fprintf(stderr, "campaign %q: %d planned trials across %d spaces\n", c.Name, len(trials), len(c.Spaces))
 		}
 	} else {
-		if err := campaign.ValidateMeter(*meterName); err != nil {
+		if err := campaign.ValidateMeter(ec.Meter); err != nil {
 			return err
 		}
 		// Fail fast on meter/executor/parallelism combinations that would
 		// otherwise silently misbehave (e.g. --parallel > 1 quietly
 		// serializing under the in-process executor, or corrupting rapl
 		// energies); the same shared check guards campaign files.
-		if err := campaign.ValidateExec(*meterName, *executor, *parallel, *timeout); err != nil {
+		if err := campaign.ValidateExec(ec.Meter, ec.Executor, ec.Parallel, ec.TrialTimeout); err != nil {
 			return err
 		}
 		// The planner knobs share the campaign-file validator; a flag left at
@@ -520,20 +491,13 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 			return err
 		}
 		cfg = sweepConfig{
-			trials:       trials,
-			meterName:    *meterName,
-			mockWatts:    *mockWatts,
-			mockSchedule: *mockSchedule,
-			mockModel:    *mockModel,
-			mockNoise:    *mockNoise,
-			executor:     *executor,
-			parallel:     *parallel,
-			timeout:      *timeout,
-			storePath:    *storePath,
-			resume:       *resume,
-			dryRun:       *dryRun,
-			progress:     *progress,
-			counters:     counters,
+			trials:    trials,
+			exec:      *ec,
+			storePath: *storePath,
+			resume:    *resume,
+			dryRun:    *dryRun,
+			progress:  *progress,
+			counters:  counters,
 		}
 		if *algo == adapt.AlgoActive || *algo == adapt.AlgoBO {
 			cfg.adapt = &adapt.Config{Algo: *algo, Batch: *batch, Budget: *budget, TargetRSE: *targetRSE, Seed: *seed}
@@ -558,10 +522,10 @@ func executeSweep(ctx context.Context, cfg sweepConfig, stdout, stderr io.Writer
 		}
 		var priorKeys []string
 		trials, skipped = harness.FilterTrials(trials, func(t harness.Trial) bool {
-			if !keys[t.Key(cfg.meterName)] {
+			if !keys[t.Key(cfg.exec.Meter)] {
 				return false
 			}
-			priorKeys = append(priorKeys, t.Key(cfg.meterName))
+			priorKeys = append(priorKeys, t.Key(cfg.exec.Meter))
 			return true
 		})
 		fmt.Fprintf(stderr, "resume: skipped %d already-stored trials, %d to run\n", skipped, len(trials))
@@ -613,38 +577,11 @@ func executeSweep(ctx context.Context, cfg sweepConfig, stdout, stderr io.Writer
 		sinks = append(sinks, harness.NewJSONArraySink(stdout))
 	}
 
-	var dispatch adapt.Dispatcher
-	if cfg.executor == campaign.ExecutorSubprocess {
-		// Probe the meter once up front so a systematically broken backend
-		// (e.g. rapl without powercap read access) fails fast, instead of
-		// spawning one doomed worker per trial and reporting the same
-		// error hundreds of times. The probe instance doubles as the
-		// parent-side meter external workloads are measured with: their
-		// children are metered from this process, not from a worker.
-		m, err := newMeter(cfg.meterName, cfg.mockWatts, cfg.mockSchedule, cfg.mockModel, cfg.mockNoise)
-		if err != nil {
-			return err
-		}
-		subExec, err := newSubprocessExecutor(cfg.meterName, cfg.mockWatts, cfg.mockSchedule, cfg.mockModel, cfg.mockNoise, cfg.timeout)
-		if err != nil {
-			return err
-		}
-		var exec harness.Executor = subExec
-		if hasExternTrials(trials) {
-			exec = &extwork.ExternExecutor{Meter: m, Fallback: subExec, Timeout: cfg.timeout, Log: log}
-		}
-		dispatch = &harness.Scheduler{Executor: exec, Parallel: cfg.parallel, Log: log}
-	} else {
-		m, err := newMeter(cfg.meterName, cfg.mockWatts, cfg.mockSchedule, cfg.mockModel, cfg.mockNoise)
-		if err != nil {
-			return err
-		}
-		var exec harness.Executor = &harness.InProcess{Meter: m}
-		if hasExternTrials(trials) {
-			exec = &extwork.ExternExecutor{Meter: m, Fallback: exec, Timeout: cfg.timeout, Log: log}
-		}
-		dispatch = &harness.Runner{Executor: exec, Log: log}
+	exec, err := newExecutor(cfg.exec, log)
+	if err != nil {
+		return err
 	}
+	dispatch := &harness.Scheduler{Executor: exec, Parallel: cfg.exec.Parallel, Log: log}
 
 	var runErr error
 	if cfg.adapt != nil {
@@ -666,17 +603,6 @@ func executeSweep(ctx context.Context, cfg sweepConfig, stdout, stderr io.Writer
 		fmt.Fprintf(stderr, "stored %d results in %s\n", storeSink.Count(), cfg.storePath)
 	}
 	return runErr
-}
-
-// hasExternTrials reports whether any planned trial runs an external
-// workload; only those sweeps pay for the extern executor wrapper.
-func hasExternTrials(trials []harness.Trial) bool {
-	for _, t := range trials {
-		if t.Extern != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // loadPriorResults reads the already-stored results of a resumed adaptive

@@ -6,15 +6,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"strconv"
-	"strings"
-	"time"
 
-	"energybench/internal/bench"
-	"energybench/internal/campaign"
 	"energybench/internal/harness"
-	"energybench/internal/meter"
 )
 
 // workerEnvMarker is set in every worker child's environment. The production
@@ -22,36 +15,6 @@ import (
 // it lets a `go test` binary re-exec itself as the CLI: TestMain sees the
 // marker and dispatches to run() instead of the test runner.
 const workerEnvMarker = "ENERGYBENCH_WORKER"
-
-// newSubprocessExecutor builds the executor that re-execs this binary as a
-// `worker-trial` child for every trial, forwarding the meter configuration
-// as child flags so the parent never has to construct the meter itself
-// (RAPL sysfs access stays confined to the measuring process).
-func newSubprocessExecutor(meterName string, mockWatts float64, mockSchedule, mockModel string, mockNoise float64, timeout time.Duration) (*harness.Subprocess, error) {
-	self, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("locating own binary for worker re-exec: %w", err)
-	}
-	args := []string{"worker-trial", "--meter=" + meterName}
-	if meterName == "mock" {
-		args = append(args, fmt.Sprintf("--mock-watts=%g", mockWatts))
-		if mockSchedule != "" {
-			args = append(args, "--mock-schedule="+mockSchedule)
-		}
-		if mockModel != "" {
-			args = append(args, "--mock-model="+mockModel)
-			if mockNoise > 0 {
-				args = append(args, fmt.Sprintf("--mock-noise=%g", mockNoise))
-			}
-		}
-	}
-	return &harness.Subprocess{
-		Binary:  self,
-		Args:    args,
-		Env:     []string{workerEnvMarker + "=1"},
-		Timeout: timeout,
-	}, nil
-}
 
 // cmdWorkerTrial is the child half of the subprocess executor: it reads one
 // serialized harness.Trial from stdin, runs it in-process (pinning, warm-up,
@@ -62,17 +25,11 @@ func newSubprocessExecutor(meterName string, mockWatts float64, mockSchedule, mo
 func cmdWorkerTrial(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("worker-trial", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		meterName    = fs.String("meter", "mock", "energy backend: mock|rapl")
-		mockWatts    = fs.Float64("mock-watts", 42, "constant power modeled by the mock meter")
-		mockSchedule = fs.String("mock-schedule", "", "piecewise-constant mock power schedule 'atS:watts,...'")
-		mockModel    = fs.String("mock-model", "", "planted linear mock power model 'component:watts,...'")
-		mockNoise    = fs.Float64("mock-noise", 0, "deterministic per-configuration noise amplitude for a planted model (watts)")
-	)
+	ec := meterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := runWorkerTrial(ctx, *meterName, *mockWatts, *mockSchedule, *mockModel, *mockNoise, stdin)
+	res, err := runWorkerTrial(ctx, *ec, stdin)
 	env := harness.WorkerEnvelope{V: harness.WorkerProtocolVersion}
 	if err != nil {
 		env.Error = err.Error()
@@ -88,7 +45,7 @@ func cmdWorkerTrial(ctx context.Context, args []string, stdin io.Reader, stdout,
 	return nil
 }
 
-func runWorkerTrial(ctx context.Context, meterName string, mockWatts float64, mockSchedule, mockModel string, mockNoise float64, stdin io.Reader) (harness.Result, error) {
+func runWorkerTrial(ctx context.Context, ec execConfig, stdin io.Reader) (harness.Result, error) {
 	var t harness.Trial
 	if err := json.NewDecoder(stdin).Decode(&t); err != nil {
 		return harness.Result{}, fmt.Errorf("decoding trial from stdin: %w", err)
@@ -99,124 +56,9 @@ func runWorkerTrial(ctx context.Context, meterName string, mockWatts float64, mo
 	if t.Extern != nil {
 		return harness.Result{}, fmt.Errorf("trial runs external workload %q: extern trials are executed by the parent process, not worker children", t.Extern.Workload)
 	}
-	// Kernels are function pointers and don't survive serialization; graft
-	// them back from the catalog by spec name.
-	if err := graftKernel(&t.Spec); err != nil {
-		return harness.Result{}, err
-	}
-	if t.SpecB != nil {
-		if err := graftKernel(t.SpecB); err != nil {
-			return harness.Result{}, err
-		}
-	}
-	m, err := newMeter(meterName, mockWatts, mockSchedule, mockModel, mockNoise)
+	exec, err := newExecutor(ec, nil)
 	if err != nil {
 		return harness.Result{}, err
 	}
-	exec := &harness.InProcess{Meter: m}
 	return exec.Execute(ctx, t)
-}
-
-// newMeter constructs the energy backend. It is the single construction
-// path shared by the in-process sweep and the worker child, so a new
-// backend only needs wiring here.
-func newMeter(name string, mockWatts float64, mockSchedule, mockModel string, mockNoise float64) (meter.EnergyMeter, error) {
-	if mockSchedule != "" && name != "mock" {
-		return nil, fmt.Errorf("--mock-schedule requires --meter=mock, got meter %q", name)
-	}
-	if mockModel != "" && name != "mock" {
-		return nil, fmt.Errorf("--mock-model requires --meter=mock, got meter %q", name)
-	}
-	if mockModel != "" && mockSchedule != "" {
-		return nil, fmt.Errorf("--mock-model and --mock-schedule are exclusive: a planted model already defines the draw over time")
-	}
-	if mockNoise != 0 && mockModel == "" {
-		return nil, fmt.Errorf("--mock-noise requires --mock-model")
-	}
-	switch name {
-	case "mock":
-		m := meter.NewMock(mockWatts)
-		steps, err := parseMockSchedule(mockSchedule)
-		if err != nil {
-			return nil, err
-		}
-		m.Steps = steps
-		if mockModel != "" {
-			planted, err := meter.ParseMockModel(mockModel)
-			if err != nil {
-				return nil, err
-			}
-			m.ModelW = planted
-			if mockNoise < 0 {
-				return nil, fmt.Errorf("--mock-noise must be non-negative, got %v", mockNoise)
-			}
-			m.NoiseW = mockNoise
-		}
-		return m, nil
-	case "rapl":
-		return meter.NewRAPL(meter.DefaultPowercapRoot)
-	default:
-		if err := campaign.ValidateMeter(name); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("meter %q is known but has no constructor wired here", name)
-	}
-}
-
-// parseMockSchedule decodes the 'atS:watts,...' flag syntax into mock meter
-// schedule steps, requiring strictly increasing offsets so the piecewise
-// integral is well defined.
-func parseMockSchedule(s string) ([]meter.MockStep, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var steps []meter.MockStep
-	for _, part := range strings.Split(s, ",") {
-		atStr, wattsStr, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("--mock-schedule: step %q is not of the form atS:watts", part)
-		}
-		at, err := strconv.ParseFloat(atStr, 64)
-		if err != nil {
-			return nil, fmt.Errorf("--mock-schedule: bad offset in %q: %w", part, err)
-		}
-		watts, err := strconv.ParseFloat(wattsStr, 64)
-		if err != nil {
-			return nil, fmt.Errorf("--mock-schedule: bad watts in %q: %w", part, err)
-		}
-		if at < 0 || watts < 0 {
-			return nil, fmt.Errorf("--mock-schedule: step %q must have non-negative offset and watts", part)
-		}
-		if len(steps) > 0 && at <= steps[len(steps)-1].AtS {
-			return nil, fmt.Errorf("--mock-schedule: offsets must be strictly increasing, got %g after %g", at, steps[len(steps)-1].AtS)
-		}
-		steps = append(steps, meter.MockStep{AtS: at, Watts: watts})
-	}
-	return steps, nil
-}
-
-// graftKernel restores what a serialized spec cannot carry: the kernel
-// function pointer, plus any catalog parameter the JSON left zero. A
-// hand-written worker-trial may name just the spec ("chase-dram"); without
-// its catalog working set the chase kernel would run on an empty workspace
-// and panic.
-func graftKernel(spec *bench.Spec) error {
-	cat, err := bench.Lookup(spec.Name)
-	if err != nil {
-		return err
-	}
-	spec.Kernel = cat.Kernel
-	if spec.Component == "" {
-		spec.Component = cat.Component
-	}
-	if spec.WorkingSet == 0 {
-		spec.WorkingSet = cat.WorkingSet
-	}
-	if spec.Unroll == 0 {
-		spec.Unroll = cat.Unroll
-	}
-	if spec.Iters == 0 {
-		spec.Iters = cat.Iters
-	}
-	return nil
 }

@@ -86,8 +86,9 @@ func (c Config) normalize() (Config, error) {
 	return c, nil
 }
 
-// Dispatcher runs one batch of trials, streaming results into the sink. Both
-// *harness.Scheduler and *harness.Runner satisfy it.
+// Dispatcher runs one batch of trials, streaming results into the sink. The
+// local *harness.Scheduler and the fleet coordinator's lease table satisfy
+// it.
 type Dispatcher interface {
 	RunPlan(ctx context.Context, trials []harness.Trial, sink harness.ResultSink) error
 }

@@ -12,8 +12,8 @@
 // operating point rather than the full model.
 //
 // The planner is deliberately thin over the existing pipeline: batches are
-// dispatched through any Dispatcher (the core-leasing harness.Scheduler or
-// the serial harness.Runner), results stream into the caller's sink exactly
+// dispatched through any Dispatcher (the harness.Scheduler, or the fleet
+// coordinator's lease table), results stream into the caller's sink exactly
 // as an exhaustive sweep's would, and previously stored results seed the
 // fitted state, so an interrupted adaptive campaign resumes instead of
 // restarting. All randomness flows from the single configured seed.

@@ -70,10 +70,10 @@ type Campaign struct {
 	// clock under the subprocess executor; empty means no limit.
 	TrialTimeout string `json:"trial_timeout,omitempty"`
 	// SampleInterval is a Go duration ("10ms") switching on in-trial
-	// time-resolved sampling for every space: the energy meter (and any
-	// counter sessions) is polled on this period during each measured
-	// repetition and a per-rep series rides on every sample. Empty disables
-	// sampling.
+	// time-resolved sampling for every space and workload: the energy meter
+	// (and any counter sessions) is polled on this period during each
+	// measured repetition and a per-rep series rides on every sample. Empty
+	// disables sampling.
 	SampleInterval string `json:"sample_interval,omitempty"`
 	// Store is the result store path, flushed per configuration: a single
 	// JSONL file for .jsonl/.json paths, a sharded segment directory
@@ -549,8 +549,8 @@ func (sc *SpaceConfig) Space() (harness.Space, error) {
 // Plan expands every space in declaration order into one combined trial
 // list — kernel spaces first, then external workloads — re-sequencing Seq
 // across boundaries so the campaign reads as a single plan to schedulers,
-// dry runs, and progress logs. The campaign's counter spec (when any)
-// applies to every space and workload.
+// dry runs, and progress logs. The campaign's counter spec and sampling
+// interval (when any) apply to every space and workload.
 func (c *Campaign) Plan() ([]harness.Trial, error) {
 	counters, err := c.CounterSpec()
 	if err != nil {
@@ -584,6 +584,7 @@ func (c *Campaign) Plan() ([]harness.Trial, error) {
 		}
 		for _, t := range trials {
 			t.Seq = len(all)
+			t.SampleInterval = sampleEvery
 			all = append(all, t)
 		}
 	}

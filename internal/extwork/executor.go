@@ -16,21 +16,20 @@ import (
 	"energybench/internal/harness"
 	"energybench/internal/meter"
 	"energybench/internal/perf"
-	"energybench/internal/stats"
 )
 
 // ExternExecutor runs external-workload trials: per repetition it launches
-// the workload's binary as a child process and meters exactly the child's
+// the workload's binary as a frozen child process, and the shared
+// measurement core (harness.Measure) meters and samples exactly the child's
 // lifetime. Kernel trials are delegated to Fallback, so one executor serves
-// a mixed campaign plan under the serial Runner or the parallel Scheduler
-// unchanged.
+// a mixed campaign plan under the Scheduler unchanged.
 //
 // The metered section of every extern trial is serialized internally:
 // energy counters are machine-global, so two concurrently metered children
 // would corrupt each other's deltas (the same reason kernel trials refuse
-// rapl with --parallel). Under the Scheduler, kernel trials still run
-// concurrently with each other and with the setup/teardown of extern
-// trials; only the child-runs-while-metered windows queue.
+// rapl with --parallel). Under a parallel Scheduler, kernel trials still
+// run concurrently with each other and with the builds of extern trials;
+// only the extern repetition loops queue.
 type ExternExecutor struct {
 	// Meter reads energy around each child run; required for extern trials.
 	Meter meter.EnergyMeter
@@ -94,10 +93,11 @@ func (e *ExternExecutor) setAffinity(pid int, cpus []int) error {
 	return setProcAffinity(pid, cpus)
 }
 
-// Execute runs one trial. Extern trials follow the kernel executors'
-// repetition contract — Warmup discarded runs, then adaptive repetitions
-// under the energy-CV target up to MaxReps — so downstream summaries, EDP,
-// and convergence labeling behave identically.
+// Execute runs one trial. Extern trials go through the same measurement
+// core as kernel trials — Warmup discarded runs, adaptive repetitions under
+// the energy-CV target up to MaxReps, sampling at the trial's
+// SampleInterval — so downstream summaries, EDP, series, and convergence
+// labeling behave identically.
 func (e *ExternExecutor) Execute(ctx context.Context, t harness.Trial) (harness.Result, error) {
 	if t.Extern == nil {
 		if e.Fallback == nil {
@@ -106,105 +106,40 @@ func (e *ExternExecutor) Execute(ctx context.Context, t harness.Trial) (harness.
 		return e.Fallback.Execute(ctx, t)
 	}
 	spec := t.Extern
-	res := harness.Result{
-		Spec:               t.Spec.Name,
-		Threads:            t.Threads,
-		Iters:              t.Iters,
-		Placement:          t.Placement,
-		Workload:           spec.Workload,
-		WorkloadComponents: spec.Components,
-	}
 	if err := spec.Validate(); err != nil {
-		return res, err
+		return harness.Result{}, err
 	}
 	if e.Meter == nil {
-		return res, fmt.Errorf("extwork: no energy meter configured")
+		return harness.Result{}, fmt.Errorf("extwork: no energy meter configured")
 	}
-	res.Meter = e.Meter.Name()
-	for _, d := range e.Meter.Domains() {
-		res.Domains = append(res.Domains, d.Name)
-	}
-
 	cpus := t.CPUs
 	if cpus == nil {
 		cpus = harness.CPUAssignment(t.Placement, t.Threads)
 	}
-
 	if err := e.buildOnce(ctx, spec); err != nil {
-		return res, err
+		return harness.Result{}, err
 	}
-
 	var activity perf.ActivityMeter
 	if t.Counters != nil {
 		am, err := e.activityMeter(*t.Counters)
 		if err != nil {
-			return res, fmt.Errorf("extwork: activity meter: %w", err)
+			return harness.Result{}, fmt.Errorf("extwork: activity meter: %w", err)
 		}
 		activity = am
 	}
 
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
-
-	// A load-aware meter (the mock's planted linear model) draws power from
-	// the running configuration: hand it the workload's declared activity
-	// mix scaled by the thread count, the extern analogue of the kernel
-	// executors' component→threads map.
-	if la, ok := e.Meter.(meter.LoadAware); ok {
-		load := map[string]float64{}
-		for c, weight := range spec.Components {
-			load[string(c)] += weight * float64(t.Threads)
-		}
-		la.SetLoad(load)
-	}
-
-	var conv stats.Accumulator
 	var repCounts [][]perf.Counts
-	var repWalls []float64
-	for rep := 0; rep < t.Warmup+t.MaxReps; rep++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		sample, counts, err := e.runOnce(ctx, t, spec, cpus, activity)
-		if err != nil {
-			return res, err
-		}
-		if rep < t.Warmup {
-			continue
-		}
-		res.Samples = append(res.Samples, sample)
-		if counts != nil {
-			repCounts = append(repCounts, counts)
-			repWalls = append(repWalls, sample.TimeS)
-		}
-		conv.Push(sample.EnergyJ)
-		if len(res.Samples) < t.MaxReps && conv.Converged(t.CVTarget, t.MinReps) {
-			res.Converged = true
-			break
-		}
+	res, err := harness.Measure(ctx, e.Meter, t, func() (harness.Region, error) {
+		return e.launch(ctx, t, cpus, activity, &repCounts)
+	})
+	if err != nil {
+		return res, err
 	}
 	if activity != nil {
-		res.Counters = buildExternCounters(activity.Name(), activity.Events(), repCounts, repWalls)
+		res.Counters = buildExternCounters(activity.Name(), activity.Events(), repCounts, res.Samples)
 	}
-
-	n := len(res.Samples)
-	energies := make([]float64, n)
-	times := make([]float64, n)
-	powers := make([]float64, n)
-	for i, s := range res.Samples {
-		energies[i], times[i], powers[i] = s.EnergyJ, s.TimeS, s.PowerW
-	}
-	summarize := func(xs []float64) stats.Summary {
-		if t.MaxCV > 0 {
-			return stats.SummarizeRobust(xs, t.MaxCV, 2)
-		}
-		return stats.Summarize(xs)
-	}
-	res.EnergyJ = summarize(energies)
-	res.TimeS = summarize(times)
-	res.PowerW = summarize(powers)
-	res.EDP = res.EnergyJ.Mean * res.TimeS.Mean
-	res.EDDP = res.EDP * res.TimeS.Mean
 	return res, nil
 }
 
@@ -226,9 +161,11 @@ func (e *ExternExecutor) buildOnce(ctx context.Context, spec *harness.ExternSpec
 	}
 	cmd := exec.CommandContext(ctx, spec.Build[0], spec.Build[1:]...)
 	cmd.Dir = spec.Dir
-	out, err := cmd.CombinedOutput()
+	var stderr harness.TailBuffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
 	if err != nil {
-		err = fmt.Errorf("extwork: building workload %q: %v%s", spec.Workload, err, outputSuffix(out))
+		err = fmt.Errorf("extwork: building workload %q: %v%s", spec.Workload, err, stderr.Suffix())
 	}
 	if e.built == nil {
 		e.built = map[string]error{}
@@ -237,141 +174,122 @@ func (e *ExternExecutor) buildOnce(ctx context.Context, spec *harness.ExternSpec
 	return err
 }
 
-// runOnce launches and meters one child run: start frozen (SIGSTOP before
-// the shell-less child leaves the exec stub), pin, attach counters, read
-// the meter, SIGCONT, wait, read again. The child's whole lifetime — and
-// nothing else — falls between the meter reads.
-func (e *ExternExecutor) runOnce(ctx context.Context, t harness.Trial, spec *harness.ExternSpec, cpus []int, activity perf.ActivityMeter) (harness.Sample, []perf.Counts, error) {
+// launch prepares one repetition's region: the child started frozen
+// (SIGSTOP before the shell-less child leaves the exec stub), pinned, and
+// with its counters attached and started. Releasing the region resumes the
+// child (SIGCONT), waits for it to exit, stops its counters, and classifies
+// its fate; the core's meter reads bracket exactly that. A measured
+// repetition's per-session counts are appended to repCounts.
+func (e *ExternExecutor) launch(ctx context.Context, t harness.Trial, cpus []int, activity perf.ActivityMeter, repCounts *[][]perf.Counts) (harness.Region, error) {
+	spec := t.Extern
 	timeout := spec.Timeout
 	if timeout == 0 {
 		timeout = e.Timeout
 	}
-	rctx := ctx
+	rctx, cancel := ctx, context.CancelFunc(func() {})
 	if timeout > 0 {
-		var cancel context.CancelFunc
 		rctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
 	}
 	argv := expandArgv(spec.Exec, t.Threads, cpus)
 	cmd := exec.CommandContext(rctx, argv[0], argv[1:]...)
 	cmd.Dir = spec.Dir
 	cmd.Env = childEnv(spec.Env, t.Threads, cpus)
 	cmd.Stdout = io.Discard
-	tail := &tailBuffer{limit: 2048}
-	cmd.Stderr = tail
+	var stderr harness.TailBuffer
+	cmd.Stderr = &stderr
 	// A child that ignores the kill (stopped, or reparenting games) must
 	// not wedge the sweep: Wait gives up on its pipes after this delay.
 	cmd.WaitDelay = 3 * time.Second
-
 	if err := cmd.Start(); err != nil {
-		return harness.Sample{}, nil, fmt.Errorf("extwork: launching workload %q: %w", spec.Workload, err)
+		cancel()
+		return harness.Region{}, fmt.Errorf("extwork: launching workload %q: %w", spec.Workload, err)
 	}
 	pid := cmd.Process.Pid
-	// fail tears down a half-launched child before surfacing a setup error.
-	fail := func(err error) (harness.Sample, []perf.Counts, error) {
+	var sessions []perf.Session
+	// abort tears down a half-launched or unreleased child.
+	abort := func() {
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
-		return harness.Sample{}, nil, err
+		for _, s := range sessions {
+			s.Close()
+		}
+		cancel()
+	}
+	fail := func(err error) (harness.Region, error) {
+		abort()
+		return harness.Region{}, err
 	}
 	if err := e.stop(pid); err != nil {
 		return fail(fmt.Errorf("extwork: freezing workload %q: %w", spec.Workload, err))
 	}
 	if len(cpus) > 0 {
-		if err := e.setAffinity(pid, uniqueCPUs(cpus)); err != nil {
-			return fail(fmt.Errorf("extwork: pinning workload %q to CPUs %v: %w", spec.Workload, uniqueCPUs(cpus), err))
+		if err := e.setAffinity(pid, harness.UniqueCPUs(cpus)); err != nil {
+			return fail(fmt.Errorf("extwork: pinning workload %q to CPUs %v: %w", spec.Workload, harness.UniqueCPUs(cpus), err))
 		}
 	}
-	var sessions []perf.Session
+	r := harness.Region{Abort: abort}
+	var counts []perf.Counts
 	if activity != nil {
 		ss, err := e.attach(activity, pid, spec)
 		if err != nil {
 			return fail(fmt.Errorf("extwork: attaching counters to workload %q: %w", spec.Workload, err))
 		}
 		sessions = ss
-		defer func() {
-			for _, s := range sessions {
-				s.Close()
-			}
-		}()
 		for _, s := range sessions {
 			if err := s.Start(); err != nil {
 				return fail(fmt.Errorf("extwork: starting counters for workload %q: %w", spec.Workload, err))
 			}
 		}
+		r.Sessions, r.Events = sessions, activity.Events()
+		r.Measured = func(*harness.Sample) { *repCounts = append(*repCounts, counts) }
 	}
-	before, err := e.Meter.Read()
-	if err != nil {
-		return fail(err)
-	}
-	t0 := time.Now()
-	if err := e.cont(pid); err != nil {
-		return fail(fmt.Errorf("extwork: resuming workload %q: %w", spec.Workload, err))
-	}
-	werr := cmd.Wait()
-	elapsed := time.Since(t0).Seconds()
-	var counts []perf.Counts
-	var ctrErr error
-	for _, s := range sessions {
-		c, err := s.Stop()
-		if err != nil {
-			if ctrErr == nil {
-				ctrErr = err
+	r.Release = func() error {
+		if err := e.cont(pid); err != nil {
+			abort()
+			return fmt.Errorf("extwork: resuming workload %q: %w", spec.Workload, err)
+		}
+		defer cancel()
+		werr := cmd.Wait()
+		var ctrErr error
+		for _, s := range sessions {
+			if c, err := s.Stop(); err != nil {
+				if ctrErr == nil {
+					ctrErr = err
+				}
+			} else {
+				counts = append(counts, c)
 			}
-			continue
+			s.Close()
 		}
-		counts = append(counts, c)
-	}
-	after, readErr := e.Meter.Read()
 
-	// Classify the child's fate. A sweep-level cancellation is reported as
-	// the context's own error so the Scheduler attributes it to the user's
-	// interrupt, not to the trial.
-	if err := ctx.Err(); err != nil {
-		return harness.Sample{}, nil, err
-	}
-	if timeout > 0 && rctx.Err() != nil {
-		return harness.Sample{}, nil, fmt.Errorf("extwork: workload %q timed out after %v%s", spec.Workload, timeout, tail.suffix())
-	}
-	code := 0
-	if werr != nil {
-		var ee *exec.ExitError
-		if !errors.As(werr, &ee) {
-			return harness.Sample{}, nil, fmt.Errorf("extwork: workload %q: %w", spec.Workload, werr)
+		// Classify the child's fate. A sweep-level cancellation is reported
+		// as the context's own error so the Scheduler attributes it to the
+		// user's interrupt, not to the trial.
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		code = ee.ExitCode()
-		if code == -1 {
-			return harness.Sample{}, nil, fmt.Errorf("extwork: workload %q killed: %v%s", spec.Workload, ee, tail.suffix())
+		if timeout > 0 && rctx.Err() != nil {
+			return fmt.Errorf("extwork: workload %q timed out after %v%s", spec.Workload, timeout, stderr.Suffix())
 		}
+		code := 0
+		if werr != nil {
+			var ee *exec.ExitError
+			if !errors.As(werr, &ee) {
+				return fmt.Errorf("extwork: workload %q: %w", spec.Workload, werr)
+			}
+			if code = ee.ExitCode(); code == -1 {
+				return fmt.Errorf("extwork: workload %q killed: %v%s", spec.Workload, ee, stderr.Suffix())
+			}
+		}
+		if code != spec.ExpectExit {
+			return fmt.Errorf("extwork: workload %q exited with status %d, want %d%s", spec.Workload, code, spec.ExpectExit, stderr.Suffix())
+		}
+		if ctrErr != nil {
+			return fmt.Errorf("extwork: reading workload %q counters: %w", spec.Workload, ctrErr)
+		}
+		return nil
 	}
-	if code != spec.ExpectExit {
-		return harness.Sample{}, nil, fmt.Errorf("extwork: workload %q exited with status %d, want %d%s", spec.Workload, code, spec.ExpectExit, tail.suffix())
-	}
-	if readErr != nil {
-		return harness.Sample{}, nil, readErr
-	}
-	if ctrErr != nil {
-		return harness.Sample{}, nil, fmt.Errorf("extwork: reading workload %q counters: %w", spec.Workload, ctrErr)
-	}
-
-	domainJ, err := meter.DeltaPerDomain(e.Meter, before, after)
-	if err != nil {
-		return harness.Sample{}, nil, err
-	}
-	var energy float64
-	for _, j := range domainJ {
-		energy += j
-	}
-	s := harness.Sample{EnergyJ: energy, TimeS: elapsed, DomainJ: domainJ}
-	// Same window convention as the kernel executors: the energy delta
-	// spans the meter's own read window, so power divides by that; the
-	// child wall clock is the fallback for meters without timestamps.
-	if w := after.At.Sub(before.At).Seconds(); w > 0 {
-		s.MeterTimeS = w
-		s.PowerW = energy / w
-	} else if elapsed > 0 {
-		s.PowerW = energy / elapsed
-	}
-	return s, counts, nil
+	return r, nil
 }
 
 // attach opens counter sessions on the frozen child. The preferred shape is
@@ -431,11 +349,12 @@ func dominantComponent(spec *harness.ExternSpec) string {
 
 // buildExternCounters folds per-repetition, per-session counts into the
 // stored aggregate: one synthetic "thread" holding the child's process-wide
-// totals. Rates divide the summed scaled counts by the repetition's child
-// wall clock — not by time_enabled, which under inherited counters is the
+// totals, one repetition per measured sample. Rates divide the summed
+// scaled counts by the repetition's child wall clock (the sample's TimeS) —
+// not by time_enabled, which under inherited counters is the
 // *sum* over the child's tasks and would understate the process-aggregate
 // rate by the thread count.
-func buildExternCounters(backend string, events []string, reps [][]perf.Counts, walls []float64) *harness.Counters {
+func buildExternCounters(backend string, events []string, reps [][]perf.Counts, samples []harness.Sample) *harness.Counters {
 	if len(reps) == 0 || len(events) == 0 {
 		return nil
 	}
@@ -457,8 +376,8 @@ func buildExternCounters(backend string, events []string, reps [][]perf.Counts, 
 					break
 				}
 				th.TotalMean[i] += v.Scaled / n
-				if r < len(walls) && walls[r] > 0 {
-					th.RateHzMean[i] += v.Scaled / walls[r] / n
+				if wall := samples[r].TimeS; wall > 0 {
+					th.RateHzMean[i] += v.Scaled / wall / n
 				}
 				if v.Multiplexed() {
 					out.Events[i].Multiplexed = true
@@ -508,66 +427,10 @@ func expandVars(s string, threads int, cpus []int) string {
 // cpuListString renders the unique CPU assignment as "0,2,4"; empty when
 // the trial is unpinned.
 func cpuListString(cpus []int) string {
-	uniq := uniqueCPUs(cpus)
+	uniq := harness.UniqueCPUs(cpus)
 	parts := make([]string, len(uniq))
 	for i, c := range uniq {
 		parts[i] = strconv.Itoa(c)
 	}
 	return strings.Join(parts, ",")
-}
-
-// uniqueCPUs returns the sorted distinct CPU ids of an assignment.
-func uniqueCPUs(cpus []int) []int {
-	seen := map[int]bool{}
-	var uniq []int
-	for _, c := range cpus {
-		if !seen[c] {
-			seen[c] = true
-			uniq = append(uniq, c)
-		}
-	}
-	sort.Ints(uniq)
-	return uniq
-}
-
-// tailBuffer keeps the last limit bytes written, for bounded stderr tails
-// in error messages.
-type tailBuffer struct {
-	mu    sync.Mutex
-	limit int
-	buf   []byte
-}
-
-func (b *tailBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.buf = append(b.buf, p...)
-	if len(b.buf) > b.limit {
-		b.buf = b.buf[len(b.buf)-b.limit:]
-	}
-	return len(p), nil
-}
-
-// suffix renders the tail as an error-message suffix; empty when the child
-// wrote nothing.
-func (b *tailBuffer) suffix() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := strings.TrimSpace(string(b.buf))
-	if s == "" {
-		return ""
-	}
-	return fmt.Sprintf(" (stderr: %s)", s)
-}
-
-// outputSuffix is suffix for one-shot captured output (the build step).
-func outputSuffix(out []byte) string {
-	s := strings.TrimSpace(string(out))
-	if s == "" {
-		return ""
-	}
-	if len(s) > 2048 {
-		s = s[len(s)-2048:]
-	}
-	return fmt.Sprintf(": %s", s)
 }

@@ -218,8 +218,9 @@ func TestExecuteCounterFailures(t *testing.T) {
 
 // TestExecuteSuccessMetersChildAndCounters is the happy path end to end:
 // ${THREADS} expands into the child's environment, the load-aware mock
-// meter draws the planted model for the workload's declared mix, and the
-// attached mock counter sessions recover the planted instruction rate.
+// meter draws the planted model for the workload's declared mix, the
+// attached mock counter sessions recover the planted instruction rate, and
+// the sampler polls the meter and those sessions while the child runs.
 func TestExecuteSuccessMetersChildAndCounters(t *testing.T) {
 	needCmd(t, "sh")
 	needCmd(t, "sleep")
@@ -236,6 +237,7 @@ func TestExecuteSuccessMetersChildAndCounters(t *testing.T) {
 	tr.Threads = 2
 	tr.MinReps, tr.MaxReps = 2, 2
 	tr.Counters = &spec
+	tr.SampleInterval = 20 * time.Millisecond
 	tr.Extern.Env = map[string]string{"T": "${THREADS}"}
 	tr.Extern.Components = map[bench.Component]float64{"int-alu": 1}
 
@@ -250,6 +252,14 @@ func TestExecuteSuccessMetersChildAndCounters(t *testing.T) {
 	// Planted model: 30 W static + 5 W/thread × 2 int-alu threads.
 	if want := 40.0; math.Abs(res.PowerW.Mean-want)/want > 0.01 {
 		t.Errorf("PowerW = %.3f, want ~%.0f from the planted model", res.PowerW.Mean, want)
+	}
+	for i, smp := range res.Samples {
+		if smp.Series == nil || len(smp.Series.Points) == 0 || len(smp.Series.Events) != 2 {
+			t.Fatalf("sample %d: series %+v, want points over both counted events", i, smp.Series)
+		}
+		if pt := smp.Series.Points[0]; len(pt.Counts) != 2 {
+			t.Errorf("sample %d: first point counts %v, want one per event", i, pt.Counts)
+		}
 	}
 	if !strings.HasSuffix(harness.ResultKey(res), "|w:stress") {
 		t.Errorf("key %q lacks the workload dimension", harness.ResultKey(res))

@@ -1,0 +1,83 @@
+//go:build linux
+
+package harness
+
+import (
+	"context"
+	"errors"
+	"os"
+	"runtime"
+	"strconv"
+	"syscall"
+	"testing"
+	"unsafe"
+
+	"energybench/internal/meter"
+)
+
+// taskCPUs counts the CPUs in one OS thread's affinity mask.
+func taskCPUs(t *testing.T, tid int) int {
+	t.Helper()
+	var mask [16]uint64
+	_, _, errno := syscall.RawSyscall(syscall.SYS_SCHED_GETAFFINITY,
+		uintptr(tid), uintptr(len(mask)*8), uintptr(unsafe.Pointer(&mask[0])))
+	if errno == syscall.ESRCH {
+		return -1 // the thread exited between listing and reading
+	}
+	if errno != 0 {
+		t.Fatalf("sched_getaffinity(%d): %v", tid, errno)
+	}
+	n := 0
+	for _, bits := range mask {
+		for ; bits != 0; bits &= bits - 1 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPinnedTrialsRestoreThreadAffinity is the pinning-leak regression
+// test: pinned workers used to unlock their OS threads while still confined
+// to one CPU, so the runtime handed those threads to later goroutines —
+// including the next placement's topology walk, which then saw a one-CPU
+// machine. After pinned trials, every thread of the process and every fresh
+// goroutine must see all of the process's CPUs again.
+func TestPinnedTrialsRestoreThreadAffinity(t *testing.T) {
+	n := runtime.NumCPU()
+	if n < 2 {
+		t.Skip("needs 2 or more CPUs to tell a pinned thread from an unpinned one")
+	}
+	e := &InProcess{Meter: meter.NewMock(42)}
+	spec := tinySpace(t).Specs[0]
+	for _, p := range []Placement{PlaceScatter, PlaceCompact, PlaceScatter, PlaceCompact} {
+		trial := Trial{Spec: spec, Threads: n, Placement: p, Iters: 1000, MinReps: 2, MaxReps: 2}
+		if _, err := e.Execute(context.Background(), trial); err != nil {
+			var errno syscall.Errno
+			if errors.As(err, &errno) {
+				t.Skipf("sched_setaffinity refused here: %v", err)
+			}
+			t.Fatal(err)
+		}
+	}
+
+	tasks, err := os.ReadDir("/proc/self/task")
+	if err != nil {
+		t.Skipf("no procfs task list: %v", err)
+	}
+	for _, task := range tasks {
+		tid, err := strconv.Atoi(task.Name())
+		if err != nil {
+			continue
+		}
+		if got := taskCPUs(t, tid); got >= 0 && got != n {
+			t.Errorf("thread %d is confined to %d CPUs after the pinned trials, want all %d", tid, got, n)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		seen := make(chan int, 1)
+		go func() { seen <- len(affinityCPUs()) }()
+		if got := <-seen; got != n {
+			t.Fatalf("fresh goroutine %d sees %d CPUs, want all %d", i, got, n)
+		}
+	}
+}

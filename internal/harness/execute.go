@@ -12,7 +12,6 @@ import (
 	"energybench/internal/bench"
 	"energybench/internal/meter"
 	"energybench/internal/perf"
-	"energybench/internal/stats"
 )
 
 // Executor runs one planned trial and produces its aggregated result. The
@@ -24,20 +23,19 @@ type Executor interface {
 }
 
 // InProcess executes trials on this process's own threads: per-thread
-// workspaces behind a start barrier, the meter read tightly around the
-// parallel section, and adaptive repetitions driven by the running CV of the
-// energy samples.
+// workspaces behind a start barrier, released by the shared measurement
+// core (Measure) between its meter reads.
 type InProcess struct {
 	Meter meter.EnergyMeter
 	// pin overrides the thread-pinning syscall in tests; nil means the
 	// platform pinThread.
-	pin func(cpu int) error
+	pin func(cpu int) (unpin func() error, err error)
 	// newActivity overrides ActivityMeter construction in tests; nil means
 	// perf.NewMeter over the trial's counter spec.
 	newActivity func(perf.Spec) (perf.ActivityMeter, error)
 }
 
-func (e *InProcess) pinFunc() func(int) error {
+func (e *InProcess) pinFunc() func(int) (func() error, error) {
 	if e.pin != nil {
 		return e.pin
 	}
@@ -72,23 +70,18 @@ func scaleIters(iters int, scale float64) int {
 	return iters
 }
 
-// Execute runs the trial's warm-up and measured repetitions. After MinReps
-// measured repetitions it stops early once the running CV of the energy
-// samples reaches CVTarget (the paper's repeat-until-stable criterion);
-// MaxReps is the hard cap for configurations that never settle.
+// Execute runs the trial's repetitions through Measure, parking the worker
+// threads behind a fresh barrier for every repetition.
 func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {
-	res := Result{
-		Spec:      t.Spec.Name,
-		Component: t.Spec.Component,
-		Threads:   t.Threads,
-		Iters:     t.Iters,
-		Placement: t.Placement,
-		Meter:     e.Meter.Name(),
-
-		SampleInterval: t.SampleInterval,
+	if err := graftKernel(&t.Spec); err != nil {
+		return Result{}, err
 	}
-	for _, d := range e.Meter.Domains() {
-		res.Domains = append(res.Domains, d.Name)
+	if t.SpecB != nil {
+		specB := *t.SpecB
+		if err := graftKernel(&specB); err != nil {
+			return Result{}, err
+		}
+		t.SpecB = &specB
 	}
 
 	// Per-thread workspaces, distinct seeds so chase cycles differ and
@@ -102,10 +95,6 @@ func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {
 			units = append(units, workUnit{t.Spec.Kernel, bench.NewWorkspace(t.Spec, seed(i)), t.Iters, 0, string(t.Spec.Component)})
 		}
 	} else {
-		res.SpecB = t.SpecB.Name
-		res.ComponentB = t.SpecB.Component
-		res.ThreadsB = t.Threads
-		res.ItersB = t.ItersB
 		for i := 0; i < t.Threads; i++ {
 			units = append(units,
 				workUnit{t.Spec.Kernel, bench.NewWorkspace(t.Spec, seed(2*i)), t.Iters, 0, string(t.Spec.Component)},
@@ -116,100 +105,39 @@ func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {
 	if cpus == nil {
 		cpus = cpuAssignment(t.Placement, len(units))
 	} else if len(cpus) != len(units) {
-		return res, fmt.Errorf("harness: trial has %d explicit CPUs for %d worker threads", len(cpus), len(units))
-	}
-
-	// A load-aware meter (the mock's planted linear model) draws power as a
-	// function of the running configuration: hand it the trial's nominal
-	// activity vector — the same component→threads map the nominal power
-	// model regresses on — before any repetition starts.
-	if la, ok := e.Meter.(meter.LoadAware); ok {
-		load := map[string]float64{string(t.Spec.Component): float64(t.Threads)}
-		if t.SpecB != nil {
-			load[string(t.SpecB.Component)] += float64(t.Threads)
-		}
-		la.SetLoad(load)
+		return Result{}, fmt.Errorf("harness: trial has %d explicit CPUs for %d worker threads", len(cpus), len(units))
 	}
 
 	var activity perf.ActivityMeter
 	if t.Counters != nil {
 		am, err := e.activityMeter(*t.Counters)
 		if err != nil {
-			return res, fmt.Errorf("harness: activity meter: %w", err)
+			return Result{}, fmt.Errorf("harness: activity meter: %w", err)
 		}
 		activity = am
 	}
 
-	var conv stats.Accumulator
 	var repCounts [][]perf.Counts
-	for rep := 0; rep < t.Warmup+t.MaxReps; rep++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		sample, counts, err := e.runOnce(t, units, cpus, activity)
-		if err != nil {
-			return res, err
-		}
-		if rep < t.Warmup {
-			continue
-		}
-		res.Samples = append(res.Samples, sample)
-		if counts != nil {
-			repCounts = append(repCounts, counts)
-		}
-		conv.Push(sample.EnergyJ)
-		// Converged means the CV target genuinely cut reps short: at the
-		// cap (which includes every fixed-rep run, where min == max) the
-		// loop is ending anyway and the label would be noise.
-		if len(res.Samples) < t.MaxReps && conv.Converged(t.CVTarget, t.MinReps) {
-			res.Converged = true
-			break
-		}
+	res, err := Measure(ctx, e.Meter, t, func() (Region, error) {
+		return e.park(units, cpus, t.SpecB != nil, activity, &repCounts), nil
+	})
+	if err != nil {
+		return res, err
 	}
 	if activity != nil {
 		res.Counters = buildCounters(activity.Name(), activity.Events(), units, cpus, repCounts)
 	}
-
-	n := len(res.Samples)
-	energies := make([]float64, n)
-	times := make([]float64, n)
-	powers := make([]float64, n)
-	timesA := make([]float64, n)
-	timesB := make([]float64, n)
-	for i, s := range res.Samples {
-		energies[i], times[i], powers[i] = s.EnergyJ, s.TimeS, s.PowerW
-		timesA[i], timesB[i] = s.TimeAS, s.TimeBS
-	}
-	summarize := func(xs []float64) stats.Summary {
-		if t.MaxCV > 0 {
-			return stats.SummarizeRobust(xs, t.MaxCV, 2)
-		}
-		return stats.Summarize(xs)
-	}
-	res.EnergyJ = summarize(energies)
-	res.TimeS = summarize(times)
-	res.PowerW = summarize(powers)
-	if t.SpecB != nil {
-		ta, tb := summarize(timesA), summarize(timesB)
-		res.TimeA, res.TimeB = &ta, &tb
-	}
-	res.EDP = res.EnergyJ.Mean * res.TimeS.Mean
-	res.EDDP = res.EDP * res.TimeS.Mean
 	return res, nil
 }
 
-// runOnce executes one repetition: all threads start together behind a
-// barrier, the meter is read immediately around the parallel section, and
-// the sample's energy is the meter delta across it. Each thread's own wall
-// time is recorded so co-runs can report per-spec times. With an activity
-// meter, every worker thread opens its own counter group (on its pinned CPU,
-// when pinned) and counts exactly the measured region; the per-thread counts
-// come back parallel to units. A positive trial SampleInterval additionally
-// runs a meter.Sampler across the measured region, polling the meter (and
-// the worker counter sessions) on a ticker and attaching the resulting
-// series to the sample.
-func (e *InProcess) runOnce(trial Trial, units []workUnit, cpus []int, activity perf.ActivityMeter) (Sample, []perf.Counts, error) {
-	corun := trial.SpecB != nil
+// park starts one repetition's worker threads and returns once every one
+// is parked on the start barrier, pinned and with its counter group open.
+// Each thread records its own wall time, so co-runs can report per-spec
+// times. With an activity meter, every worker opens its own counter group
+// (on its pinned CPU, when pinned) and counts exactly the measured region;
+// a measured repetition's per-thread counts are appended to repCounts,
+// parallel to units.
+func (e *InProcess) park(units []workUnit, cpus []int, corun bool, activity perf.ActivityMeter, repCounts *[][]perf.Counts) Region {
 	threads := len(units)
 	start := make(chan struct{})
 	abort := make(chan struct{})
@@ -225,9 +153,9 @@ func (e *InProcess) runOnce(trial Trial, units []workUnit, cpus []int, activity 
 	var t0 time.Time
 	elapsedPer := make([]float64, threads)
 	var countsPer []perf.Counts
-	// sessPer exposes each worker's counter session to the sampling
-	// goroutine. Slots are written before ready.Done(), so ready.Wait()
-	// orders them before the sampler starts polling.
+	// sessPer exposes each worker's counter session to the sampler. Slots
+	// are written before ready.Done(), so ready.Wait() orders them before
+	// the sampler starts polling.
 	var sessPer []perf.Session
 	if activity != nil {
 		countsPer = make([]perf.Counts, threads)
@@ -244,12 +172,23 @@ func (e *InProcess) runOnce(trial Trial, units []workUnit, cpus []int, activity 
 			// divorce the counts from the work.
 			if cpus != nil || activity != nil {
 				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
-			if cpus != nil {
-				if err := pin(cpus[t]); err != nil {
-					pinErr.Store(errBox{err})
+				unlock := runtime.UnlockOSThread
+				if cpus != nil {
+					if unpin, err := pin(cpus[t]); err != nil {
+						pinErr.Store(errBox{err})
+					} else {
+						// The thread goes back to the runtime's pool only
+						// with its original mask restored; one that cannot
+						// be restored stays locked, so the runtime retires
+						// it with this goroutine.
+						unlock = func() {
+							if unpin() == nil {
+								runtime.UnlockOSThread()
+							}
+						}
+					}
 				}
+				defer unlock()
 			}
 			// Counter groups open after pinning so a per-CPU session lands
 			// on the right CPU. An open failure is recorded, not fatal here:
@@ -299,82 +238,39 @@ func (e *InProcess) runOnce(trial Trial, units []workUnit, cpus []int, activity 
 		}(t)
 	}
 	ready.Wait()
-	before, err := e.Meter.Read()
-	if err != nil {
-		// Release the parked workers (which hold locked OS threads) before
-		// surfacing the error.
+
+	r := Region{Sessions: sessPer}
+	if activity != nil {
+		r.Events = activity.Events()
+	}
+	// Abort releases the parked workers (which hold locked OS threads)
+	// without running them.
+	r.Abort = func() {
 		close(abort)
 		done.Wait()
-		return Sample{}, nil, err
 	}
-	// The sampler anchors on the before reading, so its first interval and
-	// the trial's energy delta share a start point. It must start before the
-	// workers are released and stop before the closing read, keeping every
-	// series point inside the meter window.
-	var sampling *meter.Sampling
-	if trial.SampleInterval > 0 {
-		smp := &meter.Sampler{Meter: e.Meter, Interval: trial.SampleInterval}
-		if activity != nil {
-			smp.Events = activity.Events()
-			smp.Counts = pollSessions(sessPer, len(activity.Events()))
+	r.Release = func() error {
+		t0 = time.Now()
+		close(start)
+		done.Wait()
+		atomic.AddUint64(&bench.Sink, sink)
+		// A pin failure invalidates the placement and a counter failure
+		// the activity vector the model will regress against.
+		var errs []error
+		for _, slot := range []*atomic.Value{&pinErr, &ctrErr} {
+			if b := slot.Load(); b != nil {
+				errs = append(errs, b.(errBox).err)
+			}
 		}
-		sampling = smp.Start(before)
+		return errors.Join(errs...)
 	}
-	t0 = time.Now()
-	close(start)
-	done.Wait()
-	elapsed := time.Since(t0).Seconds()
-	var series *meter.Series
-	var sampleErr error
-	if sampling != nil {
-		ser, err := sampling.Stop()
-		series, sampleErr = &ser, err
-	}
-	after, readErr := e.Meter.Read()
-	atomic.AddUint64(&bench.Sink, sink)
-	// A pin failure invalidates the placement and must not be masked by a
-	// meter error on the closing read (or vice versa) — and a counter
-	// failure invalidates the activity vector the model will regress
-	// against: join them all.
-	var errs []error
-	if p := pinErr.Load(); p != nil {
-		errs = append(errs, p.(errBox).err)
-	}
-	if c := ctrErr.Load(); c != nil {
-		errs = append(errs, c.(errBox).err)
-	}
-	if readErr != nil {
-		errs = append(errs, readErr)
-	}
-	if sampleErr != nil {
-		errs = append(errs, sampleErr)
-	}
-	if len(errs) > 0 {
-		return Sample{}, nil, errors.Join(errs...)
-	}
-	domainJ, err := meter.DeltaPerDomain(e.Meter, before, after)
-	if err != nil {
-		return Sample{}, nil, err
-	}
-	var energy float64
-	for _, j := range domainJ {
-		energy += j
-	}
-	s := Sample{EnergyJ: energy, TimeS: elapsed, DomainJ: domainJ, Series: series}
-	// The energy delta spans the meter's own before→after window, which
-	// includes the reads' latency on both ends; the thread wall clock starts
-	// after the first read returns and stops before the second begins.
-	// Dividing by the meter window matches numerator and denominator;
-	// dividing by the (shorter) thread window would overestimate power on
-	// every sample. Meters that do not timestamp readings leave the window
-	// at zero; fall back to the thread clock for those.
-	if w := after.At.Sub(before.At).Seconds(); w > 0 {
-		s.MeterTimeS = w
-		s.PowerW = energy / w
-	} else if elapsed > 0 {
-		s.PowerW = energy / elapsed
-	}
-	if corun {
+	r.Measured = func(s *Sample) {
+		if countsPer != nil {
+			*repCounts = append(*repCounts, countsPer)
+		}
+		if !corun {
+			return
+		}
 		for t, u := range units {
 			if u.group == 0 {
 				s.TimeAS = max(s.TimeAS, elapsedPer[t])
@@ -383,32 +279,36 @@ func (e *InProcess) runOnce(trial Trial, units []workUnit, cpus []int, activity 
 			}
 		}
 	}
-	return s, countsPer, nil
+	return r
 }
 
-// pollSessions builds the sampler's cumulative-counts source: each poll sums
-// the scaled per-event counts across every worker session that supports
-// non-destructive reads (perf.Poller). Sessions that failed to open, or
-// backends without Poll, simply contribute nothing — counter sampling
-// degrades instead of failing the trial.
-func pollSessions(sessions []perf.Session, events int) func() ([]float64, error) {
-	return func() ([]float64, error) {
-		out := make([]float64, events)
-		for _, s := range sessions {
-			p, ok := s.(perf.Poller)
-			if !ok {
-				continue
-			}
-			c, err := p.Poll()
-			if err != nil {
-				return nil, err
-			}
-			for i, v := range c.Values {
-				if i < len(out) {
-					out[i] += v.Scaled
-				}
-			}
-		}
-		return out, nil
+// graftKernel restores what a serialized spec cannot carry: the kernel
+// function pointer, plus any catalog parameter the JSON left zero. It is
+// the one place trials that crossed a process boundary (a worker child's
+// stdin, a fleet batch) get their kernels back. A hand-written trial may
+// name just the spec ("chase-dram"); without its catalog working set the
+// chase kernel would run on an empty workspace and panic. Specs that still
+// carry a kernel are left alone.
+func graftKernel(spec *bench.Spec) error {
+	if spec.Kernel != nil {
+		return nil
 	}
+	cat, err := bench.Lookup(spec.Name)
+	if err != nil {
+		return err
+	}
+	spec.Kernel = cat.Kernel
+	if spec.Component == "" {
+		spec.Component = cat.Component
+	}
+	if spec.WorkingSet == 0 {
+		spec.WorkingSet = cat.WorkingSet
+	}
+	if spec.Unroll == 0 {
+		spec.Unroll = cat.Unroll
+	}
+	if spec.Iters == 0 {
+		spec.Iters = cat.Iters
+	}
+	return nil
 }

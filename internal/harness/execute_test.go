@@ -71,8 +71,8 @@ func adaptiveSpace(t *testing.T) Space {
 // repetitions must stop at the minimum rep count, well under --max-reps.
 func TestAdaptiveRepsStopEarlyOnStableConfig(t *testing.T) {
 	m := &scriptedMeter{counter: constantDeltaCounter(1000)}
-	r := &Runner{Meter: m}
-	results, err := r.Run(context.Background(), adaptiveSpace(t))
+	r := inProcess(m)
+	results, err := sweep(context.Background(), r, adaptiveSpace(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +94,10 @@ func TestAdaptiveRepsStopEarlyOnStableConfig(t *testing.T) {
 func TestAdaptiveRepsRunToCapOnNoisyConfig(t *testing.T) {
 	// Period-3 cycle keeps the sample CV ~0.9 forever.
 	m := &scriptedMeter{counter: sampleSequenceCounter([]uint64{100, 100, 10000, 100, 100, 10000, 100, 100, 10000, 100, 100, 10000})}
-	r := &Runner{Meter: m}
+	r := inProcess(m)
 	space := adaptiveSpace(t)
 	space.MaxCV = 0 // keep every sample so the count is exact
-	results, err := r.Run(context.Background(), space)
+	results, err := sweep(context.Background(), r, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +115,12 @@ func TestAdaptiveRepsRunToCapOnNoisyConfig(t *testing.T) {
 // converged — nothing stopped early.
 func TestFixedRepsUnchanged(t *testing.T) {
 	m := &scriptedMeter{counter: constantDeltaCounter(1000)}
-	r := &Runner{Meter: m}
+	r := inProcess(m)
 	space := tinySpace(t)
 	space.Specs = space.Specs[:1]
 	space.ThreadCounts = []int{1}
 	space.CVTarget = 0.05 // the CLI default; must be inert when min == max reps
-	results, err := r.Run(context.Background(), space)
+	results, err := sweep(context.Background(), r, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func (m *latencyMeter) Read() (meter.Reading, error) {
 func TestPowerUsesMeterWindow(t *testing.T) {
 	const watts = 40.0
 	m := newLatencyMeter(watts, 50*time.Millisecond)
-	r := &Runner{Meter: m}
+	r := inProcess(m)
 	space := tinySpace(t)
 	space.Specs = space.Specs[:1]
 	space.ThreadCounts = []int{1}
-	results, err := r.Run(context.Background(), space)
+	results, err := sweep(context.Background(), r, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestPowerUsesMeterWindow(t *testing.T) {
 // thread wall clock instead of reporting zero.
 func TestScriptedMeterPowerFallsBackToThreadClock(t *testing.T) {
 	m := &scriptedMeter{counter: constantDeltaCounter(1_000_000)} // 1 J per rep
-	r := &Runner{Meter: m}
+	r := inProcess(m)
 	space := tinySpace(t)
 	space.Specs = space.Specs[:1]
 	space.ThreadCounts = []int{1}
-	results, err := r.Run(context.Background(), space)
+	results, err := sweep(context.Background(), r, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +221,8 @@ func TestSamplingAttachesSeries(t *testing.T) {
 	space.Specs = space.Specs[:1]
 	space.ThreadCounts = []int{1}
 	space.SampleInterval = time.Millisecond
-	r := &Runner{Meter: m}
-	results, err := r.Run(context.Background(), space)
+	r := inProcess(m)
+	results, err := sweep(context.Background(), r, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +266,8 @@ func TestSamplingWithCountersCollectsEventSeries(t *testing.T) {
 	space.ThreadCounts = []int{2}
 	space.SampleInterval = time.Millisecond
 	space.Counters = &perf.Spec{Backend: perf.BackendMock}
-	r := &Runner{Meter: m}
-	results, err := r.Run(context.Background(), space)
+	r := inProcess(m)
+	results, err := sweep(context.Background(), r, space)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -203,80 +202,13 @@ type Result struct {
 // IsCoRun reports whether the result measured two specs sharing the machine.
 func (r Result) IsCoRun() bool { return r.SpecB != "" }
 
-// Runner orchestrates the pipeline: plan a Space, execute each trial, and
-// stream results through sinks.
-type Runner struct {
-	// Meter backs the default in-process executor; ignored when Executor is
-	// set explicitly.
-	Meter meter.EnergyMeter
-	// Executor runs trials; nil means an InProcess executor over Meter.
-	Executor Executor
-	// Log, when non-nil, receives one progress line per completed trial.
-	Log func(format string, args ...any)
-	// pin overrides the thread-pinning syscall in tests; nil means the
-	// platform pinThread. Forwarded to the default in-process executor.
-	pin func(cpu int) error
-}
+// Runner is an alias of Scheduler, kept for callers that still spell it.
+//
+// Deprecated: use Scheduler, the only dispatcher.
+type Runner = Scheduler
 
-func (r *Runner) executor() (Executor, error) {
-	if r.Executor != nil {
-		return r.Executor, nil
-	}
-	if r.Meter == nil {
-		return nil, fmt.Errorf("harness: no meter configured")
-	}
-	return &InProcess{Meter: r.Meter, pin: r.pin}, nil
-}
-
-// Run plans and sweeps the whole exploration space, collecting the results
-// in memory. On context cancellation the results accumulated so far are
-// returned alongside the context error. Callers that want streaming (store
-// flushes per trial, partial JSON output) should use RunPlan with explicit
-// sinks instead.
-func (r *Runner) Run(ctx context.Context, space Space) ([]Result, error) {
-	trials, err := Plan(space)
-	if err != nil {
-		return nil, err
-	}
-	var c Collector
-	err = r.RunPlan(ctx, trials, &c)
-	return c.Results, err
-}
-
-// RunPlan executes the trials strictly sequentially — concurrent trials
-// would share the machine's energy counters and corrupt each other's deltas
-// — streaming each completed result into sink before the next trial starts,
-// so an interrupted sweep loses nothing that finished. The caller owns
-// closing the sink. A nil sink discards results.
-func (r *Runner) RunPlan(ctx context.Context, trials []Trial, sink ResultSink) error {
-	exec, err := r.executor()
-	if err != nil {
-		return err
-	}
-	if sink == nil {
-		sink = SinkFunc(func(Result) error { return nil })
-	}
-	for i, t := range trials {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res, err := exec.Execute(ctx, t)
-		if err != nil {
-			return fmt.Errorf("harness: %s/t%d/%s: %w", t.Name(), t.Threads, t.Placement, err)
-		}
-		if err := sink.Consume(res); err != nil {
-			return fmt.Errorf("harness: sink: %w", err)
-		}
-		if r.Log != nil {
-			logTrialResult(r.Log, i+1, len(trials), res)
-		}
-	}
-	return nil
-}
-
-// logTrialResult emits the one-line progress record shared by the serial
-// Runner and the parallel Scheduler, so both sweep modes produce
-// identically shaped progress output.
+// logTrialResult emits the Scheduler's one-line progress record for a
+// finished trial.
 func logTrialResult(log func(format string, args ...any), finished, total int, res Result) {
 	label := res.Spec
 	if res.IsCoRun() {

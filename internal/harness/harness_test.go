@@ -30,9 +30,26 @@ func tinySpace(t *testing.T) Space {
 	}
 }
 
+// inProcess is the serial in-process sweep every tier-1 `run` uses: the
+// Scheduler over an InProcess executor.
+func inProcess(m meter.EnergyMeter) *Scheduler {
+	return &Scheduler{Executor: &InProcess{Meter: m}}
+}
+
+// sweep plans the space and runs it through s, collecting the results.
+func sweep(ctx context.Context, s *Scheduler, space Space) ([]Result, error) {
+	trials, err := Plan(space)
+	if err != nil {
+		return nil, err
+	}
+	var c Collector
+	err = s.RunPlan(ctx, trials, &c)
+	return c.Results, err
+}
+
 func TestRunnerSweepsFullSpace(t *testing.T) {
-	r := &Runner{Meter: meter.NewMock(42)}
-	results, err := r.Run(context.Background(), tinySpace(t))
+	r := inProcess(meter.NewMock(42))
+	results, err := sweep(context.Background(), r, tinySpace(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +78,8 @@ func TestRunnerSweepsFullSpace(t *testing.T) {
 func TestRunnerContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := &Runner{Meter: meter.NewMock(42)}
-	if _, err := r.Run(ctx, tinySpace(t)); err == nil {
+	r := inProcess(meter.NewMock(42))
+	if _, err := sweep(ctx, r, tinySpace(t)); err == nil {
 		t.Error("want context error from cancelled run, got nil")
 	}
 }
@@ -100,8 +117,8 @@ func TestRunnerIterScale(t *testing.T) {
 	space.Specs = space.Specs[:1]
 	space.ThreadCounts = []int{1}
 	space.IterScale = 0.5
-	r := &Runner{Meter: meter.NewMock(42)}
-	results, err := r.Run(context.Background(), space)
+	r := inProcess(meter.NewMock(42))
+	results, err := sweep(context.Background(), r, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +143,8 @@ func TestRunnerMeterFailureReleasesWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	space := tinySpace(t)
 	space.ThreadCounts = []int{4}
-	r := &Runner{Meter: failingMeter{}}
-	if _, err := r.Run(context.Background(), space); err == nil {
+	r := inProcess(failingMeter{})
+	if _, err := sweep(context.Background(), r, space); err == nil {
 		t.Fatal("want error from failing meter, got nil")
 	}
 	// Workers exit asynchronously after done.Wait; give the scheduler a
@@ -152,8 +169,8 @@ func TestRunnerCoRunPairs(t *testing.T) {
 		Reps:         2,
 		Warmup:       0,
 	}
-	r := &Runner{Meter: meter.NewMock(42)}
-	results, err := r.Run(context.Background(), space)
+	r := inProcess(meter.NewMock(42))
+	results, err := sweep(context.Background(), r, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +206,7 @@ func TestRunnerCoRunPairs(t *testing.T) {
 		}
 	}
 	// Solo results must not carry co-run summaries.
-	solo, err := r.Run(context.Background(), tinySpace(t))
+	solo, err := sweep(context.Background(), r, tinySpace(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,16 +237,19 @@ func TestRunnerMidSweepCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r := &Runner{
-		Meter: meter.NewMock(42),
-		// Stub the pin syscall so PlaceCompact (which locks OS threads)
-		// works in any sandbox; the locking path is what we exercise.
-		pin: func(int) error { return nil },
+	r := &Scheduler{
+		Executor: &InProcess{
+			Meter: meter.NewMock(42),
+			// Stub the pin syscall so PlaceCompact (which locks OS threads)
+			// works in any sandbox; the locking path is what we exercise.
+			pin: func(int) (func() error, error) { return func() error { return nil }, nil },
+		},
+		Log:    func(string, ...any) { cancel() },
+		groups: fakeGroups(),
 	}
-	r.Log = func(string, ...any) { cancel() }
 	space := tinySpace(t)
 	space.Placements = []Placement{PlaceCompact}
-	results, err := r.Run(ctx, space)
+	results, err := sweep(ctx, r, space)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -270,16 +290,19 @@ func (m *secondReadFailsMeter) Read() (meter.Reading, error) {
 // both — the pin error used to be dropped.
 func TestRunnerPinErrorNotMaskedByReadError(t *testing.T) {
 	pinFailure := errors.New("pin failed")
-	r := &Runner{
-		Meter: &secondReadFailsMeter{inner: meter.NewMock(42)},
-		pin:   func(int) error { return pinFailure },
+	r := &Scheduler{
+		Executor: &InProcess{
+			Meter: &secondReadFailsMeter{inner: meter.NewMock(42)},
+			pin:   func(int) (func() error, error) { return nil, pinFailure },
+		},
+		groups: fakeGroups(),
 	}
 	space := tinySpace(t)
 	space.Specs = space.Specs[:1]
 	space.ThreadCounts = []int{2}
 	space.Placements = []Placement{PlaceCompact}
 	space.Warmup = 0
-	_, err := r.Run(context.Background(), space)
+	_, err := sweep(context.Background(), r, space)
 	if err == nil {
 		t.Fatal("want error, got nil")
 	}

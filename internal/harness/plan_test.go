@@ -172,12 +172,12 @@ func TestRunPlanNilSinkAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Meter: meter.NewMock(42)}
+	r := inProcess(meter.NewMock(42))
 	if err := r.RunPlan(context.Background(), trials[:1], nil); err != nil {
 		t.Errorf("nil sink must discard results, got %v", err)
 	}
-	if err := (&Runner{}).RunPlan(context.Background(), trials, nil); err == nil ||
-		!strings.Contains(err.Error(), "no meter") {
-		t.Errorf("runner without meter/executor: err = %v", err)
+	if err := (&Scheduler{}).RunPlan(context.Background(), trials, nil); err == nil ||
+		!strings.Contains(err.Error(), "no executor") {
+		t.Errorf("scheduler without executor: err = %v", err)
 	}
 }

@@ -8,17 +8,21 @@ import (
 	"sync"
 )
 
-// Scheduler runs a planned trial list with bounded parallelism under a
-// core-leasing discipline: a pinned trial is *allocated* onto physical
-// cores that are entirely free at dispatch time — the placement policy's
-// topology walk is re-run over just those free cores, and the resulting
-// explicit CPU assignment is stamped into the trial (Trial.CPUs) and leased
-// until the trial finishes. Two concurrently running trials therefore never
-// share a core or an SMT sibling pair, and compact/scatter semantics hold
-// *within* each trial even when several run at once. Co-run trials allocate
-// the union of both specs' interleaved CPU sets in one atomic step, and
-// unpinned (PlaceNone) trials lease nothing — they are bounded only by
-// Parallel.
+// Scheduler is the one trial dispatcher: every tier (in-process `run`,
+// subprocess workers, fleet agents) sweeps its planned trials through it,
+// so a trial fails the same way everywhere. It runs a planned trial list
+// with bounded parallelism under a core-leasing discipline: a pinned trial
+// is *allocated* onto physical cores that are entirely free at dispatch
+// time — the placement policy's topology walk is re-run over just those
+// free cores, and the resulting explicit CPU assignment is stamped into
+// the trial (Trial.CPUs) and leased until the trial finishes. Two
+// concurrently running trials therefore never share a core or an SMT
+// sibling pair, and compact/scatter semantics hold *within* each trial
+// even when several run at once. Co-run trials allocate the union of both
+// specs' interleaved CPU sets in one atomic step, and unpinned (PlaceNone)
+// trials lease nothing — they are bounded only by Parallel. At Parallel 1
+// (the in-process executor's only setting) trials run strictly one at a
+// time in plan order.
 //
 // Parallel trials share the machine's energy counters, so concurrent
 // execution only yields meaningful absolute energies when the meter's
@@ -28,13 +32,14 @@ import (
 //
 // Results are fanned into the sink under a mutex, one Consume at a time, so
 // per-configuration store flushing, --resume keys, and SIGINT durability
-// behave exactly as in the serial pipeline. A trial that fails — most
-// commonly a crashed or timed-out worker child — is recorded as a
-// *TrialError and the sweep continues; the joined failures come back as the
-// final error, so one killed worker loses one trial, not the campaign. A
-// pinned trial wider than the whole lease table is rejected the same way
-// before dispatch: it could never be allocated, so waiting for it would
-// stall the sweep forever.
+// hold at any parallelism. A trial that fails — a kernel meter error, a
+// crashed or timed-out worker child, a workload that exits wrongly — is
+// recorded as a *TrialError and the sweep continues; the joined failures
+// come back as the final error, so one bad trial loses one trial, not the
+// campaign. A pinned trial wider than the whole lease table is rejected
+// the same way before dispatch: it could never be allocated, so waiting
+// for it would stall the sweep forever, and running it anyway would stack
+// its threads onto shared CPUs.
 type Scheduler struct {
 	// Executor runs each trial; required. Use Subprocess for trials that
 	// must not share the coordinator's address space.
@@ -59,8 +64,9 @@ func trialUnits(t Trial) int {
 	return units
 }
 
-// uniqueCPUs returns the sorted distinct CPU ids of an assignment.
-func uniqueCPUs(cpus []int) []int {
+// UniqueCPUs returns the sorted distinct CPU ids of an assignment: the CPU
+// set a trial leases, or an external workload's child is confined to.
+func UniqueCPUs(cpus []int) []int {
 	seen := map[int]bool{}
 	var uniq []int
 	for _, c := range cpus {
@@ -180,7 +186,7 @@ func (s *Scheduler) RunPlan(ctx context.Context, trials []Trial, sink ResultSink
 
 	launch := func(t Trial, assignment []int) {
 		t.CPUs = assignment
-		lease := uniqueCPUs(assignment)
+		lease := UniqueCPUs(assignment)
 		for _, c := range lease {
 			leased[c] = true
 		}

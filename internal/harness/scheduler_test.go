@@ -41,7 +41,7 @@ func newRecordingExecutor(hold time.Duration) *recordingExecutor {
 }
 
 func (e *recordingExecutor) Execute(ctx context.Context, t Trial) (Result, error) {
-	cpus := uniqueCPUs(t.CPUs)
+	cpus := UniqueCPUs(t.CPUs)
 	e.mu.Lock()
 	e.active++
 	if e.active > e.maxActive {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os/exec"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -67,9 +68,6 @@ type Subprocess struct {
 	Timeout time.Duration
 }
 
-// stderrTailLimit bounds how much child stderr is quoted in crash errors.
-const stderrTailLimit = 2048
-
 // Execute serializes the trial to a child process and decodes its envelope.
 func (e *Subprocess) Execute(ctx context.Context, t Trial) (Result, error) {
 	if e.Binary == "" {
@@ -87,7 +85,8 @@ func (e *Subprocess) Execute(ctx context.Context, t Trial) (Result, error) {
 	}
 	cmd := exec.CommandContext(ctx, e.Binary, e.Args...)
 	cmd.Stdin = bytes.NewReader(payload)
-	var stdout, stderr bytes.Buffer
+	var stdout bytes.Buffer
+	var stderr TailBuffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	cmd.Env = append(cmd.Environ(), e.Env...)
@@ -114,9 +113,9 @@ func (e *Subprocess) Execute(ctx context.Context, t Trial) (Result, error) {
 	var env WorkerEnvelope
 	if decErr := json.Unmarshal(stdout.Bytes(), &env); decErr != nil {
 		if runErr != nil {
-			return Result{}, fmt.Errorf("harness: worker crashed: %v%s", runErr, stderrTail(stderr.Bytes()))
+			return Result{}, fmt.Errorf("harness: worker crashed: %v%s", runErr, stderr.Suffix())
 		}
-		return Result{}, fmt.Errorf("harness: worker wrote malformed envelope: %v%s", decErr, stderrTail(stderr.Bytes()))
+		return Result{}, fmt.Errorf("harness: worker wrote malformed envelope: %v%s", decErr, stderr.Suffix())
 	}
 	if env.V > WorkerProtocolVersion {
 		return Result{}, fmt.Errorf("harness: worker speaks protocol v%d, this build reads up to v%d (version-skewed binary?)",
@@ -126,19 +125,43 @@ func (e *Subprocess) Execute(ctx context.Context, t Trial) (Result, error) {
 		return Result{}, fmt.Errorf("harness: worker: %s", env.Error)
 	}
 	if env.Result == nil {
-		return Result{}, fmt.Errorf("harness: worker envelope has neither result nor error%s", stderrTail(stderr.Bytes()))
+		return Result{}, fmt.Errorf("harness: worker envelope has neither result nor error%s", stderr.Suffix())
 	}
 	return *env.Result, nil
 }
 
-// stderrTail formats the tail of a child's stderr for inclusion in an error.
-func stderrTail(b []byte) string {
-	s := strings.TrimSpace(string(b))
+// TailBuffer keeps the last 2 KiB written to it: a child's stderr, held
+// bounded however much the child writes, for quoting in error messages.
+type TailBuffer struct {
+	mu  sync.Mutex
+	buf []byte
+	cut bool
+}
+
+const tailLimit = 2048
+
+func (b *TailBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.buf = append(b.buf, p...)
+	if len(b.buf) > tailLimit {
+		b.buf = append(b.buf[:0], b.buf[len(b.buf)-tailLimit:]...)
+		b.cut = true
+	}
+	return len(p), nil
+}
+
+// Suffix renders the tail as an error-message suffix; empty when nothing
+// but whitespace was written.
+func (b *TailBuffer) Suffix() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s := strings.TrimSpace(string(b.buf))
 	if s == "" {
 		return ""
 	}
-	if len(s) > stderrTailLimit {
-		s = "…" + s[len(s)-stderrTailLimit:]
+	if b.cut {
+		s = "…" + s
 	}
-	return "; stderr: " + s
+	return " (stderr: " + s + ")"
 }
