@@ -56,8 +56,10 @@ cover:
 	awk -v p="$$pct" -v floor="$(COVER_FLOOR)" 'BEGIN { exit !(p + 0 >= floor) }' || { \
 		echo "coverage $$pct% is below the $(COVER_FLOOR)% floor" >&2; exit 1; }
 
+# go test -fuzz takes one target per package, so each runs on its own.
 fuzz:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s ./internal/bench
+	$(GO) test -run='^$$' -fuzz=FuzzReadersAgreeWithWriter -fuzztime=10s ./internal/store
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/bench

@@ -9,9 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"energybench/internal/harness"
 	"energybench/internal/model"
+	"energybench/internal/store"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -23,6 +26,48 @@ func runOK(t *testing.T, args ...string) *bytes.Buffer {
 		t.Fatalf("run(%v) failed: %v\nstderr: %s", args, err, stderr.String())
 	}
 	return &stdout
+}
+
+// loadStore reads every deduped record of the store at db.
+func loadStore(db string) ([]store.Record, error) {
+	st, err := store.Open(db)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	var out []store.Record
+	for rec, err := range st.Query(store.Filter{}) {
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
+	}
+	return out, nil
+}
+
+// storeKeys returns the configuration-key set of the store at db.
+func storeKeys(db string) (map[string]bool, error) {
+	st, err := store.Open(db)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	return st.Keys()
+}
+
+// appendStore appends results to the store at db, creating it if needed.
+func appendStore(t *testing.T, db string, results ...harness.Result) {
+	t.Helper()
+	st, err := store.Create(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append(results); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func checkGolden(t *testing.T, got []byte, goldenPath string) {
@@ -88,7 +133,7 @@ func TestCompareGolden(t *testing.T) {
 }
 
 // TestRunStoreAnalyzePipeline is the acceptance-criteria test: a mock-meter
-// run piped through `store --add` and then `analyze` must recover the mock's
+// run piped through `store add` and then `analyze` must recover the mock's
 // constant power as P_static within 1%, with near-zero per-component
 // coefficients (a constant-power machine has no dynamic component).
 func TestRunStoreAnalyzePipeline(t *testing.T) {
@@ -111,7 +156,7 @@ func TestRunStoreAnalyzePipeline(t *testing.T) {
 	var added struct {
 		Added int `json:"added"`
 	}
-	addOut := runOK(t, "store", "--db="+db, "--add="+runJSON)
+	addOut := runOK(t, "store", "add", "--db="+db, "--from="+runJSON)
 	if err := json.Unmarshal(addOut.Bytes(), &added); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +240,7 @@ func TestStoreSubcommandListFilterCompact(t *testing.T) {
 			Threads int `json:"threads"`
 		} `json:"result"`
 	}
-	out := runOK(t, "store", "--db="+db)
+	out := runOK(t, "store", "query", "--db="+db)
 	if err := json.Unmarshal(out.Bytes(), &listed); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +248,7 @@ func TestStoreSubcommandListFilterCompact(t *testing.T) {
 		t.Fatalf("listed %d records, want 2 after dedup", len(listed))
 	}
 
-	out = runOK(t, "store", "--db="+db, "--threads=2")
+	out = runOK(t, "store", "query", "--db="+db, "--where", "threads=2")
 	listed = nil
 	if err := json.Unmarshal(out.Bytes(), &listed); err != nil {
 		t.Fatal(err)
@@ -215,7 +260,7 @@ func TestStoreSubcommandListFilterCompact(t *testing.T) {
 	var compacted struct {
 		Kept int `json:"kept"`
 	}
-	out = runOK(t, "store", "--db="+db, "--compact")
+	out = runOK(t, "store", "compact", "--db="+db)
 	if err := json.Unmarshal(out.Bytes(), &compacted); err != nil {
 		t.Fatal(err)
 	}
@@ -226,21 +271,24 @@ func TestStoreSubcommandListFilterCompact(t *testing.T) {
 
 func TestAnalysisSubcommandErrors(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.jsonl")
-	for _, args := range [][]string{
-		{"store"},                      // no --db
-		{"analyze"},                    // no --db
-		{"compare"},                    // no --db
-		{"analyze", "--db=" + missing}, // store does not exist
-		{"compare", "--db=" + missing},
-		{"store", "--db=" + missing, "--add=" + missing}, // unreadable input
-		{"analyze", "--db=testdata/store.jsonl", "--placement=diagonal"},
-		{"analyze", "--db=testdata/store.jsonl", "--threads=0"},
-		{"analyze", "--db=testdata/store.jsonl", "--specs=int-alu", "--threads=1"}, // underdetermined fit
-		{"compare", "--db=testdata/store.jsonl", "--specs=int-alu"},                // no complete co-run baselines
+	for _, tc := range []struct {
+		args []string
+		want string // a fragment of the error naming its reason
+	}{
+		{[]string{"store"}, "query|compact|add|bench"}, // no verb
+		{[]string{"analyze"}, "--db is required"},
+		{[]string{"compare"}, "--db is required"},
+		{[]string{"analyze", "--db=" + missing}, "no such file"}, // store does not exist
+		{[]string{"compare", "--db=" + missing}, "no such file"},
+		{[]string{"store", "add", "--db=" + missing, "--from=" + missing}, "no such file"}, // unreadable input
+		{[]string{"analyze", "--db=testdata/store.jsonl", "--where", "placement=diagonal"}, `unknown placement "diagonal"`},
+		{[]string{"analyze", "--db=testdata/store.jsonl", "--where", "threads=0"}, "not a positive integer"},
+		{[]string{"analyze", "--db=testdata/store.jsonl", "--where", "spec=int-alu,threads=1"}, "rank-deficient"}, // underdetermined fit
+		{[]string{"compare", "--db=testdata/store.jsonl", "--where", "spec=int-alu"}, "complete solo baselines"},  // no complete co-run baselines
 	} {
 		var stdout, stderr bytes.Buffer
-		if err := run(context.Background(), args, &stdout, &stderr); err == nil {
-			t.Errorf("run(%v): want error, got nil", args)
+		if err := run(context.Background(), tc.args, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error containing %q", tc.args, err, tc.want)
 		}
 	}
 }

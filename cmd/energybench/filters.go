@@ -20,29 +20,16 @@ func (w *whereList) Set(v string) error {
 	return nil
 }
 
-// filterFlags registers the shared result-filter flag set — the unified
-// `--where field=value,...` form plus the legacy `--specs/--threads/
-// --placement` spellings — and returns a builder that assembles the
-// store.Filter after fs.Parse. Every store-consuming subcommand (store,
-// store query, analyze, compare) goes through this one builder, so the
-// filter surface cannot drift between them.
+// filterFlags registers the shared result filter, `--where
+// field=value,...`, and returns a builder that assembles the store.Filter
+// after fs.Parse. Every store-consuming subcommand (store query, analyze,
+// compare) goes through this one builder, so the filter surface cannot
+// drift between them.
 func filterFlags(fs *flag.FlagSet) func() (store.Filter, error) {
-	specs := fs.String("specs", "", "comma-separated spec names to keep")
-	threads := fs.String("threads", "", "comma-separated thread counts to keep")
-	placement := fs.String("placement", "", "comma-separated placements to keep")
 	var where whereList
 	fs.Var(&where, "where", "comma-separated field=value filter pairs (spec|threads|placement|meter|host|workload|key); repeatable, same-field values OR together")
 	return func() (store.Filter, error) {
-		f := store.Filter{
-			Specs:      splitNonEmpty(*specs),
-			Placements: splitNonEmpty(*placement),
-		}
-		if *threads != "" {
-			var err error
-			if f.Threads, err = parseIntList(*threads); err != nil {
-				return f, fmt.Errorf("--threads: %w", err)
-			}
-		}
+		var f store.Filter
 		for _, clause := range where {
 			if err := applyWhere(&f, clause); err != nil {
 				return f, fmt.Errorf("--where %q: %w", clause, err)
@@ -59,7 +46,7 @@ func filterFlags(fs *flag.FlagSet) func() (store.Filter, error) {
 
 // applyWhere merges one --where clause ("field=value,field=value,...") into
 // the filter. Values for the same field accumulate (OR); distinct fields
-// intersect (AND), mirroring the legacy flags.
+// intersect (AND).
 func applyWhere(f *store.Filter, clause string) error {
 	for _, pair := range splitNonEmpty(clause) {
 		field, value, ok := strings.Cut(pair, "=")
@@ -71,9 +58,9 @@ func applyWhere(f *store.Filter, clause string) error {
 			return fmt.Errorf("pair %q is not of the form field=value", pair)
 		}
 		switch strings.TrimSpace(field) {
-		case "spec", "specs":
+		case "spec":
 			f.Specs = append(f.Specs, value)
-		case "threads", "thread":
+		case "threads":
 			n, err := strconv.Atoi(value)
 			if err != nil || n <= 0 {
 				return fmt.Errorf("threads value %q is not a positive integer", value)

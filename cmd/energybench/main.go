@@ -89,7 +89,6 @@ func usage(w io.Writer) {
   energybench store compact [flags]  rewrite a store deduplicated; --shard migrates
                                      a single file to the sharded segment layout
   energybench store bench [flags]    synthesize a corpus, measure and verify the store
-  energybench store [flags]        legacy flag form of the above (--add/--compact/filters)
   energybench analyze [flags]      fit the linear power model over a store
   energybench compare [flags]      report co-run interference vs solo baselines
   energybench serve [flags]        run the fleet coordinator daemon (HTTP API)
@@ -192,9 +191,6 @@ store flags:
   --where f=v,...     filter: spec|threads|placement|meter|host|workload|key
                       pairs; repeatable, same-field values OR, distinct
                       fields AND
-  --specs, --threads, --placement   legacy spellings of the same filters
-  legacy flag form:   --add=FILE appends, --compact rewrites deduplicated,
-                      filters alone list matching records
 
 fleet flags (see docs/ARCHITECTURE.md and docs/WIRE.md):
   serve:
@@ -227,7 +223,7 @@ fleet flags (see docs/ARCHITECTURE.md and docs/WIRE.md):
 
 analyze / compare flags:
   --db=PATH           store file or directory (required)
-  --where f=v,...     filter the results used (plus the legacy spellings)
+  --where f=v,...     filter the results used
   --activity=nominal|counters   (analyze) derive per-component activity from
                       workload labels × thread counts (nominal, default) or
                       from measured hardware event rates (counters; needs a
@@ -515,9 +511,16 @@ func executeSweep(ctx context.Context, cfg sweepConfig, stdout, stderr io.Writer
 			return fmt.Errorf("--resume requires --store")
 		}
 		// Trial keys only need the backend's name, so resume filtering (and
-		// its dry run) works without constructing the meter.
-		keys, err := store.Keys(cfg.storePath)
-		if err != nil {
+		// its dry run) works without constructing the meter. A missing store
+		// resumes trivially: nothing is stored yet.
+		keys := map[string]bool{}
+		if st, err := store.Open(cfg.storePath); err == nil {
+			keys, err = st.Keys()
+			st.Close()
+			if err != nil {
+				return err
+			}
+		} else if !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
 		var priorKeys []string
@@ -534,6 +537,7 @@ func executeSweep(ctx context.Context, cfg sweepConfig, stdout, stderr io.Writer
 			// already-stored results of this plan seed its fitted state, so
 			// an interrupted campaign continues converging instead of
 			// re-spreading from scratch.
+			var err error
 			if prior, err = loadPriorResults(cfg.storePath, priorKeys); err != nil {
 				return err
 			}
@@ -628,49 +632,23 @@ func loadPriorResults(path string, keys []string) ([]harness.Result, error) {
 	return out, nil
 }
 
-// cmdStore dispatches the store subcommand: explicit verbs (query, compact,
-// add, bench) plus the historical flag-driven form (`store --db=... [--add
-// |--compact|filters]`), which keeps its exact surface and output.
+// cmdStore dispatches the store verbs.
 func cmdStore(args []string, stdout, stderr io.Writer) error {
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		switch args[0] {
-		case "query":
-			return cmdStoreQuery(args[1:], stdout, stderr)
-		case "compact":
-			return cmdStoreCompact(args[1:], stdout, stderr)
-		case "add":
-			return cmdStoreAdd(args[1:], stdout, stderr)
-		case "bench":
-			return cmdStoreBench(args[1:], stdout, stderr)
-		default:
-			return fmt.Errorf("unknown store subcommand %q (want query|compact|add|bench, or flags)", args[0])
-		}
+	if len(args) == 0 {
+		return fmt.Errorf("store needs a subcommand: query|compact|add|bench")
 	}
-	fs := flag.NewFlagSet("store", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		db      = fs.String("db", "", "store file or directory")
-		add     = fs.String("add", "", "append results from this 'run' JSON file ('-' for stdin)")
-		compact = fs.Bool("compact", false, "rewrite the store deduplicated")
-	)
-	filter := filterFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+	switch args[0] {
+	case "query":
+		return cmdStoreQuery(args[1:], stdout, stderr)
+	case "compact":
+		return cmdStoreCompact(args[1:], stdout, stderr)
+	case "add":
+		return cmdStoreAdd(args[1:], stdout, stderr)
+	case "bench":
+		return cmdStoreBench(args[1:], stdout, stderr)
+	default:
+		return fmt.Errorf("unknown store subcommand %q (want query|compact|add|bench)", args[0])
 	}
-	if *db == "" {
-		return fmt.Errorf("--db is required")
-	}
-	if *add != "" {
-		return storeAdd(*db, *add, stdout)
-	}
-	if *compact {
-		kept, err := store.Compact(*db)
-		if err != nil {
-			return err
-		}
-		return writeJSON(stdout, map[string]any{"db": *db, "kept": kept})
-	}
-	return storeQuery(*db, filter, false, stdout)
 }
 
 // cmdStoreQuery streams matching records out of a store of either layout.
@@ -686,20 +664,16 @@ func cmdStoreQuery(args []string, stdout, stderr io.Writer) error {
 	if *db == "" {
 		return fmt.Errorf("--db is required")
 	}
-	return storeQuery(*db, filter, *keysOnly, stdout)
-}
-
-func storeQuery(db string, filter func() (store.Filter, error), keysOnly bool, stdout io.Writer) error {
 	f, err := filter()
 	if err != nil {
 		return err
 	}
-	st, err := store.Open(db)
+	st, err := store.Open(*db)
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	if keysOnly {
+	if *keysOnly {
 		if !f.IsZero() {
 			return fmt.Errorf("--keys lists the full resume key set and takes no filters")
 		}
@@ -714,15 +688,12 @@ func storeQuery(db string, filter func() (store.Filter, error), keysOnly bool, s
 		sort.Strings(keys)
 		return writeJSON(stdout, keys)
 	}
-	out := []store.Record{}
+	var out []store.Record // an empty result prints as null
 	for rec, err := range st.Query(f) {
 		if err != nil {
 			return err
 		}
 		out = append(out, rec)
-	}
-	if len(out) == 0 {
-		out = nil // match the legacy listing's `null` for an empty result
 	}
 	return writeJSON(stdout, out)
 }
@@ -752,14 +723,19 @@ func cmdStoreCompact(args []string, stdout, stderr io.Writer) error {
 		defer st.Close()
 		return writeJSON(stdout, map[string]any{"db": *db, "kept": kept, "sharded": true, "segments": st.Segments()})
 	}
-	kept, err := store.Compact(*db)
+	st, err := store.Open(*db)
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	kept, err := st.Compact()
 	if err != nil {
 		return err
 	}
 	return writeJSON(stdout, map[string]any{"db": *db, "kept": kept})
 }
 
-// cmdStoreAdd appends a 'run' JSON result file to a store.
+// cmdStoreAdd appends results to a store.
 func cmdStoreAdd(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("store add", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -771,28 +747,31 @@ func cmdStoreAdd(args []string, stdout, stderr io.Writer) error {
 	if *db == "" || *from == "" {
 		return fmt.Errorf("--db and --from are required")
 	}
-	return storeAdd(*db, *from, stdout)
-}
-
-func storeAdd(db, from string, stdout io.Writer) error {
 	var r io.Reader = os.Stdin
-	if from != "-" {
-		f, err := os.Open(from)
+	if *from != "-" {
+		f, err := os.Open(*from)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
 		r = f
 	}
-	results, err := decodeAddInput(r, from)
+	results, err := decodeAddInput(r, *from)
 	if err != nil {
 		return err
 	}
-	n, err := store.Append(db, results)
+	st, err := store.Create(*db)
 	if err != nil {
 		return err
 	}
-	return writeJSON(stdout, map[string]any{"db": db, "added": n})
+	n, err := st.Append(results)
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return writeJSON(stdout, map[string]any{"db": *db, "added": n})
 }
 
 // decodeAddInput accepts any of the result serializations the toolchain

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"energybench/internal/store"
 )
 
 // planOut mirrors the planDoc JSON for decoding in tests.
@@ -51,7 +49,7 @@ func TestRunResumeSkipsStoredTrials(t *testing.T) {
 	if !strings.Contains(stderr.String(), "skipped 2 already-stored trials") {
 		t.Errorf("stderr missing skip count: %s", stderr.String())
 	}
-	recs, err := store.Load(db)
+	recs, err := loadStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +72,7 @@ func TestRunResumeSkipsStoredTrials(t *testing.T) {
 	if len(results) != 1 || results[0].Threads != 4 {
 		t.Fatalf("widened resume executed %+v, want only the t4 trial", results)
 	}
-	if recs, err = store.Load(db); err != nil || len(recs) != 3 {
+	if recs, err = loadStore(db); err != nil || len(recs) != 3 {
 		t.Errorf("store holds %d records (err %v), want 3", len(recs), err)
 	}
 }
@@ -154,7 +152,7 @@ func TestRunStoreFlushedBeforeInterrupt(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
-	recs, err := store.Load(db)
+	recs, err := loadStore(db)
 	if err != nil {
 		t.Fatalf("store unreadable after interrupt: %v", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"energybench/internal/adapt"
-	"energybench/internal/store"
 )
 
 func writeFile(t *testing.T, path, content string) {
@@ -56,7 +55,7 @@ func TestRunActivePlanner(t *testing.T) {
 	if rep.Fit == nil || rep.Fit.CoeffW["dram"] == 0 {
 		t.Errorf("report fit missing or empty: %+v", rep.Fit)
 	}
-	recs, err := store.Load(db)
+	recs, err := loadStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestRunActivePlannerResume(t *testing.T) {
 	if !second.Converged {
 		t.Fatalf("resumed campaign did not converge: %+v", second)
 	}
-	recs, err := store.Load(db)
+	recs, err := loadStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestRunSampleIntervalStoresSeries(t *testing.T) {
 	if err := run(context.Background(), args, &stdout, &stderr); err != nil {
 		t.Fatalf("run failed: %v\nstderr: %s", err, stderr.String())
 	}
-	recs, err := store.Load(dbPath)
+	recs, err := loadStore(dbPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +132,7 @@ func TestAnalyzePhasesFindsPlantedBoundary(t *testing.T) {
 		interval = 0.01
 	)
 	dbPath := filepath.Join(t.TempDir(), "planted.jsonl")
-	if _, err := store.Append(dbPath, []harness.Result{plantedSeriesResult(points, interval, 42, 20)}); err != nil {
-		t.Fatal(err)
-	}
+	appendStore(t, dbPath, plantedSeriesResult(points, interval, 42, 20))
 	var stdout, stderr bytes.Buffer
 	if err := run(context.Background(), []string{"analyze", "--db=" + dbPath, "--phases"}, &stdout, &stderr); err != nil {
 		t.Fatalf("analyze --phases failed: %v\nstderr: %s", err, stderr.String())
@@ -182,9 +180,7 @@ func TestAnalyzePhasesFindsPlantedBoundary(t *testing.T) {
 // must produce an actionable error, not an empty document.
 func TestAnalyzePhasesErrorsWithoutSeries(t *testing.T) {
 	dbPath := filepath.Join(t.TempDir(), "noseries.jsonl")
-	if _, err := store.Append(dbPath, []harness.Result{mkStoreResult("int-alu", 1)}); err != nil {
-		t.Fatal(err)
-	}
+	appendStore(t, dbPath, mkStoreResult("int-alu", 1))
 	var stdout, stderr bytes.Buffer
 	err := run(context.Background(), []string{"analyze", "--db=" + dbPath, "--phases"}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "sample-interval") {

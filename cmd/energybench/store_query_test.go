@@ -12,11 +12,12 @@ import (
 	"energybench/internal/store"
 )
 
-// legacyListing renders records the way the pre-query CLI did: a full
-// store.Load, in-memory Filter.Match, and the same JSON encoder.
+// legacyListing renders records the way the pre-query CLI did: every
+// record of an unfiltered query, in-memory Filter.Match, and the same JSON
+// encoder.
 func legacyListing(t *testing.T, db string, f store.Filter) []byte {
 	t.Helper()
-	recs, err := store.Load(db)
+	recs, err := loadStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +36,8 @@ func legacyListing(t *testing.T, db string, f store.Filter) []byte {
 
 // TestStoreQueryMatchesLegacyLoad is the compatibility golden: `store query`
 // over the checked-in v1 single-file store must emit byte-identical output to
-// the legacy full-Load listing, for the unfiltered view, the legacy filter
-// spellings, and the new --where form.
+// the legacy full-load listing, for the unfiltered view and every --where
+// form.
 func TestStoreQueryMatchesLegacyLoad(t *testing.T) {
 	const db = "testdata/store.jsonl"
 	cases := []struct {
@@ -45,7 +46,6 @@ func TestStoreQueryMatchesLegacyLoad(t *testing.T) {
 		f    store.Filter
 	}{
 		{"all", nil, store.Filter{}},
-		{"legacy-spec", []string{"--specs=int-alu"}, store.Filter{Specs: []string{"int-alu"}}},
 		{"where-spec", []string{"--where", "spec=int-alu"}, store.Filter{Specs: []string{"int-alu"}}},
 		{"where-threads", []string{"--where", "threads=2"}, store.Filter{Threads: []int{2}}},
 		{"where-meter", []string{"--where", "meter=synthetic"}, store.Filter{Meters: []string{"synthetic"}}},
@@ -59,14 +59,6 @@ func TestStoreQueryMatchesLegacyLoad(t *testing.T) {
 			got := runOK(t, append([]string{"store", "query", "--db=" + db}, tc.args...)...)
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Errorf("store query diverged from the legacy listing:\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
-			}
-			// The legacy flag-driven `store` spelling must agree as well.
-			if tc.name != "where-spec" && tc.name != "where-threads" &&
-				tc.name != "where-meter" && tc.name != "where-multi" && tc.name != "where-miss" {
-				legacy := runOK(t, append([]string{"store", "--db=" + db}, tc.args...)...)
-				if !bytes.Equal(legacy.Bytes(), want) {
-					t.Errorf("legacy store listing diverged:\ngot:\n%s\nwant:\n%s", legacy.Bytes(), want)
-				}
 			}
 		})
 	}
@@ -91,6 +83,55 @@ func TestStoreQueryWhereErrors(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		if err := run(context.Background(), args, &stdout, &stderr); err == nil {
 			t.Errorf("run(%v): want error, got nil", args)
+		}
+	}
+}
+
+// TestRemovedSpellingsRejected runs every removed CLI spelling with
+// arguments its old form accepted: the bare `store` form, the --specs/
+// --threads/--placement filter flags on store query, analyze and compare,
+// and the specs=/thread= --where aliases. Each must now fail, naming why.
+func TestRemovedSpellingsRejected(t *testing.T) {
+	const db = "testdata/store.jsonl"
+	dir := t.TempDir()
+	copyDB := filepath.Join(dir, "copy.jsonl")
+	records := filepath.Join(dir, "records.json")
+	data, err := os.ReadFile(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(copyDB, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(records, runOK(t, "store", "query", "--db="+db).Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const verbs, flag, field = "query|compact|add|bench", "flag provided but not defined", "unknown field"
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"store", "--db=" + db}, verbs},
+		{[]string{"store", "--db=" + db, "--specs=int-alu"}, verbs},
+		{[]string{"store", "--db=" + copyDB, "--compact"}, verbs},
+		{[]string{"store", "--db=" + filepath.Join(dir, "added.jsonl"), "--add=" + records}, verbs},
+		{[]string{"store", "query", "--db=" + db, "--specs=int-alu"}, flag},
+		{[]string{"store", "query", "--db=" + db, "--threads=1"}, flag},
+		{[]string{"store", "query", "--db=" + db, "--placement=none"}, flag},
+		{[]string{"analyze", "--db=" + db, "--specs=int-alu,chase-dram"}, flag},
+		{[]string{"analyze", "--db=" + db, "--threads=1,2"}, flag},
+		{[]string{"analyze", "--db=" + db, "--placement=none"}, flag},
+		{[]string{"compare", "--db=" + db, "--specs=int-alu,chase-dram"}, flag},
+		{[]string{"compare", "--db=" + db, "--threads=1"}, flag},
+		{[]string{"compare", "--db=" + db, "--placement=none"}, flag},
+		{[]string{"store", "query", "--db=" + db, "--where", "specs=int-alu"}, field},
+		{[]string{"store", "query", "--db=" + db, "--where", "thread=1"}, field},
+		{[]string{"analyze", "--db=" + db, "--where", "specs=int-alu,specs=chase-dram"}, field},
+		{[]string{"compare", "--db=" + db, "--where", "thread=1"}, field},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(context.Background(), tc.args, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error containing %q", tc.args, err, tc.want)
 		}
 	}
 }

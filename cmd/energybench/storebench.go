@@ -116,7 +116,7 @@ func cmdStoreBench(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		key := store.Key(rec.Result)
+		key := harness.ResultKey(rec.Result)
 		wantMean, ok := want[key]
 		if !ok {
 			return fmt.Errorf("store bench: query returned unknown key %s", key)
@@ -159,7 +159,7 @@ func cmdStoreBench(args []string, stdout, stderr io.Writer) error {
 	if !ok {
 		return fmt.Errorf("store bench: Get(%s) found nothing", probe)
 	}
-	if got := store.Key(rec.Result); got != probe {
+	if got := harness.ResultKey(rec.Result); got != probe {
 		return fmt.Errorf("store bench: Get(%s) returned key %s", probe, got)
 	}
 
@@ -192,8 +192,8 @@ func cmdStoreBench(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if rec.Result.PowerW.Mean != want[store.Key(rec.Result)] {
-			return fmt.Errorf("store bench: compact corrupted key %s", store.Key(rec.Result))
+		if rec.Result.PowerW.Mean != want[harness.ResultKey(rec.Result)] {
+			return fmt.Errorf("store bench: compact corrupted key %s", harness.ResultKey(rec.Result))
 		}
 	}
 	doc.Segments = st.Segments()

@@ -121,11 +121,11 @@ spaces:
 		t.Fatalf("campaign run failed: %v\nstderr: %s", err, stderr.String())
 	}
 
-	serialKeys, err := store.Keys(serialStore)
+	serialKeys, err := storeKeys(serialStore)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelKeys, err := store.Keys(parallelStore)
+	parallelKeys, err := storeKeys(parallelStore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestSubprocessCounterPipeline(t *testing.T) {
 		t.Fatalf("counter run failed: %v\nstderr: %s", err, stderr.String())
 	}
 
-	recs, err := store.Load(db)
+	recs, err := loadStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -640,7 +640,7 @@ func (c *Coordinator) takeTrials(j *job, a *agentState, max int) []int {
 		if j.state[s] != trialPending {
 			continue // completed via another path while queued
 		}
-		if trialWidth(j.trials[s]) > a.host.CPUs {
+		if j.trials[s].Width() > a.host.CPUs {
 			kept = append(kept, s)
 			continue
 		}
@@ -648,15 +648,6 @@ func (c *Coordinator) takeTrials(j *job, a *agentState, max int) []int {
 	}
 	j.queue = kept
 	return taken
-}
-
-// trialWidth is the worker-thread count a trial occupies (co-run trials run
-// Threads of each spec).
-func trialWidth(t harness.Trial) int {
-	if t.IsCoRun() {
-		return 2 * t.Threads
-	}
-	return t.Threads
 }
 
 func containsHost(hosts []string, name string) bool {

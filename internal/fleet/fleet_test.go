@@ -153,9 +153,14 @@ func jobKeys(t *testing.T, c *Coordinator, jobID string) map[string]bool {
 	if err != nil {
 		t.Fatalf("ResultsPath: %v", err)
 	}
-	keys, err := store.Keys(path)
+	st, err := store.Open(path)
 	if err != nil {
-		t.Fatalf("store.Keys: %v", err)
+		t.Fatalf("store.Open: %v", err)
+	}
+	defer st.Close()
+	keys, err := st.Keys()
+	if err != nil {
+		t.Fatalf("Keys: %v", err)
 	}
 	return keys
 }

@@ -77,6 +77,16 @@ func (t Trial) Name() string {
 // IsCoRun reports whether the trial pairs two specs.
 func (t Trial) IsCoRun() bool { return t.SpecB != nil }
 
+// Width is the number of worker threads the trial runs: a co-run runs
+// Threads of each spec. The Scheduler leases this many CPUs and the fleet
+// coordinator routes the trial only to agents with at least this many.
+func (t Trial) Width() int {
+	if t.IsCoRun() {
+		return 2 * t.Threads
+	}
+	return t.Threads
+}
+
 // configKey is the canonical configuration identity shared by trials and
 // results. Iteration counts are part of the identity because energy totals
 // are only comparable at equal work.

@@ -54,16 +54,6 @@ type Scheduler struct {
 	groups [][]int
 }
 
-// trialUnits is the number of worker threads the trial runs (co-runs
-// interleave one unit per spec per thread).
-func trialUnits(t Trial) int {
-	units := t.Threads
-	if t.IsCoRun() {
-		units *= 2
-	}
-	return units
-}
-
 // UniqueCPUs returns the sorted distinct CPU ids of an assignment: the CPU
 // set a trial leases, or an external workload's child is confined to.
 func UniqueCPUs(cpus []int) []int {
@@ -125,14 +115,14 @@ func (s *Scheduler) RunPlan(ctx context.Context, trials []Trial, sink ResultSink
 	// instead of degrading their placement (or stalling behind them).
 	var pending []Trial
 	for _, t := range trials {
-		if t.Placement != PlaceNone && totalCPUs > 0 && trialUnits(t) > totalCPUs {
+		if t.Placement != PlaceNone && totalCPUs > 0 && t.Width() > totalCPUs {
 			finished++
 			trialErrs = append(trialErrs, &TrialError{Trial: t, Err: fmt.Errorf(
 				"harness: placement %s needs %d CPUs but only %d are leasable: the trial can never be scheduled",
-				t.Placement, trialUnits(t), totalCPUs)})
+				t.Placement, t.Width(), totalCPUs)})
 			if s.Log != nil {
 				s.Log("[%d/%d] %-20s threads=%d placement=%-7s REJECTED: needs %d CPUs, machine leases %d",
-					finished, total, t.Name(), t.Threads, t.Placement, trialUnits(t), totalCPUs)
+					finished, total, t.Name(), t.Threads, t.Placement, t.Width(), totalCPUs)
 			}
 			continue
 		}
@@ -162,7 +152,7 @@ func (s *Scheduler) RunPlan(ctx context.Context, trials []Trial, sink ResultSink
 			// executor falls back to its own placement walk.
 			return nil, true
 		}
-		units := trialUnits(t)
+		units := t.Width()
 		var freeGroups [][]int
 		freeCPUs := 0
 		for _, g := range groups {

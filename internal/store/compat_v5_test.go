@@ -36,11 +36,9 @@ func TestLoadV1toV4RecordsUnderV5(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Append(path, []harness.Result{mkWorkloadResult("stress", 2)}); err != nil {
-		t.Fatal(err)
-	}
+	appendTo(t, path, mkWorkloadResult("stress", 2))
 
-	recs, err := Load(path)
+	recs, err := load(path)
 	if err != nil {
 		t.Fatalf("mixed v1..v5 store failed to load: %v", err)
 	}

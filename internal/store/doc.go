@@ -6,13 +6,15 @@
 // lookups never deserialize the corpus. Open auto-detects the layout, and
 // Query streams deduped records — last write per configuration key wins,
 // first-appearance order is preserved — through the same iterator for both,
-// so consumers are layout-agnostic. Appending is cheap and crash-tolerant
-// (a torn final line is skipped per file/segment), runs from different
-// invocations accumulate into one dataset, and re-running a configuration
-// supersedes its old measurement. This is what turns one-shot sweeps into
-// the accumulating datasets the model-fitting layer consumes.
+// so consumers are layout-agnostic. Appending is cheap and crash-tolerant:
+// a store file or segment is its newline-terminated prefix, so readers
+// ignore the bytes after its last newline (a torn append) and the next
+// append truncates them. Runs from different invocations accumulate into
+// one dataset, and re-running a configuration supersedes its old
+// measurement. This is what turns one-shot sweeps into the accumulating
+// datasets the model-fitting layer consumes.
 //
-// Records carry a schema version (SchemaVersion, currently 4); every
-// version back to v1 loads transparently. The record schema's history and
-// both on-disk layouts are documented in docs/WIRE.md.
+// Records carry a schema version (SchemaVersion); every version back to v1
+// loads transparently. The record schema's history and both on-disk
+// layouts are documented in docs/WIRE.md.
 package store

@@ -1,27 +1,18 @@
 package store
 
 // This file implements the single-file JSONL layout: the original store
-// format, one record per line. Reads go through an envelope-only line scan
-// (v and key, never the result payload) that feeds the same dedup index
-// the sharded layout builds from its sidecars, so Query/Keys semantics are
+// format, one record per line. For reads it is one segment without a
+// sidecar, indexed by the same envelope scan (v and key, never the result
+// payload) that repairs sharded sidecars, so Query/Keys semantics are
 // identical across layouts.
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 )
-
-// envelope is the per-line metadata the index scan decodes — deliberately
-// excluding the result, which can be orders of magnitude larger.
-type envelope struct {
-	V   int    `json:"v"`
-	Key string `json:"key"`
-}
 
 // fileWriter is an open appender on a single-file store.
 type fileWriter struct {
@@ -128,123 +119,24 @@ func truncateTornLine(f *os.File) error {
 	return f.Truncate(clean)
 }
 
-// fileIndex builds the dedup index by scanning line envelopes. Error
-// semantics match the historical Load exactly: a torn or malformed final
-// line is tolerated (crash mid-append), a malformed line with records
-// after it is corruption, and a record from a newer schema is rejected.
-func (s *Store) fileIndex(f Filter) (*index, error) {
-	fh, err := os.Open(s.path)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer fh.Close()
-
-	ix := newIndex()
-	r := bufio.NewReaderSize(fh, 64<<10)
-	var off int64
-	lineNo := 0
-	for {
-		line, rerr := r.ReadBytes('\n')
-		if len(line) == 0 {
-			if rerr == io.EOF {
-				return ix, nil
-			}
-			if rerr != nil {
-				return nil, fmt.Errorf("store: %s: %w", s.path, rerr)
-			}
-			continue
-		}
-		lineNo++
-		content := bytes.TrimSuffix(line, []byte{'\n'})
-		if len(content) > maxLine {
-			return nil, fmt.Errorf("store: %s:%d: line exceeds %d bytes", s.path, lineNo, maxLine)
-		}
-		if len(content) > 0 {
-			var env envelope
-			if jerr := json.Unmarshal(content, &env); jerr != nil {
-				// A torn or malformed final line is expected after a crash
-				// mid-append; a malformed line with data after it is
-				// corruption.
-				if atEOF(r, rerr) {
-					return ix, nil
-				}
-				return nil, fmt.Errorf("store: %s:%d: %w", s.path, lineNo, jerr)
-			}
-			if env.V < 1 || env.V > SchemaVersion {
-				return nil, fmt.Errorf("store: %s:%d: record schema v%d not supported (this build reads up to v%d)",
-					s.path, lineNo, env.V, SchemaVersion)
-			}
-			if f.MatchKey(env.Key) {
-				ix.add(env.Key, loc{off: off, n: len(content)})
-			}
-		}
-		off += int64(len(line))
-		if rerr == io.EOF {
-			return ix, nil
-		}
-		if rerr != nil {
-			return nil, fmt.Errorf("store: %s: %w", s.path, rerr)
-		}
-	}
-}
-
-// atEOF reports whether the reader has no further content beyond the line
-// whose read returned rerr.
-func atEOF(r *bufio.Reader, rerr error) bool {
-	if rerr == io.EOF {
-		return true
-	}
-	_, perr := r.Peek(1)
-	return perr == io.EOF
-}
-
 // fileCompact rewrites the file keeping only each key's winning record,
 // byte for byte, in first-appearance order. The rewrite goes through a
 // temp file and rename, so a crash leaves either the old or the new store
 // intact.
 func (s *Store) fileCompact(ix *index) (kept int, err error) {
-	src, err := os.Open(s.path)
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	defer src.Close()
-
 	tmp, err := os.CreateTemp(filepath.Dir(s.path), "store-compact-*")
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
+	tmp.Close()
 	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	buf := []byte{}
-	for _, key := range ix.order {
-		l := ix.winner[key]
-		if cap(buf) < l.n {
-			buf = make([]byte, l.n)
-		}
-		buf = buf[:l.n]
-		if _, err := src.ReadAt(buf, l.off); err != nil {
-			tmp.Close()
-			return 0, fmt.Errorf("store: %w", err)
-		}
-		if _, err := w.Write(buf); err != nil {
-			tmp.Close()
-			return 0, fmt.Errorf("store: %w", err)
-		}
-		if err := w.WriteByte('\n'); err != nil {
-			tmp.Close()
-			return 0, fmt.Errorf("store: %w", err)
-		}
+	dst := &Store{path: tmp.Name()}
+	err = s.copyRaw(ix, dst)
+	if cerr := dst.Close(); err == nil {
+		err = cerr
 	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("store: flush: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("store: fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("store: close: %w", err)
+	if err != nil {
+		return 0, err
 	}
 	if err := os.Rename(tmp.Name(), s.path); err != nil {
 		return 0, fmt.Errorf("store: %w", err)

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"iter"
 	"os"
@@ -24,10 +26,9 @@ type Store struct {
 	path    string
 	sharded bool
 
-	// SegmentTarget is the byte size at which the active segment of a
-	// sharded store is sealed and a new one started. Settable before the
-	// first Append; zero means DefaultSegmentTargetBytes.
-	SegmentTarget int64
+	// segTarget is the byte size at which the active segment of a sharded
+	// store is sealed and a new one started.
+	segTarget int64
 
 	man manifest    // sharded only
 	fw  *fileWriter // open single-file appender, nil until first Append
@@ -77,9 +78,6 @@ func Create(path string) (*Store, error) {
 	return initSharded(path)
 }
 
-// Path returns the store's file or directory path.
-func (s *Store) Path() string { return s.path }
-
 // Sharded reports whether the store uses the sharded segment layout.
 func (s *Store) Sharded() bool { return s.sharded }
 
@@ -127,7 +125,11 @@ func (s *Store) flush() error {
 func (s *Store) Append(results []harness.Result) (int, error) {
 	now := time.Now().UTC()
 	for _, res := range results {
-		rec := Record{V: SchemaVersion, Key: Key(res), SavedAt: now, Result: res}
+		rec := Record{V: SchemaVersion, Key: harness.ResultKey(res), SavedAt: now, Result: res}
+		if strings.Contains(rec.Key, "\n") {
+			// A sidecar index holds one key per line.
+			return 0, fmt.Errorf("store: key %q contains a newline", rec.Key)
+		}
 		line, err := encodeRecord(rec)
 		if err != nil {
 			return 0, err
@@ -176,20 +178,73 @@ func (ix *index) add(key string, l loc) {
 	ix.winner[key] = l
 }
 
-// buildIndex scans the store's key envelopes — sidecar indexes for sharded
-// stores, a result-free line scan for single files — folding them into the
-// dedup index. The filter prunes at the key level (Filter.MatchKey), so a
-// selective query over a sharded store touches no record bytes for
-// non-matching configurations. Pruning before dedup is sound because every
-// occurrence of a key shares the same filter verdict.
+// buildIndex folds every segment's entries, in order, into the dedup
+// index (a single-file store is one segment without a sidecar). Keys come
+// from sidecars or envelope scans; results are never decoded. The filter
+// prunes at the key level (Filter.MatchKey), so a selective query over a
+// sharded store touches no record bytes for non-matching configurations.
+// Pruning before dedup is sound because every occurrence of a key shares
+// the same filter verdict.
 func (s *Store) buildIndex(f Filter) (*index, error) {
 	if err := s.flush(); err != nil {
 		return nil, err
 	}
-	if s.sharded {
-		return s.shardIndex(f)
+	ix := newIndex()
+	for i := range s.Segments() {
+		entries, err := s.segEntries(i, false)
+		if err != nil {
+			return nil, err
+		}
+		for _, e := range entries {
+			if f.MatchKey(e.key) {
+				ix.add(e.key, loc{seg: i, off: e.off, n: e.n})
+			}
+		}
 	}
-	return s.fileIndex(f)
+	return ix, nil
+}
+
+// envelope is the per-line metadata an index scan decodes — deliberately
+// excluding the result, which can be orders of magnitude larger.
+type envelope struct {
+	V   int    `json:"v"`
+	Key string `json:"key"`
+}
+
+// scanEnvelopes indexes the record lines in [from, to) of f, a range that
+// starts and ends on line boundaries inside the file's newline-terminated
+// prefix. Every non-empty line there must be a record of a supported
+// schema: only the bytes after the last newline can be a torn append, and
+// the range never reaches them.
+func scanEnvelopes(f *os.File, from, to int64) ([]sidecarEntry, error) {
+	var entries []sidecarEntry
+	r := bufio.NewReaderSize(io.NewSectionReader(f, from, to-from), 64<<10)
+	for off := from; off < to; {
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			return nil, fmt.Errorf("store: %s: %w", f.Name(), err)
+		}
+		content := line[:len(line)-1]
+		if len(content) > maxLine {
+			return nil, fmt.Errorf("store: %s: line at offset %d exceeds %d bytes", f.Name(), off, maxLine)
+		}
+		if len(content) > 0 {
+			var env envelope
+			if err := json.Unmarshal(content, &env); err != nil {
+				return nil, fmt.Errorf("store: %s: record at offset %d: %w", f.Name(), off, err)
+			}
+			if env.V < 1 || env.V > SchemaVersion {
+				return nil, fmt.Errorf("store: %s: record at offset %d: schema v%d not supported (this build reads up to v%d)",
+					f.Name(), off, env.V, SchemaVersion)
+			}
+			if strings.Contains(env.Key, "\n") {
+				return nil, fmt.Errorf("store: %s: record at offset %d: key contains a newline", f.Name(), off)
+			}
+			entries = append(entries, sidecarEntry{off: off, n: len(content), key: env.Key})
+		}
+		off += int64(len(line))
+	}
+	return entries, nil
 }
 
 // Keys returns the full configuration-key set without deserializing any
@@ -212,9 +267,9 @@ func (s *Store) Keys() (map[string]bool, error) {
 }
 
 // Query streams the records passing the filter, deduped by configuration
-// key (last write wins) in first-appearance order — the same semantics
-// Load has always had, without materializing the corpus. The iterator
-// yields at most one non-nil error, as its final element.
+// key (last write wins) in first-appearance order, without materializing
+// the corpus. The iterator yields at most one non-nil error, as its final
+// element.
 func (s *Store) Query(f Filter) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
 		ix, err := s.buildIndex(f)
@@ -271,12 +326,8 @@ func (s *Store) Get(key string) (rec Record, ok bool, err error) {
 func (s *Store) readLoc(files map[int]*os.File, l loc) ([]byte, error) {
 	fh, ok := files[l.seg]
 	if !ok {
-		path := s.path
-		if s.sharded {
-			path = s.segPath(l.seg)
-		}
 		var err error
-		if fh, err = os.Open(path); err != nil {
+		if fh, err = os.Open(s.segPath(l.seg)); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 		files[l.seg] = fh
@@ -289,10 +340,17 @@ func (s *Store) readLoc(files map[int]*os.File, l loc) ([]byte, error) {
 }
 
 // Compact rewrites the store deduplicated, preserving record bytes exactly
-// and first-appearance key order. Memory stays bounded by the key set, not
-// the corpus: one index pass over the envelopes, then a raw byte copy of
-// each winning record.
+// and first-appearance key order. Memory holds keys and offsets, never the
+// record payloads: one index pass over the envelopes, then a raw byte copy
+// of each winning record. Single-file stores are rewritten through a temp
+// file and rename, sharded stores into a fresh segment generation committed
+// by one manifest swap, so a crash leaves either the old or the new store
+// intact.
 func (s *Store) Compact() (kept int, err error) {
+	// Seal any open appender first: its file is about to be replaced.
+	if err := s.Close(); err != nil {
+		return 0, err
+	}
 	ix, err := s.buildIndex(Filter{})
 	if err != nil {
 		return 0, err
@@ -360,7 +418,7 @@ func Shard(path string) (kept int, err error) {
 }
 
 // copyRaw streams every winning record of ix, in order, into dst as raw
-// bytes (dst must be sharded).
+// bytes; the caller closes dst to make them durable.
 func (s *Store) copyRaw(ix *index, dst *Store) error {
 	files := map[int]*os.File{}
 	defer func() {

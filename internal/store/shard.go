@@ -6,11 +6,11 @@ package store
 // sidecar index seg-NNNNNNNN.keys per segment with a line per record
 // ("offset length key"), so key scans and point lookups read only the tiny
 // sidecars. Segments are the source of truth: a missing, torn, or stale
-// sidecar is rebuilt from its segment, and the usual torn-final-line
-// tolerance applies per segment. New segments are registered in the
-// manifest before records land in them, so every record a reader can lose
-// is confined to the torn tail of one segment; manifest updates go through
-// an atomic temp-file rename.
+// sidecar is rebuilt from its segment, and each segment, like a single-file
+// store, is its newline-terminated prefix. New segments are registered in
+// the manifest before records land in them, so every record a reader can
+// lose is confined to the torn tail of one segment; manifest updates go
+// through an atomic temp-file rename.
 
 import (
 	"bufio"
@@ -22,6 +22,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -34,11 +35,11 @@ const (
 	segPrefix      = "seg-"
 	segSuffix      = ".jsonl"
 	idxSuffix      = ".keys"
-	// DefaultSegmentTargetBytes is the size at which the active segment is
-	// sealed and a new one started. Small enough that compaction and
-	// backups move in modest units, large enough that a fleet-scale corpus
-	// stays in the hundreds of segments, not millions of files.
-	DefaultSegmentTargetBytes = 4 << 20
+	// defaultSegTarget is the size at which the active segment is sealed
+	// and a new one started. Small enough that compaction and backups move
+	// in modest units, large enough that a fleet-scale corpus stays in the
+	// hundreds of segments, not millions of files.
+	defaultSegTarget = 4 << 20
 )
 
 // manifest is the content of MANIFEST.json.
@@ -78,7 +79,7 @@ func initSharded(path string) (*Store, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{path: path, sharded: true, man: manifest{Format: manifestFormat, Schema: SchemaVersion}}
+	s := &Store{path: path, sharded: true, segTarget: defaultSegTarget, man: manifest{Format: manifestFormat, Schema: SchemaVersion}}
 	if err := s.writeManifest(); err != nil {
 		return nil, err
 	}
@@ -113,10 +114,15 @@ func openSharded(path string) (*Store, error) {
 	if man.Schema > SchemaVersion {
 		return nil, fmt.Errorf("store: %s: store schema v%d not supported (this build reads up to v%d)", path, man.Schema, SchemaVersion)
 	}
-	return &Store{path: path, sharded: true, man: man}, nil
+	return &Store{path: path, sharded: true, segTarget: defaultSegTarget, man: man}, nil
 }
 
+// segPath is segment i's file: the store file itself in the single-file
+// layout.
 func (s *Store) segPath(i int) string {
+	if !s.sharded {
+		return s.path
+	}
 	return filepath.Join(s.path, s.man.Segments[i].Name)
 }
 
@@ -147,12 +153,14 @@ func (s *Store) writeManifest() error {
 	return nil
 }
 
-// segEntries returns one segment's index entries, trusting the sidecar
-// only as far as it is consistent with the segment: entries must tile the
-// segment contiguously from offset 0 and stay inside its cleanly
-// terminated prefix. Anything past the trusted prefix is rebuilt by
-// scanning the segment itself, and when persist is true the repaired
-// sidecar is written back.
+// segEntries returns segment i's index entries: one per record in the
+// segment's newline-terminated prefix. The bytes after the last newline
+// are a torn tail, which readers ignore and the next append truncates. A
+// sidecar is trusted only as far as it is consistent with the segment:
+// entries must tile the segment contiguously from offset 0 and stay inside
+// that prefix. Everything past the trusted prefix (the whole file, for the
+// single-file layout) is scanned from the segment itself, and when persist
+// is true the repaired sidecar is written back.
 func (s *Store) segEntries(i int, persist bool) ([]sidecarEntry, error) {
 	segPath := s.segPath(i)
 	f, err := os.Open(segPath)
@@ -165,17 +173,20 @@ func (s *Store) segEntries(i int, persist bool) ([]sidecarEntry, error) {
 		return nil, fmt.Errorf("store: %s: %w", segPath, err)
 	}
 
-	entries, covered := readSidecar(idxPath(segPath), clean)
-	repaired := false
-	if covered < clean {
-		scanned, err := scanSegmentTail(f, segPath, covered, clean, i == len(s.man.Segments)-1)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, scanned...)
-		repaired = true
+	var entries []sidecarEntry
+	var covered int64
+	if s.sharded {
+		entries, covered = readSidecar(idxPath(segPath), clean)
 	}
-	if persist && repaired {
+	if covered == clean {
+		return entries, nil
+	}
+	scanned, err := scanEnvelopes(f, covered, clean)
+	if err != nil {
+		return nil, err
+	}
+	entries = append(entries, scanned...)
+	if persist {
 		if err := writeSidecar(idxPath(segPath), entries); err != nil {
 			return nil, err
 		}
@@ -219,48 +230,6 @@ func readSidecar(path string, clean int64) (entries []sidecarEntry, covered int6
 	return entries, covered
 }
 
-// scanSegmentTail re-indexes segment records in [from, clean) straight
-// from the segment file. A malformed final line is tolerated only on the
-// last segment (the only one a crash can tear mid-line after manifest
-// registration); elsewhere it is corruption.
-func scanSegmentTail(f *os.File, segPath string, from, clean int64, lastSeg bool) ([]sidecarEntry, error) {
-	if _, err := f.Seek(from, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("store: %s: %w", segPath, err)
-	}
-	var entries []sidecarEntry
-	r := bufio.NewReaderSize(io.LimitReader(f, clean-from), 64<<10)
-	off := from
-	for {
-		line, rerr := r.ReadBytes('\n')
-		if len(line) == 0 {
-			break
-		}
-		content := bytes.TrimSuffix(line, []byte{'\n'})
-		if len(content) > maxLine {
-			return nil, fmt.Errorf("store: %s: line at offset %d exceeds %d bytes", segPath, off, maxLine)
-		}
-		if len(content) > 0 {
-			var env envelope
-			if jerr := json.Unmarshal(content, &env); jerr != nil {
-				if lastSeg && atEOF(r, rerr) {
-					break
-				}
-				return nil, fmt.Errorf("store: %s: record at offset %d: %w", segPath, off, jerr)
-			}
-			if env.V < 1 || env.V > SchemaVersion {
-				return nil, fmt.Errorf("store: %s: record at offset %d: schema v%d not supported (this build reads up to v%d)",
-					segPath, off, env.V, SchemaVersion)
-			}
-			entries = append(entries, sidecarEntry{off: off, n: len(content), key: env.Key})
-		}
-		off += int64(len(line))
-		if rerr != nil {
-			break
-		}
-	}
-	return entries, nil
-}
-
 // writeSidecar persists a rebuilt sidecar atomically.
 func writeSidecar(path string, entries []sidecarEntry) error {
 	var buf bytes.Buffer
@@ -273,25 +242,6 @@ func writeSidecar(path string, entries []sidecarEntry) error {
 	return nil
 }
 
-// shardIndex folds every segment's entries, in manifest order, into the
-// dedup index. Only sidecars (and any un-indexed segment tails) are read;
-// record payloads are not.
-func (s *Store) shardIndex(f Filter) (*index, error) {
-	ix := newIndex()
-	for i := range s.man.Segments {
-		entries, err := s.segEntries(i, false)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			if f.MatchKey(e.key) {
-				ix.add(e.key, loc{seg: i, off: e.off, n: e.n})
-			}
-		}
-	}
-	return ix, nil
-}
-
 // shardAppendRaw buffers one record line into the active segment, rolling
 // to a fresh segment once the active one reaches the target size.
 func (s *Store) shardAppendRaw(key string, line []byte) error {
@@ -300,7 +250,7 @@ func (s *Store) shardAppendRaw(key string, line []byte) error {
 			return err
 		}
 	}
-	if s.sw.off >= s.segmentTarget() {
+	if s.sw.off >= s.segTarget {
 		if err := s.rollSegment(); err != nil {
 			return err
 		}
@@ -318,13 +268,6 @@ func (s *Store) shardAppendRaw(key string, line []byte) error {
 	w.off += int64(len(line)) + 1
 	w.records++
 	return nil
-}
-
-func (s *Store) segmentTarget() int64 {
-	if s.SegmentTarget > 0 {
-		return s.SegmentTarget
-	}
-	return DefaultSegmentTargetBytes
 }
 
 // openActiveSegment resumes appending to the last manifest segment when it
@@ -354,7 +297,7 @@ func (s *Store) openActiveSegment() error {
 		f.Close()
 		return fmt.Errorf("store: %w", err)
 	}
-	if off >= s.segmentTarget() {
+	if off >= s.segTarget {
 		f.Close()
 		return s.rollSegment()
 	}
@@ -475,60 +418,28 @@ func (s *Store) closeActiveSegment() error {
 // segment namer); a crash after it leaves the new store intact with
 // harmless stale files.
 func (s *Store) shardCompact(ix *index) (kept int, err error) {
-	if s.sw != nil {
-		if err := s.closeActiveSegment(); err != nil {
-			return 0, err
-		}
-		s.sw = nil
-	}
 	oldSegs := s.man.Segments
 
 	// Write the new generation through a scratch handle sharing the
 	// directory, so the real manifest is untouched until the swap below.
-	dst := &Store{path: s.path, sharded: true, scratch: true, SegmentTarget: s.SegmentTarget,
-		man: manifest{Format: manifestFormat, Schema: s.man.Schema}}
-	dst.man.Segments = append([]segmentInfo{}, oldSegs...) // copy: namer input only
+	// Its manifest starts as a copy of the old segment list, as namer input
+	// only.
+	dst := &Store{path: s.path, sharded: true, scratch: true, segTarget: s.segTarget,
+		man: manifest{Format: manifestFormat, Schema: s.man.Schema, Segments: slices.Clone(oldSegs)}}
 	// Force a brand-new segment now: the lazy append path would otherwise
 	// resume the old generation's last segment, mixing generations and
 	// leaving nothing new to commit.
 	if err := dst.rollSegment(); err != nil {
 		return 0, err
 	}
-	written := 0
-	files := map[int]*os.File{}
-	defer func() {
-		for _, fh := range files {
-			fh.Close()
-		}
-	}()
-	var newSegs []segmentInfo
-	for _, key := range ix.order {
-		raw, rerr := s.readLoc(files, ix.winner[key])
-		if rerr != nil {
-			return 0, rerr
-		}
-		if err := dst.shardAppendRaw(key, raw); err != nil {
-			return 0, err
-		}
-		written++
+	err = s.copyRaw(ix, dst)
+	if cerr := dst.Close(); err == nil {
+		err = cerr
 	}
-	if dst.sw != nil {
-		if err := dst.sw.flush(); err != nil {
-			return 0, err
-		}
-		if err := dst.sw.f.Sync(); err != nil {
-			return 0, fmt.Errorf("store: fsync: %w", err)
-		}
-		if err := dst.sw.kf.Sync(); err != nil {
-			return 0, fmt.Errorf("store: fsync: %w", err)
-		}
-		dst.sw.f.Close()
-		dst.sw.kf.Close()
-		last := len(dst.man.Segments) - 1
-		dst.man.Segments[last].Records = dst.sw.records
-		dst.sw = nil
+	if err != nil {
+		return 0, err
 	}
-	newSegs = dst.man.Segments[len(oldSegs):]
+	newSegs := dst.man.Segments[len(oldSegs):]
 
 	// Commit: the manifest swap is the single point where readers move
 	// from the old generation to the new.
@@ -541,5 +452,5 @@ func (s *Store) shardCompact(ix *index) (kept int, err error) {
 		os.Remove(filepath.Join(s.path, seg.Name))
 		os.Remove(idxPath(filepath.Join(s.path, seg.Name)))
 	}
-	return written, nil
+	return len(ix.order), nil
 }

@@ -134,14 +134,14 @@ func TestShardedSegmentRollAndManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SegmentTarget = 256 // force a roll every record or two
+	st.segTarget = 256 // force a roll every record or two
 	var want []string
 	for i := 1; i <= 8; i++ {
 		r := mkResult("int-alu", i, "none")
 		if _, err := st.Append([]harness.Result{r}); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, Key(r))
+		want = append(want, harness.ResultKey(r))
 	}
 	if st.Segments() < 3 {
 		t.Errorf("got %d segments under a 256-byte target, want several", st.Segments())
@@ -258,7 +258,7 @@ func TestShardedRebuildsMissingOrStaleSidecar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 2 || !keys[Key(in[0])] || !keys[Key(in[1])] {
+	if len(keys) != 2 || !keys[harness.ResultKey(in[0])] || !keys[harness.ResultKey(in[1])] {
 		t.Errorf("keys after sidecar loss = %v, want both configurations", keys)
 	}
 	st.Close()
@@ -290,7 +290,7 @@ func TestShardedCompactDropsDuplicatesAndOldSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SegmentTarget = 512
+	st.segTarget = 512
 	r := mkResult("int-alu", 1, "none")
 	other := mkResult("chase-l1", 1, "none")
 	for i := 0; i < 6; i++ {
@@ -367,10 +367,8 @@ func TestShardMigratesFilePreservingKeysAndBytes(t *testing.T) {
 	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Append(path, []harness.Result{mkResult("chase-dram", 1, "none"), mkResult("chase-dram", 1, "none")}); err != nil {
-		t.Fatal(err)
-	}
-	keysBefore, err := Keys(path)
+	appendTo(t, path, mkResult("chase-dram", 1, "none"), mkResult("chase-dram", 1, "none"))
+	keysBefore, err := keysOf(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +389,7 @@ func TestShardMigratesFilePreservingKeysAndBytes(t *testing.T) {
 		t.Errorf("pre-shard backup left behind: %v", err)
 	}
 
-	keysAfter, err := Keys(path)
+	keysAfter, err := keysOf(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +436,7 @@ func TestShardedKeysWithoutReadingRecords(t *testing.T) {
 	if err := os.WriteFile(seg, []byte(garbled), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	keys, err := Keys(path)
+	keys, err := keysOf(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,13 +465,13 @@ func TestFilterKeyPushdownAgreesWithMatch(t *testing.T) {
 		{Placements: []string{"scatter"}},
 		{Meters: []string{"mock"}},
 		{Meters: []string{"rapl"}},
-		{Keys: []string{Key(results[0])}},
+		{Keys: []string{harness.ResultKey(results[0])}},
 		{Specs: []string{"int-alu"}, Threads: []int{1}, Placements: []string{"none"}},
 	}
 	for fi, f := range filters {
 		for ri, r := range results {
 			match := f.Match(r)
-			keyMatch := f.MatchKey(Key(r))
+			keyMatch := f.MatchKey(harness.ResultKey(r))
 			// MatchKey is a conservative pre-filter: it may admit more than
 			// Match, but must never reject a record Match accepts.
 			if match && !keyMatch {
@@ -506,7 +504,7 @@ func TestShardedGetPointLookup(t *testing.T) {
 	if _, err := st.Append([]harness.Result{r, mkResult("fp-mac", 1, "none"), updated}); err != nil {
 		t.Fatal(err)
 	}
-	rec, ok, err := st.Get(Key(r))
+	rec, ok, err := st.Get(harness.ResultKey(r))
 	if err != nil || !ok {
 		t.Fatalf("Get = ok=%v, %v", ok, err)
 	}

@@ -10,28 +10,32 @@ import (
 func TestKeysExportsStoredConfigurations(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.jsonl")
 
-	// A store that does not exist yet resumes trivially: empty key set.
-	keys, err := Keys(path)
+	// A single-file store is created lazily: before its first append it
+	// holds no keys, and listing them must not fail.
+	st, err := Create(path)
 	if err != nil {
-		t.Fatalf("Keys on missing store: %v", err)
-	}
-	if len(keys) != 0 {
-		t.Fatalf("missing store yielded %d keys", len(keys))
-	}
-
-	a, b := mkResult("int-alu", 1, "none"), mkResult("int-alu", 2, "none")
-	if _, err := Append(path, []harness.Result{a, b, a}); err != nil {
 		t.Fatal(err)
 	}
-	keys, err = Keys(path)
+	keys, err := st.Keys()
+	if err != nil {
+		t.Fatalf("Keys on a not-yet-written store: %v", err)
+	}
+	if len(keys) != 0 {
+		t.Fatalf("not-yet-written store yielded %d keys", len(keys))
+	}
+	st.Close()
+
+	a, b := mkResult("int-alu", 1, "none"), mkResult("int-alu", 2, "none")
+	appendTo(t, path, a, b, a)
+	keys, err = keysOf(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(keys) != 2 {
 		t.Fatalf("got %d keys, want 2 after dedup: %v", len(keys), keys)
 	}
-	if !keys[Key(a)] || !keys[Key(b)] {
-		t.Errorf("key set %v missing %q or %q", keys, Key(a), Key(b))
+	if !keys[harness.ResultKey(a)] || !keys[harness.ResultKey(b)] {
+		t.Errorf("key set %v missing %q or %q", keys, harness.ResultKey(a), harness.ResultKey(b))
 	}
 }
 
@@ -54,7 +58,7 @@ func TestSinkFlushesPerResult(t *testing.T) {
 		}
 		// Load through a fresh reader after every single Consume: the data
 		// must already be durable without Close.
-		recs, err := Load(path)
+		recs, err := load(path)
 		if err != nil {
 			t.Fatalf("after %d consumes: %v", i+1, err)
 		}

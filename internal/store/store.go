@@ -1,8 +1,6 @@
 package store
 
 import (
-	"errors"
-	"io/fs"
 	"time"
 
 	"energybench/internal/harness"
@@ -47,15 +45,6 @@ type Record struct {
 	Key     string         `json:"key"`
 	SavedAt time.Time      `json:"saved_at"`
 	Result  harness.Result `json:"result"`
-}
-
-// Key derives the configuration identity of a result: two results with the
-// same key measured the same configuration and the newer one supersedes the
-// older on load. It delegates to harness.ResultKey, the same identity
-// planned trials compute via Trial.Key, so resumable sweeps can match
-// stored records against not-yet-run trials.
-func Key(r harness.Result) string {
-	return harness.ResultKey(r)
 }
 
 // Filter selects stored results. Zero-value fields match everything; a
@@ -158,89 +147,4 @@ func containsString(list []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// Results extracts the results passing the filter from loaded records.
-func Results(recs []Record, f Filter) []harness.Result {
-	var out []harness.Result
-	for _, rec := range recs {
-		if f.Match(rec.Result) {
-			out = append(out, rec.Result)
-		}
-	}
-	return out
-}
-
-// Load reads every record from the store at path and dedups by key with the
-// last occurrence winning, preserving first-appearance order. A truncated
-// final line (crash mid-append) is tolerated; any other malformed line or a
-// record from a newer schema is an error.
-//
-// Deprecated: Load materializes the whole corpus. Use Open and stream
-// Store.Query instead; Load remains only as a thin wrapper for callers that
-// genuinely need every record in memory.
-func Load(path string) ([]Record, error) {
-	st, err := Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	var out []Record
-	for rec, err := range st.Query(Filter{}) {
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// Keys returns the set of configuration keys the store at path holds, for
-// resumable sweeps: the planner drops trials whose key is already present.
-// A missing store yields an empty set (a fresh sweep resumes trivially);
-// any other failure is an error. Only key envelopes are read — results are
-// never deserialized.
-func Keys(path string) (map[string]bool, error) {
-	st, err := Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return map[string]bool{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	return st.Keys()
-}
-
-// Append writes the results to the store at path, creating it if needed
-// (a single-file store for .jsonl/.json paths, a sharded directory store
-// otherwise), and returns how many records were written.
-func Append(path string, results []harness.Result) (int, error) {
-	st, err := Create(path)
-	if err != nil {
-		return 0, err
-	}
-	n, err := st.Append(results)
-	if cerr := st.Close(); err == nil {
-		err = cerr
-	}
-	return n, err
-}
-
-// Compact rewrites the store at path with duplicates removed, so long-lived
-// stores that re-measure configurations don't grow without bound. Record
-// bytes are preserved exactly; single-file stores are rewritten through a
-// temp file and rename, sharded stores into a fresh segment generation
-// committed by one manifest swap, so a crash leaves either the old or the
-// new store intact.
-func Compact(path string) (kept int, err error) {
-	st, err := Open(path)
-	if err != nil {
-		return 0, err
-	}
-	kept, err = st.Compact()
-	if cerr := st.Close(); err == nil {
-		err = cerr
-	}
-	return kept, err
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -26,6 +28,48 @@ func mkResult(spec string, threads int, placement string) harness.Result {
 	}
 }
 
+// appendTo appends results to the store at path, creating it if needed.
+func appendTo(t *testing.T, path string, results ...harness.Result) {
+	t.Helper()
+	st, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append(results); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// load drains an unfiltered query of the store at path.
+func load(path string) ([]Record, error) {
+	st, err := Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	var out []Record
+	for rec, err := range st.Query(Filter{}) {
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
+	}
+	return out, nil
+}
+
+// keysOf returns the configuration-key set of the store at path.
+func keysOf(path string) (map[string]bool, error) {
+	st, err := Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	return st.Keys()
+}
+
 func TestAppendLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.jsonl")
 	in := []harness.Result{
@@ -33,14 +77,21 @@ func TestAppendLoadRoundTrip(t *testing.T) {
 		mkResult("int-alu", 2, "none"),
 		mkResult("chase-l1", 1, "compact"),
 	}
-	n, err := Append(path, in)
+	st, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := st.Append(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 3 {
 		t.Fatalf("appended %d records, want 3", n)
 	}
-	recs, err := Load(path)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +102,8 @@ func TestAppendLoadRoundTrip(t *testing.T) {
 		if rec.V != SchemaVersion {
 			t.Errorf("record %d schema = %d, want %d", i, rec.V, SchemaVersion)
 		}
-		if rec.Key != Key(in[i]) {
-			t.Errorf("record %d key = %q, want %q", i, rec.Key, Key(in[i]))
+		if rec.Key != harness.ResultKey(in[i]) {
+			t.Errorf("record %d key = %q, want %q", i, rec.Key, harness.ResultKey(in[i]))
 		}
 		if rec.SavedAt.IsZero() {
 			t.Errorf("record %d has zero timestamp", i)
@@ -66,17 +117,13 @@ func TestAppendLoadRoundTrip(t *testing.T) {
 func TestLoadDedupsLastWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.jsonl")
 	first := mkResult("int-alu", 1, "none")
-	if _, err := Append(path, []harness.Result{first, mkResult("chase-l1", 1, "none")}); err != nil {
-		t.Fatal(err)
-	}
+	appendTo(t, path, first, mkResult("chase-l1", 1, "none"))
 	// Re-measure the same configuration with a different value: the later
 	// record must replace the earlier one, in the earlier one's position.
 	second := first
 	second.EnergyJ.Mean = 99
-	if _, err := Append(path, []harness.Result{second}); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Load(path)
+	appendTo(t, path, second)
+	recs, err := load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +148,11 @@ func TestKeyDistinguishesConfigurations(t *testing.T) {
 		func(r *harness.Result) { r.Iters = 2000 },
 		func(r *harness.Result) { r.SpecB = "chase-l1"; r.ThreadsB = 1; r.ItersB = 500 },
 	}
-	seen := map[string]bool{Key(base): true}
+	seen := map[string]bool{harness.ResultKey(base): true}
 	for i, mut := range variants {
 		r := base
 		mut(&r)
-		k := Key(r)
+		k := harness.ResultKey(r)
 		if seen[k] {
 			t.Errorf("variant %d collides with a previous key %q", i, k)
 		}
@@ -114,23 +161,9 @@ func TestKeyDistinguishesConfigurations(t *testing.T) {
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.jsonl")); !os.IsNotExist(asPathErr(err)) {
+	if _, err := Open(filepath.Join(t.TempDir(), "missing.jsonl")); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("want not-exist error for missing store, got %v", err)
 	}
-}
-
-func asPathErr(err error) error {
-	for err != nil {
-		if pe, ok := err.(*os.PathError); ok {
-			return pe
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			break
-		}
-		err = u.Unwrap()
-	}
-	return err
 }
 
 func TestLoadRejectsNewerSchemaAndCorruption(t *testing.T) {
@@ -140,7 +173,7 @@ func TestLoadRejectsNewerSchemaAndCorruption(t *testing.T) {
 	if err := os.WriteFile(future, []byte(`{"v":999,"key":"k","result":{}}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(future); err == nil || !strings.Contains(err.Error(), "v999") {
+	if _, err := load(future); err == nil || !strings.Contains(err.Error(), "v999") {
 		t.Errorf("want schema-version error, got %v", err)
 	}
 
@@ -149,16 +182,14 @@ func TestLoadRejectsNewerSchemaAndCorruption(t *testing.T) {
 	if err := os.WriteFile(corrupt, []byte(good+"{not json}\n"+good), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(corrupt); err == nil {
+	if _, err := load(corrupt); err == nil {
 		t.Error("want error for corrupt mid-file line, got nil")
 	}
 }
 
 func TestLoadToleratesTornFinalLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.jsonl")
-	if _, err := Append(path, []harness.Result{mkResult("int-alu", 1, "none")}); err != nil {
-		t.Fatal(err)
-	}
+	appendTo(t, path, mkResult("int-alu", 1, "none"))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +198,7 @@ func TestLoadToleratesTornFinalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	recs, err := Load(path)
+	recs, err := load(path)
 	if err != nil {
 		t.Fatalf("torn final line must be tolerated: %v", err)
 	}
@@ -182,9 +213,7 @@ func TestLoadToleratesTornFinalLine(t *testing.T) {
 // strict mid-file corruption detection).
 func TestAppendAfterTornLineRepairs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.jsonl")
-	if _, err := Append(path, []harness.Result{mkResult("int-alu", 1, "none")}); err != nil {
-		t.Fatal(err)
-	}
+	appendTo(t, path, mkResult("int-alu", 1, "none"))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -194,10 +223,8 @@ func TestAppendAfterTornLineRepairs(t *testing.T) {
 	}
 	f.Close()
 
-	if _, err := Append(path, []harness.Result{mkResult("int-alu", 2, "none")}); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Load(path)
+	appendTo(t, path, mkResult("int-alu", 2, "none"))
+	recs, err := load(path)
 	if err != nil {
 		t.Fatalf("store unreadable after append-over-torn-line: %v", err)
 	}
@@ -214,10 +241,8 @@ func TestAppendAfterTornLineRepairs(t *testing.T) {
 	if err := os.WriteFile(junk, []byte("{partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Append(junk, []harness.Result{mkResult("fp-mac", 1, "none")}); err != nil {
-		t.Fatal(err)
-	}
-	if recs, err := Load(junk); err != nil || len(recs) != 1 {
+	appendTo(t, junk, mkResult("fp-mac", 1, "none"))
+	if recs, err := load(junk); err != nil || len(recs) != 1 {
 		t.Errorf("junk-only store after append: %v, %d records, want 1", err, len(recs))
 	}
 }
@@ -225,12 +250,16 @@ func TestAppendAfterTornLineRepairs(t *testing.T) {
 func TestCompactRewritesDeduped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.jsonl")
 	r := mkResult("int-alu", 1, "none")
+	st, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
-		if _, err := Append(path, []harness.Result{r}); err != nil {
+		if _, err := st.Append([]harness.Result{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	kept, err := Compact(path)
+	kept, err := st.Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +273,20 @@ func TestCompactRewritesDeduped(t *testing.T) {
 	if lines := strings.Count(string(b), "\n"); lines != 1 {
 		t.Errorf("compacted file has %d lines, want 1", lines)
 	}
-	if recs, err := Load(path); err != nil || len(recs) != 1 {
+	if recs, err := load(path); err != nil || len(recs) != 1 {
 		t.Errorf("compacted store unreadable: %v, %d records", err, len(recs))
+	}
+
+	// The handle that appended before compacting keeps appending to the
+	// compacted file, not to the one the rename replaced.
+	if _, err := st.Append([]harness.Result{mkResult("fp-mac", 1, "none")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := load(path); err != nil || len(recs) != 2 {
+		t.Errorf("append after compact: %v, %d records, want 2", err, len(recs))
 	}
 }
 
@@ -287,20 +328,14 @@ func TestResultsAppliesFilter(t *testing.T) {
 		mkResult("int-alu", 2, "none"),
 		mkResult("chase-l1", 1, "none"),
 	}
-	if _, err := Append(path, in); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Results(recs, Filter{Specs: []string{"int-alu"}})
+	appendTo(t, path, in...)
+	got := openCollect(t, path, Filter{Specs: []string{"int-alu"}})
 	if len(got) != 2 {
 		t.Fatalf("filtered to %d results, want 2", len(got))
 	}
-	for _, r := range got {
-		if r.Spec != "int-alu" {
-			t.Errorf("filter leaked %q", r.Spec)
+	for _, rec := range got {
+		if rec.Result.Spec != "int-alu" {
+			t.Errorf("filter leaked %q", rec.Result.Spec)
 		}
 	}
 }
@@ -324,11 +359,9 @@ func TestLoadV1RecordsUnderV2(t *testing.T) {
 		Threads: []harness.CounterThread{{CPU: -1, TotalMean: []float64{5.5e6}, RateHzMean: []float64{5.5e7}}},
 		Reps:    2,
 	}
-	if _, err := Append(path, []harness.Result{withCounters}); err != nil {
-		t.Fatal(err)
-	}
+	appendTo(t, path, withCounters)
 
-	recs, err := Load(path)
+	recs, err := load(path)
 	if err != nil {
 		t.Fatalf("mixed v1/v2 store failed to load: %v", err)
 	}
@@ -376,11 +409,9 @@ func TestLoadV2RecordsUnderV3(t *testing.T) {
 			},
 		},
 	}}
-	if _, err := Append(path, []harness.Result{withSeries}); err != nil {
-		t.Fatal(err)
-	}
+	appendTo(t, path, withSeries)
 
-	recs, err := Load(path)
+	recs, err := load(path)
 	if err != nil {
 		t.Fatalf("mixed v2/v3 store failed to load: %v", err)
 	}
