@@ -9,7 +9,7 @@ COVER_FLOOR := 70
 # clean.
 SCRATCH := .scratch
 
-.PHONY: all ci build test lint vet-perfbench staticcheck cover fuzz bench bench-json bench-store smoke smoke-sampling smoke-planner smoke-fleet smoke-extern docs-check clean
+.PHONY: all ci build test lint vet-perfbench staticcheck cover fuzz bench-store smoke smoke-sampling smoke-planner smoke-fleet smoke-extern docs-check clean
 
 all: lint build test
 
@@ -60,14 +60,7 @@ cover:
 fuzz:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s ./internal/bench
 	$(GO) test -run='^$$' -fuzz=FuzzReadersAgreeWithWriter -fuzztime=10s ./internal/store
-
-bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/bench
-
-# Machine-readable bench results, same artifact CI publishes per PR.
-bench-json:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/bench | $(GO) run ./cmd/benchjson > BENCH_kernels.json
-	@echo "wrote BENCH_kernels.json"
+	$(GO) test -run='^$$' -fuzz=FuzzCampaignParse -fuzztime=10s ./internal/campaign
 
 # The CI store scale smoke: a 50k-record synthetic corpus through the
 # sharded store's append/query/compact lifecycle, self-verified, with the
@@ -153,4 +146,4 @@ docs-check:
 	@echo "docs-check OK (every internal package has a doc.go)"
 
 clean:
-	rm -rf bin $(SCRATCH) cover.out BENCH_kernels.json BENCH_store.json BENCH_sampling.json BENCH_planner.json BENCH_fleet.json BENCH_extern.json scale-store smoke-results.jsonl counter-smoke.jsonl counter-analysis.json
+	rm -rf bin $(SCRATCH) cover.out BENCH_store.json BENCH_sampling.json BENCH_planner.json BENCH_fleet.json BENCH_extern.json scale-store smoke-results.jsonl counter-smoke.jsonl counter-analysis.json

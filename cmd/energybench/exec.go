@@ -86,7 +86,8 @@ func (ec execConfig) workerArgs() []string {
 }
 
 // newMeter constructs the energy backend, so a new backend only needs
-// wiring here.
+// wiring here. It checks the mock parameters itself, because a worker child
+// or a fleet batch reaches it without passing through campaign validation.
 func (ec execConfig) newMeter() (meter.EnergyMeter, error) {
 	if ec.mockSchedule != "" && ec.Meter != "mock" {
 		return nil, fmt.Errorf("--mock-schedule requires --meter=mock, got meter %q", ec.Meter)
@@ -97,36 +98,24 @@ func (ec execConfig) newMeter() (meter.EnergyMeter, error) {
 	if ec.MockModel != "" && ec.mockSchedule != "" {
 		return nil, fmt.Errorf("--mock-model and --mock-schedule are exclusive: a planted model already defines the draw over time")
 	}
-	if ec.MockNoiseW != 0 && ec.MockModel == "" {
-		return nil, fmt.Errorf("--mock-noise requires --mock-model")
-	}
 	switch ec.Meter {
 	case "mock":
-		m := meter.NewMock(ec.MockWatts)
+		if err := meter.ValidateMock(ec.MockWatts, ec.MockModel, ec.MockNoiseW); err != nil {
+			return nil, err
+		}
 		steps, err := parseMockSchedule(ec.mockSchedule)
 		if err != nil {
 			return nil, err
 		}
+		m := meter.NewMock(ec.MockWatts)
 		m.Steps = steps
-		if ec.MockModel != "" {
-			planted, err := meter.ParseMockModel(ec.MockModel)
-			if err != nil {
-				return nil, err
-			}
-			m.ModelW = planted
-			if ec.MockNoiseW < 0 {
-				return nil, fmt.Errorf("--mock-noise must be non-negative, got %v", ec.MockNoiseW)
-			}
-			m.NoiseW = ec.MockNoiseW
-		}
+		m.ModelW, _ = meter.ParseMockModel(ec.MockModel) // checked by ValidateMock
+		m.NoiseW = ec.MockNoiseW
 		return m, nil
 	case "rapl":
 		return meter.NewRAPL(meter.DefaultPowercapRoot)
 	default:
-		if err := campaign.ValidateMeter(ec.Meter); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("meter %q is known but has no constructor wired here", ec.Meter)
+		return nil, fmt.Errorf("unknown meter %q (want mock|rapl)", ec.Meter)
 	}
 }
 

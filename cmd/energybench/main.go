@@ -99,6 +99,13 @@ A store path is either a single JSONL file or a sharded segment-store
 directory; every subcommand auto-detects the layout. 'run --store' creates a
 single file for .jsonl/.json paths and a sharded store otherwise.
 
+The run and list flags describe a one-space campaign, validated and planned
+exactly like a campaign file. Each sweep flag sets the campaign key of the
+same name with '-' as '_' (--iter-scale sets iter_scale), except --placement,
+which sets placements, and --mock-noise, which sets mock_noise_w. Two rules
+stay flag-only: --mock-schedule has no key, and --counter-backend requires
+--counters (a file's counter_backend alone means the default events).
+
 space flags (run, and list for sizing a sweep):
   --specs=a,b         comma-separated spec names (default: full catalog)
   --corun=a+b,c+d     co-run pairs: each runs both specs concurrently,
@@ -243,56 +250,45 @@ analyze / compare flags:
 }
 
 // spaceFlags registers the exploration-space flags shared by run and list,
-// returning a builder that assembles the Space after fs.Parse.
-func spaceFlags(fs *flag.FlagSet) func() (harness.Space, error) {
+// returning a function that, after fs.Parse, sets them as c's one space:
+// the flags describe a one-space campaign. --specs and --corun both empty
+// mean the full catalog.
+func spaceFlags(fs *flag.FlagSet, c *campaign.Campaign) func() error {
+	sc := campaign.SpaceConfig{CVTarget: new(float64), Warmup: new(int), IterScal: new(float64), MaxCV: new(float64)}
 	var (
-		specsFlag = fs.String("specs", "", "comma-separated spec names (default: full catalog)")
-		corunFlag = fs.String("corun", "", "comma-separated co-run pairs, each 'specA+specB'")
+		specs     = fs.String("specs", "", "comma-separated spec names (default: full catalog)")
+		corun     = fs.String("corun", "", "comma-separated co-run pairs, each 'specA+specB'")
 		threads   = fs.String("threads", "1,2", "comma-separated thread counts")
 		placement = fs.String("placement", "none", "comma-separated placements: none|compact|scatter")
-		reps      = fs.Int("reps", 3, "fixed repetitions per configuration")
-		minReps   = fs.Int("min-reps", 0, "adaptive: minimum measured repetitions (0: use --reps)")
-		maxReps   = fs.Int("max-reps", 0, "adaptive: repetition hard cap (0: fixed at the minimum)")
-		cvTarget  = fs.Float64("cv-target", 0.05, "energy-CV convergence target for adaptive early stop")
-		warmup    = fs.Int("warmup", 1, "discarded warm-up repetitions")
-		iterScale = fs.Float64("iter-scale", 1.0, "scale factor applied to every spec's iteration count")
-		maxCV     = fs.Float64("max-cv", 0.2, "CV threshold for outlier rejection (0 disables)")
 		sampleInt = fs.Duration("sample-interval", 0, "poll the meter on this period during each measured rep, recording a time-resolved series (0 disables)")
 	)
-	return func() (harness.Space, error) {
-		space := harness.Space{
-			Reps:           *reps,
-			MinReps:        *minReps,
-			MaxReps:        *maxReps,
-			CVTarget:       *cvTarget,
-			Warmup:         *warmup,
-			IterScale:      *iterScale,
-			MaxCV:          *maxCV,
-			SampleInterval: *sampleInt,
-		}
-		if *iterScale <= 0 {
-			return space, fmt.Errorf("--iter-scale must be positive, got %v", *iterScale)
+	fs.IntVar(&sc.Reps, "reps", 3, "fixed repetitions per configuration")
+	fs.IntVar(&sc.MinReps, "min-reps", 0, "adaptive: minimum measured repetitions (0: use --reps)")
+	fs.IntVar(&sc.MaxReps, "max-reps", 0, "adaptive: repetition hard cap (0: fixed at the minimum)")
+	fs.Float64Var(sc.CVTarget, "cv-target", 0.05, "energy-CV convergence target for adaptive early stop")
+	fs.IntVar(sc.Warmup, "warmup", 1, "discarded warm-up repetitions")
+	fs.Float64Var(sc.IterScal, "iter-scale", 1.0, "scale factor applied to every spec's iteration count")
+	fs.Float64Var(sc.MaxCV, "max-cv", 0.2, "CV threshold for outlier rejection (0 disables)")
+	return func() error {
+		// A file's omitted reps means the default; --reps=0 is a mistake.
+		if sc.Reps == 0 && sc.MinReps == 0 {
+			return fmt.Errorf("--reps must be positive (or set --min-reps), got 0")
 		}
 		var err error
-		if *specsFlag == "" && *corunFlag == "" {
-			space.Specs = bench.Catalog()
-		} else if space.Specs, err = campaign.LookupSpecs(splitNonEmpty(*specsFlag)); err != nil {
-			return space, err
+		if sc.Threads, err = parseIntList(*threads); err != nil {
+			return fmt.Errorf("--threads: %w", err)
 		}
-		if space.Pairs, err = campaign.ParsePairs(splitNonEmpty(*corunFlag)); err != nil {
-			return space, fmt.Errorf("--corun: %w", err)
-		}
-		if space.ThreadCounts, err = parseIntList(*threads); err != nil {
-			return space, fmt.Errorf("--threads: %w", err)
-		}
-		for _, p := range splitNonEmpty(*placement) {
-			pl, err := harness.ParsePlacement(p)
-			if err != nil {
-				return space, err
+		sc.Specs, sc.Corun, sc.Placements = splitNonEmpty(*specs), splitNonEmpty(*corun), splitNonEmpty(*placement)
+		if *specs == "" && *corun == "" {
+			for _, s := range bench.Catalog() {
+				sc.Specs = append(sc.Specs, s.Name)
 			}
-			space.Placements = append(space.Placements, pl)
 		}
-		return space, nil
+		if *sampleInt != 0 {
+			c.SampleInterval = sampleInt.String()
+		}
+		c.Spaces = []campaign.SpaceConfig{sc}
+		return nil
 	}
 }
 
@@ -323,71 +319,54 @@ func newPlanDoc(trials []harness.Trial, skipped int) planDoc {
 func cmdList(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("list", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	buildSpace := spaceFlags(fs)
+	var c campaign.Campaign
+	setSpace := spaceFlags(fs, &c)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NFlag() == 0 {
 		return writeJSON(stdout, bench.Catalog())
 	}
-	space, err := buildSpace()
-	if err != nil {
+	if err := setSpace(); err != nil {
 		return err
 	}
-	trials, err := harness.Plan(space)
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	trials, err := c.Plan()
 	if err != nil {
 		return err
 	}
 	return writeJSON(stdout, newPlanDoc(trials, 0))
 }
 
-// sweepConfig is everything executeSweep needs, assembled either from the
-// run flags or from a campaign file — both routes share one execution path
-// so campaigns and flag-driven sweeps can never drift apart.
-type sweepConfig struct {
-	trials []harness.Trial
-	exec   execConfig
-	// adapt, when non-nil, replaces the exhaustive sweep with the adaptive
-	// planner: stdout gets the planner report instead of the result array
-	// (results stream to the store sink).
-	adapt     *adapt.Config
-	storePath string
-	resume    bool
-	dryRun    bool
-	progress  bool
-	// counters is the normalized activity-metering spec the trials carry;
-	// nil when counters are off. Kept here so the sweep can probe the perf
-	// backend once up front instead of failing per trial.
-	counters *perf.Spec
-}
-
 func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	buildSpace := spaceFlags(fs)
+	c := &campaign.Campaign{}
+	setSpace := spaceFlags(fs, c)
 	ec := meterFlags(fs)
 	fs.StringVar(&ec.Executor, "executor", campaign.ExecutorInProcess, "trial backend: inprocess|subprocess")
 	fs.IntVar(&ec.Parallel, "parallel", 1, "max concurrently running trials (requires --executor=subprocess when above 1)")
 	fs.DurationVar(&ec.TrialTimeout, "trial-timeout", 0, "kill a subprocess worker running longer than this (0: no limit)")
+	fs.StringVar(&c.Algo, "algo", adapt.AlgoAll, "campaign planning algorithm: all (exhaustive) | active (D-optimal model convergence) | bo (expected-improvement EDP search)")
+	fs.StringVar(&c.CounterBackend, "counter-backend", "", "activity backend: perf (default) or mock (requires --counters)")
+	fs.StringVar(&c.Store, "store", "", "append results to the JSONL store at this path, flushed per configuration")
+	fs.BoolVar(&c.Resume, "resume", false, "skip trials already present in the --store file")
 	var (
-		campaignPath   = fs.String("campaign", "", "run a declarative campaign file (YAML or JSON)")
-		algo           = fs.String("algo", adapt.AlgoAll, "campaign planning algorithm: all (exhaustive) | active (D-optimal model convergence) | bo (expected-improvement EDP search)")
-		batch          = fs.Int("batch", 0, "adaptive planner: trials dispatched per round (default 8; requires --algo=active|bo)")
-		budget         = fs.Int("budget", 0, "adaptive planner: cap on newly executed trials (default: full grid; requires --algo=active|bo)")
-		targetRSE      = fs.Float64("target-rse", 0, "adaptive planner: stop once every coefficient's relative standard error is at or below this (default 0.05; requires --algo=active)")
-		seed           = fs.Int64("seed", 0, "adaptive planner: seed for every random choice (default 1; requires --algo=active|bo)")
-		countersFlag   = fs.String("counters", "", "meter hardware activity: comma-separated event names, or 'default'")
-		counterBackend = fs.String("counter-backend", "", "activity backend: perf (default) or mock (requires --counters)")
-		storePath      = fs.String("store", "", "append results to the JSONL store at this path, flushed per configuration")
-		resume         = fs.Bool("resume", false, "skip trials already present in the --store file")
-		dryRun         = fs.Bool("dry-run", false, "print the planned trials as JSON without executing them")
-		progress       = fs.Bool("progress", false, "log one line per completed trial to stderr")
+		campaignPath = fs.String("campaign", "", "run a declarative campaign file (YAML or JSON)")
+		batch        = fs.Int("batch", 0, "adaptive planner: trials dispatched per round (default 8; requires --algo=active|bo)")
+		budget       = fs.Int("budget", 0, "adaptive planner: cap on newly executed trials (default: full grid; requires --algo=active|bo)")
+		targetRSE    = fs.Float64("target-rse", 0, "adaptive planner: stop once every coefficient's relative standard error is at or below this (default 0.05; requires --algo=active)")
+		seed         = fs.Int64("seed", 0, "adaptive planner: seed for every random choice (default 1; requires --algo=active|bo)")
+		counters     = fs.String("counters", "", "meter hardware activity: comma-separated event names, or 'default'")
+		dryRun       = fs.Bool("dry-run", false, "print the planned trials as JSON without executing them")
+		progress     = fs.Bool("progress", false, "log one line per completed trial to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var cfg sweepConfig
 	if *campaignPath != "" {
 		// A campaign file owns the whole sweep definition; mixing it with
 		// ad-hoc flags would make the checked-in artifact lie about what
@@ -403,118 +382,77 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		if len(conflicting) > 0 {
 			return fmt.Errorf("--campaign is exclusive with %s: the campaign file declares the sweep", strings.Join(conflicting, ", "))
 		}
-		c, err := campaign.Load(*campaignPath)
-		if err != nil {
+		var err error
+		if c, err = campaign.Load(*campaignPath); err != nil {
 			return err
 		}
 		if len(c.Hosts) > 0 {
 			return fmt.Errorf("campaign declares hosts (%s): it is fleet-scoped — submit it to a coordinator with 'energybench submit' instead of running it locally", strings.Join(c.Hosts, ", "))
 		}
-		trials, err := c.Plan()
-		if err != nil {
-			return err
-		}
-		ccounters, err := c.CounterSpec()
-		if err != nil {
-			return err
-		}
-		cfg = sweepConfig{
-			trials:    trials,
-			exec:      execConfig{ExecConfig: fleet.ExecFromCampaign(c)},
-			storePath: c.Store,
-			resume:    c.Resume,
-			dryRun:    *dryRun,
-			progress:  *progress,
-			counters:  ccounters,
-		}
-		if ac, ok := c.AdaptConfig(); ok {
-			cfg.adapt = &ac
-		}
-		if c.Name != "" {
-			fmt.Fprintf(stderr, "campaign %q: %d planned trials across %d spaces\n", c.Name, len(trials), len(c.Spaces))
-		}
 	} else {
-		if err := campaign.ValidateMeter(ec.Meter); err != nil {
-			return err
-		}
-		// Fail fast on meter/executor/parallelism combinations that would
-		// otherwise silently misbehave (e.g. --parallel > 1 quietly
-		// serializing under the in-process executor, or corrupting rapl
-		// energies); the same shared check guards campaign files.
-		if err := campaign.ValidateExec(ec.Meter, ec.Executor, ec.Parallel, ec.TrialTimeout); err != nil {
-			return err
-		}
-		// The planner knobs share the campaign-file validator; a flag left at
-		// its default counts as unset (nil) there, so e.g. --batch without
-		// --algo=active|bo is rejected the same way a campaign file's would be.
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		var batchP, budgetP *int
-		var rseP *float64
-		var seedP *int64
-		if set["batch"] {
-			batchP = batch
-		}
-		if set["budget"] {
-			budgetP = budget
-		}
-		if set["target-rse"] {
-			rseP = targetRSE
-		}
-		if set["seed"] {
-			seedP = seed
-		}
-		if err := campaign.ValidatePlanner(*algo, batchP, budgetP, rseP, seedP); err != nil {
-			return err
-		}
-		space, err := buildSpace()
-		if err != nil {
-			return err
-		}
-		var counters *perf.Spec
-		if *countersFlag != "" {
-			spec, err := perf.Spec{Backend: *counterBackend, Events: splitNonEmpty(*countersFlag)}.Normalize()
-			if err != nil {
-				return err
-			}
-			counters = &spec
-			space.Counters = counters
-		} else if *counterBackend != "" {
+		// The flags describe a one-space campaign, validated like a file.
+		// Two rules stay flag-only: a file's counter_backend alone means
+		// the default events, but --counter-backend alone is a mistake; and
+		// the resume error names the flag.
+		if *counters == "" && c.CounterBackend != "" {
 			return fmt.Errorf("--counter-backend requires --counters (name an event set, or 'default')")
 		}
-		trials, err := harness.Plan(space)
-		if err != nil {
-			return err
-		}
-		cfg = sweepConfig{
-			trials:    trials,
-			exec:      *ec,
-			storePath: *storePath,
-			resume:    *resume,
-			dryRun:    *dryRun,
-			progress:  *progress,
-			counters:  counters,
-		}
-		if *algo == adapt.AlgoActive || *algo == adapt.AlgoBO {
-			cfg.adapt = &adapt.Config{Algo: *algo, Batch: *batch, Budget: *budget, TargetRSE: *targetRSE, Seed: *seed}
-		}
-	}
-	return executeSweep(ctx, cfg, stdout, stderr)
-}
-
-func executeSweep(ctx context.Context, cfg sweepConfig, stdout, stderr io.Writer) error {
-	trials := cfg.trials
-	skipped := 0
-	var prior []harness.Result
-	if cfg.resume {
-		if cfg.storePath == "" {
+		if c.Resume && c.Store == "" {
 			return fmt.Errorf("--resume requires --store")
 		}
+		if err := setSpace(); err != nil {
+			return err
+		}
+		c.Meter, c.MockWatts, c.MockModel, c.MockNoiseW = ec.Meter, &ec.MockWatts, ec.MockModel, &ec.MockNoiseW
+		c.Executor, c.Parallel, c.Counters = ec.Executor, &ec.Parallel, splitNonEmpty(*counters)
+		if ec.TrialTimeout != 0 {
+			c.TrialTimeout = ec.TrialTimeout.String()
+		}
+		// The planner knobs count as set only when given, so e.g. --batch
+		// without --algo=active|bo is rejected like a file's batch key.
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "batch":
+				c.Batch = batch
+			case "budget":
+				c.Budget = budget
+			case "target-rse":
+				c.TargetRSE = targetRSE
+			case "seed":
+				c.Seed = seed
+			}
+		})
+		if err := c.Validate(); err != nil {
+			return err
+		}
+	}
+	return executeSweep(ctx, c, ec.mockSchedule, *dryRun, *progress, stdout, stderr)
+}
+
+// executeSweep plans and runs a validated campaign, from a file or from the
+// run flags, under the flag-only mock power schedule; with dryRun it prints
+// the plan instead.
+func executeSweep(ctx context.Context, c *campaign.Campaign, mockSchedule string, dryRun, progress bool, stdout, stderr io.Writer) error {
+	trials, err := c.Plan()
+	if err != nil {
+		return err
+	}
+	counters, err := c.CounterSpec()
+	if err != nil {
+		return err
+	}
+	if c.Name != "" {
+		fmt.Fprintf(stderr, "campaign %q: %d planned trials across %d spaces\n", c.Name, len(trials), len(c.Spaces))
+	}
+	adaptCfg, adaptive := c.AdaptConfig()
+	skipped := 0
+	var prior []harness.Result
+	if c.Resume {
 		// Trial keys only need the backend's name, so resume filtering (and
 		// its dry run) works without constructing the meter. A missing store
 		// resumes trivially: nothing is stored yet.
 		keys := map[string]bool{}
-		if st, err := store.Open(cfg.storePath); err == nil {
+		if st, err := store.Open(c.Store); err == nil {
 			keys, err = st.Keys()
 			st.Close()
 			if err != nil {
@@ -525,39 +463,38 @@ func executeSweep(ctx context.Context, cfg sweepConfig, stdout, stderr io.Writer
 		}
 		var priorKeys []string
 		trials, skipped = harness.FilterTrials(trials, func(t harness.Trial) bool {
-			if !keys[t.Key(cfg.exec.Meter)] {
+			if !keys[t.Key(c.Meter)] {
 				return false
 			}
-			priorKeys = append(priorKeys, t.Key(cfg.exec.Meter))
+			priorKeys = append(priorKeys, t.Key(c.Meter))
 			return true
 		})
 		fmt.Fprintf(stderr, "resume: skipped %d already-stored trials, %d to run\n", skipped, len(trials))
-		if cfg.adapt != nil && len(priorKeys) > 0 {
+		if adaptive && len(priorKeys) > 0 {
 			// The adaptive planner resumes more than the trial list: the
 			// already-stored results of this plan seed its fitted state, so
 			// an interrupted campaign continues converging instead of
 			// re-spreading from scratch.
-			var err error
-			if prior, err = loadPriorResults(cfg.storePath, priorKeys); err != nil {
+			if prior, err = loadPriorResults(c.Store, priorKeys); err != nil {
 				return err
 			}
 		}
 	}
-	if cfg.dryRun {
+	if dryRun {
 		return writeJSON(stdout, newPlanDoc(trials, skipped))
 	}
 
 	// Probe the perf backend once up front: a host that refuses
 	// perf_event_open (paranoid kernel, non-Linux, missing PMU) should fail
 	// with one actionable error before any trial runs, not once per trial.
-	if cfg.counters != nil && cfg.counters.Backend == perf.BackendPerf {
+	if counters != nil && counters.Backend == perf.BackendPerf {
 		if err := perf.Available(); err != nil {
 			return fmt.Errorf("%w (use --counter-backend=mock for a functional run without PMU access)", err)
 		}
 	}
 
 	var log func(format string, args ...any)
-	if cfg.progress {
+	if progress {
 		log = func(format string, args ...any) {
 			fmt.Fprintf(stderr, format+"\n", args...)
 		}
@@ -571,25 +508,25 @@ func executeSweep(ctx context.Context, cfg sweepConfig, stdout, stderr io.Writer
 	// stdout write failure can never drop a measured trial from the store.
 	var sinks harness.MultiSink
 	var storeSink *store.Sink
-	if cfg.storePath != "" {
-		storeSink = store.NewSink(cfg.storePath)
+	if c.Store != "" {
+		storeSink = store.NewSink(c.Store)
 		sinks = append(sinks, storeSink)
 	}
-	if cfg.adapt == nil {
+	if !adaptive {
 		// An adaptive run prints the planner report on stdout instead of the
 		// result array; its results reach the store sink only.
 		sinks = append(sinks, harness.NewJSONArraySink(stdout))
 	}
 
-	exec, err := newExecutor(cfg.exec, log)
+	exec, err := newExecutor(execConfig{ExecConfig: fleet.ExecFromCampaign(c), mockSchedule: mockSchedule}, log)
 	if err != nil {
 		return err
 	}
-	dispatch := &harness.Scheduler{Executor: exec, Parallel: cfg.exec.Parallel, Log: log}
+	dispatch := &harness.Scheduler{Executor: exec, Parallel: *c.Parallel, Log: log}
 
 	var runErr error
-	if cfg.adapt != nil {
-		planner := &adapt.Planner{Cfg: *cfg.adapt, Dispatch: dispatch, Log: log}
+	if adaptive {
+		planner := &adapt.Planner{Cfg: adaptCfg, Dispatch: dispatch, Log: log}
 		rep, err := planner.Run(ctx, trials, prior, sinks)
 		runErr = err
 		if rep != nil {
@@ -604,7 +541,7 @@ func executeSweep(ctx context.Context, cfg sweepConfig, stdout, stderr io.Writer
 		runErr = errors.Join(runErr, err)
 	}
 	if storeSink != nil && storeSink.Count() > 0 {
-		fmt.Fprintf(stderr, "stored %d results in %s\n", storeSink.Count(), cfg.storePath)
+		fmt.Fprintf(stderr, "stored %d results in %s\n", storeSink.Count(), c.Store)
 	}
 	return runErr
 }

@@ -118,6 +118,20 @@ func TestListEstimatesTrialCount(t *testing.T) {
 	}
 }
 
+// TestListDropsRepeatedFlagEntries: a spec, co-run pair or placement given
+// twice plans once, so no two trials share a configuration key.
+func TestListDropsRepeatedFlagEntries(t *testing.T) {
+	out := runOK(t, "list", "--specs=int-alu,int-alu", "--corun=int-alu+fp-mac,int-alu+fp-mac",
+		"--placement=none,none", "--threads=1")
+	var doc planOut
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Trials != 2 {
+		t.Errorf("planned %d trials, want 2 (one solo, one co-run): %+v", doc.Trials, doc.Plan)
+	}
+}
+
 // cancelOnFirstWrite cancels a context the first time anything is written,
 // standing in for a user hitting Ctrl-C right as the first progress line
 // appears.

@@ -78,6 +78,35 @@ func TestWorkerTrialErrorsThroughEnvelope(t *testing.T) {
 	}
 }
 
+// TestMockWattsMustBePositive: a zero or negative mock draw fails on the run
+// flags and in a worker child alike, instead of storing nonsense powers.
+func TestMockWattsMustBePositive(t *testing.T) {
+	trialJSON := `{"spec":{"name":"int-alu"},"threads":1,"placement":"none","iters":1000,"min_reps":1,"max_reps":1}`
+	for _, watts := range []string{"-5", "0"} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"run", "--mock-watts=" + watts, "--specs=int-alu", "--threads=1",
+			"--reps=3", "--warmup=0", "--iter-scale=0.02"}
+		err := run(context.Background(), args, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "mock_watts must be positive") {
+			t.Errorf("run --mock-watts=%s: err = %v, want a mock_watts error", watts, err)
+		}
+		if strings.Contains(stdout.String(), "power_w") {
+			t.Errorf("run --mock-watts=%s printed results: %.200s", watts, stdout.String())
+		}
+
+		stdout.Reset()
+		err = cmdWorkerTrial(context.Background(), []string{"--meter=mock", "--mock-watts=" + watts},
+			strings.NewReader(trialJSON), &stdout, &stderr)
+		var env harness.WorkerEnvelope
+		if jerr := json.Unmarshal(stdout.Bytes(), &env); jerr != nil {
+			t.Fatalf("worker-trial --mock-watts=%s: bad envelope (%v): %s", watts, jerr, stdout.String())
+		}
+		if err == nil || env.Result != nil || !strings.Contains(env.Error, "mock_watts must be positive") {
+			t.Errorf("worker-trial --mock-watts=%s: err = %v, envelope = %+v, want a mock_watts error", watts, err, env)
+		}
+	}
+}
+
 // TestSubprocessParallelMatchesSerialKeys is the acceptance-criteria test:
 // a mock-meter campaign run with --parallel 4 under the subprocess executor
 // must produce exactly the same set of store configuration keys as the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -174,7 +175,6 @@ func Parse(data []byte) (*Campaign, error) {
 	if err := dec.Decode(&c); err != nil {
 		return nil, fmt.Errorf("decoding campaign: %w", err)
 	}
-	c.applyDefaults()
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -198,28 +198,14 @@ func (c *Campaign) applyDefaults() {
 	}
 }
 
-// ValidateMeter checks an energy-backend name against the known set. It is
-// the single meter-name authority shared by campaign files, the CLI run
-// flags, and worker children, so a new backend cannot be accepted by one
-// entry point and rejected by another.
-func ValidateMeter(name string) error {
-	switch name {
-	case "mock", "rapl":
-		return nil
-	}
-	return fmt.Errorf("unknown meter %q (want mock|rapl)", name)
-}
-
-// ValidateExec checks the meter/executor/parallelism/timeout invariants
-// shared by campaign files and the CLI run flags, so the two entry points
-// can never drift: the executor name must be known, parallelism above 1 and
-// per-trial timeouts both require the subprocess executor (in-process
-// trials share one address space and meter, cannot overlap, and cannot be
-// killed safely), and parallelism is refused outright under the rapl meter
-// — concurrent trials all read the same machine-wide package counters, so
-// every energy delta would silently include the other in-flight trials'
-// work.
-func ValidateExec(meterName, executor string, parallel int, timeout time.Duration) error {
+// validateExec checks the meter/executor/parallelism/timeout invariants: the
+// executor name must be known, parallelism above 1 and per-trial timeouts
+// both require the subprocess executor (in-process trials share one address
+// space and meter, cannot overlap, and cannot be killed safely), and
+// parallelism is refused outright under the rapl meter — concurrent trials
+// all read the same machine-wide package counters, so every energy delta
+// would silently include the other in-flight trials' work.
+func validateExec(meterName, executor string, parallel int, timeout time.Duration) error {
 	switch executor {
 	case ExecutorInProcess, ExecutorSubprocess:
 	default:
@@ -243,13 +229,13 @@ func ValidateExec(meterName, executor string, parallel int, timeout time.Duratio
 	return nil
 }
 
-// ValidatePlanner checks the adaptive-planner knob invariants shared by
-// campaign files and the CLI run flags: the algo name must be known; batch,
-// budget, target_rse, and seed are only meaningful on an adaptive campaign
-// (nil means unset); and target_rse applies only to active mode — bo's
-// stopping rule is expected improvement, not coefficient precision, so a
-// target_rse there would be silently ignored and is rejected instead.
-func ValidatePlanner(algo string, batch, budget *int, targetRSE *float64, seed *int64) error {
+// validatePlanner checks the adaptive-planner knob invariants: the algo name
+// must be known; batch, budget, target_rse, and seed are only meaningful on
+// an adaptive campaign (nil means unset); and target_rse applies only to
+// active mode — bo's stopping rule is expected improvement, not coefficient
+// precision, so a target_rse there would be silently ignored and is
+// rejected instead.
+func validatePlanner(algo string, batch, budget *int, targetRSE *float64, seed *int64) error {
 	if err := adapt.ValidateAlgo(algo); err != nil {
 		return err
 	}
@@ -286,38 +272,36 @@ func ValidatePlanner(algo string, batch, budget *int, targetRSE *float64, seed *
 	return nil
 }
 
-// Validate checks the campaign's cross-field invariants and that every
-// space expands into a valid harness.Space (spec names resolve against the
-// catalog, thread counts are positive, and so on).
+// Validate fills in the defaults of omitted top-level fields, then checks
+// the campaign's cross-field invariants and that every space expands into a
+// valid harness.Space (spec names resolve against the catalog, thread counts
+// are positive, and so on). It is the one validator behind campaign files
+// and the run/list flags, which describe a one-space campaign.
 func (c *Campaign) Validate() error {
-	if err := ValidateMeter(c.Meter); err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	if c.MockWatts != nil && *c.MockWatts <= 0 {
-		return fmt.Errorf("campaign: mock_watts must be positive, got %v", *c.MockWatts)
+	c.applyDefaults()
+	switch c.Meter {
+	case "mock", "rapl":
+	default:
+		return fmt.Errorf("campaign: unknown meter %q (want mock|rapl)", c.Meter)
 	}
 	if c.MockModel != "" && c.Meter != "mock" {
 		return fmt.Errorf("campaign: mock_model requires the mock meter, not %q", c.Meter)
 	}
-	if _, err := c.MockModelMap(); err != nil {
+	var noiseW float64
+	if c.MockNoiseW != nil {
+		noiseW = *c.MockNoiseW
+	}
+	if err := meter.ValidateMock(*c.MockWatts, c.MockModel, noiseW); err != nil {
 		return fmt.Errorf("campaign: %w", err)
 	}
-	if c.MockNoiseW != nil {
-		if c.MockModel == "" {
-			return fmt.Errorf("campaign: mock_noise_w requires mock_model")
-		}
-		if *c.MockNoiseW < 0 {
-			return fmt.Errorf("campaign: mock_noise_w must be non-negative, got %v", *c.MockNoiseW)
-		}
-	}
-	if err := ValidatePlanner(c.Algo, c.Batch, c.Budget, c.TargetRSE, c.Seed); err != nil {
+	if err := validatePlanner(c.Algo, c.Batch, c.Budget, c.TargetRSE, c.Seed); err != nil {
 		return fmt.Errorf("campaign: %w", err)
 	}
 	timeout, err := c.Timeout()
 	if err != nil {
 		return err
 	}
-	if err := ValidateExec(c.Meter, c.Executor, *c.Parallel, timeout); err != nil {
+	if err := validateExec(c.Meter, c.Executor, *c.Parallel, timeout); err != nil {
 		return fmt.Errorf("campaign: %w", err)
 	}
 	if c.Resume && c.Store == "" {
@@ -367,12 +351,6 @@ func (c *Campaign) Validate() error {
 		seen[w.Name] = true
 	}
 	return nil
-}
-
-// MockModelMap parses the mock_model key into the planted-model map handed
-// to meter.Mock; nil when unset.
-func (c *Campaign) MockModelMap() (map[string]float64, error) {
-	return meter.ParseMockModel(c.MockModel)
 }
 
 // AdaptConfig resolves the planner knobs into an adapt.Config; ok is false
@@ -442,44 +420,6 @@ func (c *Campaign) Sampling() (time.Duration, error) {
 	return d, nil
 }
 
-// LookupSpecs resolves catalog spec names, trimming whitespace. It is the
-// single name-resolution path shared by campaign files and the CLI's
-// --specs flag.
-func LookupSpecs(names []string) ([]bench.Spec, error) {
-	var specs []bench.Spec
-	for _, name := range names {
-		s, err := bench.Lookup(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, s)
-	}
-	return specs, nil
-}
-
-// ParsePairs resolves "specA+specB" co-run pair syntax against the catalog.
-// It is the single pair-parsing path shared by campaign files and the
-// CLI's --corun flag.
-func ParsePairs(pairs []string) ([]harness.Pair, error) {
-	var out []harness.Pair
-	for _, pair := range pairs {
-		nameA, nameB, ok := strings.Cut(pair, "+")
-		if !ok {
-			return nil, fmt.Errorf("corun pair %q is not of the form specA+specB", pair)
-		}
-		a, err := bench.Lookup(strings.TrimSpace(nameA))
-		if err != nil {
-			return nil, err
-		}
-		b, err := bench.Lookup(strings.TrimSpace(nameB))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, harness.Pair{A: a, B: b})
-	}
-	return out, nil
-}
-
 func (sc *SpaceConfig) label(i int) string {
 	if sc.Name != "" {
 		return fmt.Sprintf("%q", sc.Name)
@@ -489,7 +429,9 @@ func (sc *SpaceConfig) label(i int) string {
 
 // Space resolves the declarative space into a runnable harness.Space,
 // looking spec names up in the benchmark catalog and applying the CLI-flag
-// defaults for omitted fields.
+// defaults for omitted fields. A repeated spec, pair, thread count or
+// placement is dropped, keeping its first appearance, so no two trials of
+// one space share a configuration key.
 func (sc *SpaceConfig) Space() (harness.Space, error) {
 	space := harness.Space{
 		Reps:      sc.Reps,
@@ -521,16 +463,43 @@ func (sc *SpaceConfig) Space() (harness.Space, error) {
 	if len(sc.Specs) == 0 && len(sc.Corun) == 0 {
 		return space, fmt.Errorf("space declares neither specs nor corun pairs")
 	}
-	var err error
-	if space.Specs, err = LookupSpecs(sc.Specs); err != nil {
-		return space, err
+	seen := map[string]bool{}
+	for _, name := range sc.Specs {
+		s, err := bench.Lookup(strings.TrimSpace(name))
+		if err != nil {
+			return space, err
+		}
+		if !seen[s.Name] {
+			seen[s.Name] = true
+			space.Specs = append(space.Specs, s)
+		}
 	}
-	if space.Pairs, err = ParsePairs(sc.Corun); err != nil {
-		return space, err
+	for _, pair := range sc.Corun {
+		nameA, nameB, ok := strings.Cut(pair, "+")
+		if !ok {
+			return space, fmt.Errorf("corun pair %q is not of the form specA+specB", pair)
+		}
+		a, err := bench.Lookup(strings.TrimSpace(nameA))
+		if err != nil {
+			return space, err
+		}
+		b, err := bench.Lookup(strings.TrimSpace(nameB))
+		if err != nil {
+			return space, err
+		}
+		if key := a.Name + "+" + b.Name; !seen[key] {
+			seen[key] = true
+			space.Pairs = append(space.Pairs, harness.Pair{A: a, B: b})
+		}
 	}
-	space.ThreadCounts = sc.Threads
-	if len(space.ThreadCounts) == 0 {
-		space.ThreadCounts = []int{1, 2} // mirror the CLI --threads default
+	threads := sc.Threads
+	if len(threads) == 0 {
+		threads = []int{1, 2} // mirror the CLI --threads default
+	}
+	for _, n := range threads {
+		if !slices.Contains(space.ThreadCounts, n) {
+			space.ThreadCounts = append(space.ThreadCounts, n)
+		}
 	}
 	placements := sc.Placements
 	if len(placements) == 0 {
@@ -541,7 +510,9 @@ func (sc *SpaceConfig) Space() (harness.Space, error) {
 		if err != nil {
 			return space, err
 		}
-		space.Placements = append(space.Placements, pl)
+		if !slices.Contains(space.Placements, pl) {
+			space.Placements = append(space.Placements, pl)
+		}
 	}
 	return space, nil
 }

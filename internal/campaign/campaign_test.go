@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -169,6 +170,40 @@ func TestParseRejectsInvalidCampaigns(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestSpaceDropsRepeatedEntries: repeats inside one space keep their first
+// appearance, so the plan never holds two trials under one key.
+func TestSpaceDropsRepeatedEntries(t *testing.T) {
+	src := `
+spaces:
+  - specs: [int-alu, fp-mac, int-alu]
+    corun: [int-alu+chase-l1, " int-alu + chase-l1 "]
+    threads: [2, 1, 2, 1]
+    placements: [none, none]
+`
+	c, err := Parse([]byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials, err := c.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	keys := map[string]bool{}
+	for _, tr := range trials {
+		key := tr.Key("mock")
+		if keys[key] {
+			t.Errorf("key %s planned twice", key)
+		}
+		keys[key] = true
+		got = append(got, fmt.Sprintf("%s/t%d", tr.Name(), tr.Threads))
+	}
+	want := []string{"int-alu/t2", "int-alu/t1", "fp-mac/t2", "fp-mac/t1", "int-alu+chase-l1/t2", "int-alu+chase-l1/t1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("plan = %v, want %v", got, want)
 	}
 }
 

@@ -5,4 +5,8 @@
 // subset, see yaml.go) or JSON; both decode through the same schema with
 // unknown-key rejection, so a typo'd field fails the load rather than
 // silently running a different sweep.
+//
+// A Campaign is the CLI's only sweep description: the run and list flags
+// fill in a one-space Campaign, so flags and files share one Validate and
+// one Plan.
 package campaign

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"energybench/internal/adapt"
+	"energybench/internal/meter"
 )
 
 const adaptiveYAML = `
@@ -36,12 +37,12 @@ func TestParseAdaptiveCampaign(t *testing.T) {
 	if cfg != want {
 		t.Errorf("AdaptConfig = %+v, want %+v", cfg, want)
 	}
-	planted, err := c.MockModelMap()
+	planted, err := meter.ParseMockModel(c.MockModel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if planted["int-alu"] != 2 || planted["dram"] != 8 {
-		t.Errorf("MockModelMap = %v, want int-alu:2 dram:8", planted)
+		t.Errorf("planted mock model = %v, want int-alu:2 dram:8", planted)
 	}
 	if c.MockNoiseW == nil || *c.MockNoiseW != 0.3 {
 		t.Errorf("MockNoiseW = %v, want 0.3", c.MockNoiseW)

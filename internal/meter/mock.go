@@ -149,6 +149,27 @@ func (m *Mock) modelWatts(load map[string]float64) float64 {
 	return w
 }
 
+// ValidateMock checks the mock meter's parameters, the one rule set campaign
+// files, the run flags, worker children and fleet batches share: the draw
+// is positive, the planted model parses, and a noise amplitude is
+// non-negative and only rides on a planted model.
+func ValidateMock(watts float64, model string, noiseW float64) error {
+	if !(watts > 0) {
+		return fmt.Errorf("mock_watts must be positive, got %v", watts)
+	}
+	planted, err := ParseMockModel(model)
+	if err != nil {
+		return err
+	}
+	if noiseW != 0 && planted == nil {
+		return fmt.Errorf("mock_noise_w requires mock_model")
+	}
+	if !(noiseW >= 0) {
+		return fmt.Errorf("mock_noise_w must be non-negative, got %v", noiseW)
+	}
+	return nil
+}
+
 // ParseMockModel decodes the 'component:watts,...' planted-model syntax
 // shared by the --mock-model flag and the campaign mock_model key.
 func ParseMockModel(s string) (map[string]float64, error) {
