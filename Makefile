@@ -1,4 +1,5 @@
-# Targets mirror .github/workflows/ci.yml so local runs and CI stay in sync.
+# Targets mirror .github/workflows/ci.yml; its smoke and coverage jobs run
+# these targets, so each smoke's asserts have one definition.
 
 GO ?= go
 COVER_PKGS := ./internal/stats/... ./internal/meter/... ./internal/perf/... ./internal/model/... ./internal/store/... ./internal/harness/... ./internal/campaign/...
@@ -61,6 +62,7 @@ fuzz:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s ./internal/bench
 	$(GO) test -run='^$$' -fuzz=FuzzReadersAgreeWithWriter -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzCampaignParse -fuzztime=10s ./internal/campaign
+	$(GO) test -run='^$$' -fuzz=FuzzParseKey -fuzztime=10s ./internal/harness
 
 # The CI store scale smoke: a 50k-record synthetic corpus through the
 # sharded store's append/query/compact lifecycle, self-verified, with the
@@ -74,17 +76,25 @@ bench-store: build
 # The CI campaign smoke: subprocess executor, core-leasing scheduler,
 # --parallel 4, store + resume, then the analysis pipeline over the store —
 # plus the mock-counter leg (run --counters → analyze --activity=counters).
+# The campaign must store its 8 trials and re-running it must be a resume
+# no-op; scripts/counter_smoke_check.py asserts the counter fit.
 smoke: build
 	@mkdir -p $(SCRATCH)
 	rm -f $(SCRATCH)/smoke-results.jsonl $(SCRATCH)/counter-smoke.jsonl
 	./bin/energybench run --campaign testdata/smoke.yaml --progress > /dev/null
+	test -s $(SCRATCH)/smoke-results.jsonl
+	@count=$$(wc -l < $(SCRATCH)/smoke-results.jsonl); echo "stored $$count results"; \
+		test "$$count" -eq 8 || { echo "expected 8 stored trials" >&2; exit 1; }
+	./bin/energybench run --campaign testdata/smoke.yaml 2>$(SCRATCH)/resume.log > /dev/null
+	grep -q "skipped 8 already-stored trials, 0 to run" $(SCRATCH)/resume.log
 	./bin/energybench analyze --db=$(SCRATCH)/smoke-results.jsonl > /dev/null
 	./bin/energybench compare --db=$(SCRATCH)/smoke-results.jsonl > /dev/null
 	./bin/energybench run --specs=int-alu,chase-dram --threads=1,2 \
 		--reps=2 --warmup=0 --iter-scale=0.05 \
 		--counters=default --counter-backend=mock \
 		--store=$(SCRATCH)/counter-smoke.jsonl > /dev/null
-	./bin/energybench analyze --db=$(SCRATCH)/counter-smoke.jsonl --activity=counters > /dev/null
+	./bin/energybench analyze --db=$(SCRATCH)/counter-smoke.jsonl --activity=counters > $(SCRATCH)/counter-analysis.json
+	python3 scripts/counter_smoke_check.py $(SCRATCH)/counter-analysis.json
 	@echo "smoke campaign OK ($$(wc -l < $(SCRATCH)/smoke-results.jsonl) stored results, $$(wc -l < $(SCRATCH)/counter-smoke.jsonl) with counters)"
 
 # The CI sampling smoke: a time-resolved sweep against the mock meter with a
@@ -119,14 +129,15 @@ smoke-planner: build
 # model, run the bundled externstress binary as an external workload under
 # the same meter (built into $(SCRATCH) by the campaign's build step), then
 # analyze with --validate --roofline. scripts/extern_smoke_check.py asserts
-# aggregate MAPE < 5% and writes BENCH_extern.json (the artifact CI
-# publishes).
+# the workload rows landed under the |w:stress key dimension and aggregate
+# MAPE < 5%, and writes BENCH_extern.json (the artifact CI publishes).
 smoke-extern: build
 	@mkdir -p $(SCRATCH)
 	rm -f $(SCRATCH)/extern-smoke.jsonl
 	./bin/energybench run --campaign testdata/extern-smoke.yaml --progress > /dev/null
+	./bin/energybench store query --db=$(SCRATCH)/extern-smoke.jsonl --where workload=stress > $(SCRATCH)/extern-rows.json
 	./bin/energybench analyze --db=$(SCRATCH)/extern-smoke.jsonl --validate --roofline > $(SCRATCH)/extern-analysis.json
-	python3 scripts/extern_smoke_check.py $(SCRATCH)/extern-analysis.json BENCH_extern.json
+	python3 scripts/extern_smoke_check.py $(SCRATCH)/extern-analysis.json $(SCRATCH)/extern-rows.json BENCH_extern.json
 
 # The CI fleet smoke: a coordinator plus two local agents run the same
 # campaign the single-host smoke uses, and the merged store's key set

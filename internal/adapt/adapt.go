@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"energybench/internal/bench"
 	"energybench/internal/harness"
 	"energybench/internal/model"
 )
@@ -292,17 +291,6 @@ func finiteOrZero(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// activityOf is the nominal activity vector of a planned trial — the same
-// map model.FromResults derives from its result, so candidate scoring and
-// fitting agree on the design row a trial would contribute.
-func activityOf(t harness.Trial) map[bench.Component]float64 {
-	act := map[bench.Component]float64{t.Spec.Component: float64(t.Threads)}
-	if t.SpecB != nil {
-		act[t.SpecB.Component] += float64(t.Threads)
-	}
-	return act
 }
 
 func removeTrials(cands, batch []harness.Trial) []harness.Trial {

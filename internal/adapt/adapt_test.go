@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"energybench/internal/bench"
@@ -43,7 +45,7 @@ func (d *plantedDispatcher) RunPlan(ctx context.Context, trials []harness.Trial,
 }
 
 func (d *plantedDispatcher) result(t harness.Trial) harness.Result {
-	act := activityOf(t)
+	act := t.Activity()
 	comps := make([]bench.Component, 0, len(act))
 	for c := range act {
 		comps = append(comps, c)
@@ -311,5 +313,124 @@ func TestActiveBudgetExhaustion(t *testing.T) {
 	}
 	if rep.Fit == nil {
 		t.Error("budget-exhausted report carries no fit")
+	}
+}
+
+// pinPool is a wider planner grid than testPool: four specs crossed with
+// threads 1–6 and placements none/compact, plus the co-runs
+// int-alu+chase-dram and int-alu+int-alu (the latter stacks both sides on
+// one component) — 72 trials.
+func pinPool(t *testing.T) []harness.Trial {
+	t.Helper()
+	lookup := func(name string) bench.Spec {
+		s, err := bench.Lookup(name)
+		if err != nil {
+			t.Fatalf("lookup %s: %v", name, err)
+		}
+		return s
+	}
+	intALU := lookup("int-alu")
+	trials, err := harness.Plan(harness.Space{
+		Specs: []bench.Spec{intALU, lookup("fp-mac"), lookup("chase-l1"), lookup("chase-dram")},
+		Pairs: []harness.Pair{
+			{A: intALU, B: lookup("chase-dram")},
+			{A: intALU, B: intALU},
+		},
+		ThreadCounts: []int{1, 2, 3, 4, 5, 6},
+		Placements:   []harness.Placement{harness.PlaceNone, harness.PlaceCompact},
+		Reps:         1,
+		IterScale:    1,
+	})
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	return trials
+}
+
+// TestPlannerPicksPinned pins both planners' exact dispatch orders (as plan
+// Seqs) and final fits over pinPool, for three seeds and two batch sizes,
+// so a refactor of the design row, the solver or the leverage scoring that
+// changes any pick or any fitted bit fails here.
+func TestPlannerPicksPinned(t *testing.T) {
+	pool := pinPool(t)
+	seqOf := map[string]int{}
+	for _, tr := range pool {
+		seqOf[tr.Key("mock")] = tr.Seq
+	}
+	for _, tc := range []struct {
+		algo     string
+		seed     int64
+		batch    int
+		ran, fit string
+	}{
+		{AlgoActive, 1, 3,
+			"12 1 61 25 48 24",
+			"p_static=42.036362368208735 dram=7.870924333742803 fpu=4.939441590054634 int-alu=1.9999083757401714 l1=1.343216187255492"},
+		{AlgoActive, 1, 8,
+			"12 1 61 49 25 0 24 48",
+			"p_static=42.03636236820903 dram=7.870924333742685 fpu=4.939441590054324 int-alu=1.9999083757399811 l1=1.3432161872551822"},
+		{AlgoActive, 7, 3,
+			"37 13 24 39 15 12 0 1 2 70 34 58 22 46 35 23 71 59 47 32 20 68 33 21 69 44 56 45 30 66",
+			"p_static=42.021964103963505 dram=7.976567383651639 fpu=4.990612570238266 int-alu=2.0090334889950316 l1=1.472375056998266"},
+		{AlgoActive, 7, 8,
+			"37 13 24 0 36 49 1 25",
+			"p_static=42.11446838458814 dram=7.870924333742835 fpu=4.861335573675219 int-alu=1.9218023593608102 l1=1.265110170876077"},
+		{AlgoActive, 42, 3,
+			"37 49 13 51 61 0 24 25 26 22 70 58 34 46 23 35 71 59 47 20 32 68 21 33 69 44 56 45 18 1",
+			"p_static=42.00590145549582 dram=7.978838263311462 fpu=4.994139509009171 int-alu=2.011388705582499 l1=1.474372712211228"},
+		{AlgoActive, 42, 8,
+			"37 49 13 25 48 61 12 60",
+			"p_static=42.19257440096706 dram=7.792818317363777 fpu=4.7832295572963 int-alu=1.9218023593609583 l1=1.1870041544971577"},
+		{AlgoBO, 1, 3,
+			"12 1 61 25 48 24 37 26 0 14 36 49 13 15 17 60 62 64 29 28 4 5",
+			"p_static=41.99341540604676 dram=7.947542686434977 fpu=4.991687166151841 int-alu=2.0106716110592666 l1=1.4525916717702443"},
+		{AlgoBO, 1, 8,
+			"12 1 61 49 25 0 24 48 27 50 26 2 37 36 3 63 13 15 17 19 21 23 60 62 31 30 6 7 33 32",
+			"p_static=41.955106601903566 dram=8.008881674380518 fpu=5.004940730334688 int-alu=2.025221851258138 l1=1.4803284995062915"},
+		{AlgoBO, 7, 3,
+			"37 13 24 39 15 12 0 1 2 25 27 29 36 38 40 48 49 50 60 61 62 28 5 4 65 64 16 17",
+			"p_static=41.97535467534429 dram=8.003262898637962 fpu=5.000210894062579 int-alu=2.0149879877946617 l1=1.4601169762296022"},
+		{AlgoBO, 7, 8,
+			"37 13 24 0 36 49 1 25 39 15 12 2 38 27 61 51 48 50 52 54 56 58 60 62 31 6 30 33 7 8",
+			"p_static=41.998170127745404 dram=7.977984900385659 fpu=4.985119761765302 int-alu=2.0093106609826816 l1=1.4680319717886048"},
+		{AlgoBO, 42, 3,
+			"37 49 13 51 61 0 53 63 25 1 3 5 12 14 16 24 26 28 36 38 40 48 50 52 60 62 64 29 4 65",
+			"p_static=42.024889837726334 dram=7.954732443950255 fpu=4.977118318811646 int-alu=1.9998844168584209 l1=1.4394773252370836"},
+		{AlgoBO, 42, 8,
+			"37 49 13 25 48 61 12 60 51 63 0 39 50 36 24 62 1 3 5 7 9 11 34 35 30 31 66 67 6 32",
+			"p_static=41.96953644877498 dram=8.01652047828035 fpu=5.006267509488383 int-alu=2.0132039031546394 l1=1.481493604279458"},
+	} {
+		name := fmt.Sprintf("%s/seed%d/batch%d", tc.algo, tc.seed, tc.batch)
+		d := &plantedDispatcher{staticW: 42, coeffW: plantedCoeffs(), noiseW: 0.3}
+		cfg := Config{Algo: tc.algo, Batch: tc.batch, Budget: 30, Seed: tc.seed}
+		if tc.algo == AlgoActive {
+			cfg.TargetRSE = 1e-9
+		}
+		rep, err := (&Planner{Cfg: cfg, Dispatch: d}).Run(context.Background(), pool, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ran := make([]string, len(d.ran))
+		for i, k := range d.ran {
+			ran[i] = strconv.Itoa(seqOf[k])
+		}
+		fit := "none"
+		if rep.Fit != nil {
+			fit = "p_static=" + strconv.FormatFloat(rep.Fit.PStaticW, 'g', -1, 64)
+			comps := make([]string, 0, len(rep.Fit.CoeffW))
+			for c := range rep.Fit.CoeffW {
+				comps = append(comps, string(c))
+			}
+			sort.Strings(comps)
+			for _, c := range comps {
+				fit += " " + c + "=" + strconv.FormatFloat(rep.Fit.CoeffW[bench.Component(c)], 'g', -1, 64)
+			}
+		}
+		if got := strings.Join(ran, " "); got != tc.ran {
+			t.Errorf("%s dispatched\n  %s\nwant\n  %s", name, got, tc.ran)
+		}
+		if fit != tc.fit {
+			t.Errorf("%s fit\n  %s\nwant\n  %s", name, fit, tc.fit)
+		}
 	}
 }

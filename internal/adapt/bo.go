@@ -1,15 +1,13 @@
 package adapt
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sort"
 
 	"energybench/internal/harness"
+	"energybench/internal/model"
 )
-
-var errSingular = errors.New("adapt: singular surrogate design")
 
 // eiConvergedFrac declares a bo campaign done when the best remaining
 // candidate's expected improvement falls below this fraction of the best
@@ -100,13 +98,7 @@ func selectBO(candidates []harness.Trial, results []harness.Result, n int, rng *
 
 // resultGroup is the surrogate's workload-group key for a measured result,
 // matching Trial.Name()+"/"+Placement on the candidate side.
-func resultGroup(r harness.Result) string {
-	name := r.Spec
-	if r.IsCoRun() {
-		name += "+" + r.SpecB
-	}
-	return name + "/" + string(r.Placement)
-}
+func resultGroup(r harness.Result) string { return r.Name() + "/" + string(r.Placement) }
 
 // expectedImprovement is the classic minimization EI: with improvement
 // I = best − μ and z = I/σ, EI = I·Φ(z) + σ·φ(z).
@@ -147,7 +139,7 @@ func ridgeFit(obs []harness.Result, groups map[string]int, row func(group string
 	for i := 0; i < k; i++ {
 		ftf[i][i] += lambda
 	}
-	beta, err := gauss(ftf, fty)
+	beta, err := model.SolveLinear(ftf, fty)
 	if err != nil {
 		return nil, 0, false
 	}
@@ -165,46 +157,4 @@ func ridgeFit(obs []harness.Result, groups map[string]int, row func(group string
 		dof = 1
 	}
 	return beta, math.Sqrt(ssRes / float64(dof)), true
-}
-
-// gauss solves a·x = b by Gaussian elimination with partial pivoting,
-// overwriting both inputs (callers build them fresh).
-func gauss(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	var scale float64
-	for i := range a {
-		for j := range a[i] {
-			scale = math.Max(scale, math.Abs(a[i][j]))
-		}
-	}
-	eps := 1e-14 * math.Max(scale, 1)
-	for col := 0; col < n; col++ {
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(a[pivot][col]) < eps {
-			return nil, errSingular
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		b[col], b[pivot] = b[pivot], b[col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := b[i]
-		for j := i + 1; j < n; j++ {
-			sum -= a[i][j] * x[j]
-		}
-		x[i] = sum / a[i][i]
-	}
-	return x, nil
 }

@@ -3,8 +3,9 @@
 // placements grid, the Planner expands the grid into a candidate pool, runs
 // a seeded spread batch, fits the model, and then repeatedly dispatches only
 // the batch of remaining candidates with the highest expected information
-// gain (D-optimality: predictive leverage on the regression design matrix,
-// greedily updated within a batch by Sherman–Morrison), stopping as soon as
+// gain (D-optimality: the predictive leverage of each candidate's design row
+// harness.Trial.Activity under the fit's model.Leverage, greedily updated
+// within a batch by Sherman–Morrison), stopping as soon as
 // every coefficient's relative standard error falls below the target or the
 // trial budget runs out. An alternative "bo" mode optimizes instead of
 // characterizes: a lightweight quadratic surrogate over EDP ranks candidates

@@ -73,12 +73,12 @@ func extremesFirst(ts []harness.Trial) []harness.Trial {
 }
 
 // selectDOptimal picks the n candidates with the highest expected
-// information gain under the current fit. Each candidate is scored by its
-// predictive leverage xᵀ(XᵀX)⁻¹x — the variance of the model's prediction
-// at that configuration, i.e. where the fitted coefficients are least
-// constrained (D-optimal sequential design). The pick is greedy within the
-// batch: after each selection the inverse design is rank-1 updated by
-// Sherman–Morrison as if the trial had been measured, so the batch spreads
+// information gain under the current fit. Each candidate is scored by the
+// predictive leverage of its design row (Trial.Activity) — the variance of
+// the model's prediction at that configuration, i.e. where the fitted
+// coefficients are least constrained (D-optimal sequential design). The pick
+// is greedy within the batch: after each selection the fit's Leverage is
+// rank-1 updated as if the trial had been measured, so the batch spreads
 // over complementary directions instead of n copies of the single most
 // uncertain point. Candidates whose activity falls outside the fitted basis
 // (a component with no column yet) score +Inf — a new column is always the
@@ -88,78 +88,23 @@ func selectDOptimal(fit *model.Fit, candidates []harness.Trial, n int) []harness
 	if n > len(candidates) {
 		n = len(candidates)
 	}
-	inv := fit.DesignInverse()
-	if inv == nil {
+	lev := fit.Leverage()
+	if lev == nil {
 		// No covariance to score with; plan order is the only criterion left.
 		return append([]harness.Trial(nil), candidates[:n]...)
 	}
-	basis := fit.DesignBasis()
-	idx := make(map[string]int, len(basis))
-	for j, c := range basis {
-		idx[string(c)] = j + 1
-	}
-	rowOf := func(t harness.Trial) []float64 {
-		x := make([]float64, len(basis)+1)
-		x[0] = 1
-		for c, a := range activityOf(t) {
-			j, ok := idx[string(c)]
-			if !ok {
-				return nil // outside the fitted basis
-			}
-			x[j] = a
-		}
-		return x
-	}
-
 	remaining := append([]harness.Trial(nil), candidates...)
 	batch := make([]harness.Trial, 0, n)
 	for len(batch) < n && len(remaining) > 0 {
 		best, bestScore := -1, math.Inf(-1)
-		var bestRow []float64
 		for i, t := range remaining {
-			x := rowOf(t)
-			if x == nil {
-				best, bestScore, bestRow = i, math.Inf(1), nil
-				break
-			}
-			if v := quadForm(inv, x); v > bestScore {
-				best, bestScore, bestRow = i, v, x
+			if v := lev.Score(t.Activity()); v > bestScore {
+				best, bestScore = i, v
 			}
 		}
+		lev.Add(remaining[best].Activity())
 		batch = append(batch, remaining[best])
 		remaining = append(remaining[:best], remaining[best+1:]...)
-		if bestRow != nil {
-			shermanMorrison(inv, bestRow, bestScore)
-		}
 	}
 	return batch
-}
-
-// quadForm computes xᵀ A x.
-func quadForm(a [][]float64, x []float64) float64 {
-	var v float64
-	for i := range x {
-		for j := range x {
-			v += x[i] * a[i][j] * x[j]
-		}
-	}
-	return v
-}
-
-// shermanMorrison applies the rank-1 downdate of (XᵀX + xxᵀ)⁻¹ in place:
-// A⁻¹ ← A⁻¹ − (A⁻¹x)(A⁻¹x)ᵀ / (1 + xᵀA⁻¹x), with v = xᵀA⁻¹x precomputed.
-func shermanMorrison(inv [][]float64, x []float64, v float64) {
-	k := len(x)
-	ax := make([]float64, k)
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			ax[i] += inv[i][j] * x[j]
-		}
-	}
-	denom := 1 + v
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			inv[i][j] -= ax[i] * ax[j] / denom
-		}
-	}
 }

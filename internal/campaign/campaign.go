@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -429,9 +428,7 @@ func (sc *SpaceConfig) label(i int) string {
 
 // Space resolves the declarative space into a runnable harness.Space,
 // looking spec names up in the benchmark catalog and applying the CLI-flag
-// defaults for omitted fields. A repeated spec, pair, thread count or
-// placement is dropped, keeping its first appearance, so no two trials of
-// one space share a configuration key.
+// defaults for omitted fields.
 func (sc *SpaceConfig) Space() (harness.Space, error) {
 	space := harness.Space{
 		Reps:      sc.Reps,
@@ -463,16 +460,12 @@ func (sc *SpaceConfig) Space() (harness.Space, error) {
 	if len(sc.Specs) == 0 && len(sc.Corun) == 0 {
 		return space, fmt.Errorf("space declares neither specs nor corun pairs")
 	}
-	seen := map[string]bool{}
 	for _, name := range sc.Specs {
 		s, err := bench.Lookup(strings.TrimSpace(name))
 		if err != nil {
 			return space, err
 		}
-		if !seen[s.Name] {
-			seen[s.Name] = true
-			space.Specs = append(space.Specs, s)
-		}
+		space.Specs = append(space.Specs, s)
 	}
 	for _, pair := range sc.Corun {
 		nameA, nameB, ok := strings.Cut(pair, "+")
@@ -487,19 +480,11 @@ func (sc *SpaceConfig) Space() (harness.Space, error) {
 		if err != nil {
 			return space, err
 		}
-		if key := a.Name + "+" + b.Name; !seen[key] {
-			seen[key] = true
-			space.Pairs = append(space.Pairs, harness.Pair{A: a, B: b})
-		}
+		space.Pairs = append(space.Pairs, harness.Pair{A: a, B: b})
 	}
-	threads := sc.Threads
-	if len(threads) == 0 {
-		threads = []int{1, 2} // mirror the CLI --threads default
-	}
-	for _, n := range threads {
-		if !slices.Contains(space.ThreadCounts, n) {
-			space.ThreadCounts = append(space.ThreadCounts, n)
-		}
+	space.ThreadCounts = sc.Threads
+	if len(space.ThreadCounts) == 0 {
+		space.ThreadCounts = []int{1, 2} // mirror the CLI --threads default
 	}
 	placements := sc.Placements
 	if len(placements) == 0 {
@@ -510,9 +495,7 @@ func (sc *SpaceConfig) Space() (harness.Space, error) {
 		if err != nil {
 			return space, err
 		}
-		if !slices.Contains(space.Placements, pl) {
-			space.Placements = append(space.Placements, pl)
-		}
+		space.Placements = append(space.Placements, pl)
 	}
 	return space, nil
 }
@@ -520,8 +503,11 @@ func (sc *SpaceConfig) Space() (harness.Space, error) {
 // Plan expands every space in declaration order into one combined trial
 // list — kernel spaces first, then external workloads — re-sequencing Seq
 // across boundaries so the campaign reads as a single plan to schedulers,
-// dry runs, and progress logs. The campaign's counter spec and sampling
-// interval (when any) apply to every space and workload.
+// dry runs, and progress logs. A configuration key is planned once, at its
+// first appearance: spaces may overlap, and a space or workload may repeat
+// an entry. (Executors and fleet agents match results to trials by key.)
+// The campaign's counter spec and sampling interval (when any) apply to
+// every space and workload.
 func (c *Campaign) Plan() ([]harness.Trial, error) {
 	counters, err := c.CounterSpec()
 	if err != nil {
@@ -532,6 +518,14 @@ func (c *Campaign) Plan() ([]harness.Trial, error) {
 		return nil, err
 	}
 	var all []harness.Trial
+	planned := map[string]bool{}
+	add := func(t harness.Trial) {
+		if key := t.Key(c.Meter); !planned[key] {
+			planned[key] = true
+			t.Seq = len(all)
+			all = append(all, t)
+		}
+	}
 	for i := range c.Spaces {
 		space, err := c.Spaces[i].Space()
 		if err != nil {
@@ -544,8 +538,7 @@ func (c *Campaign) Plan() ([]harness.Trial, error) {
 			return nil, fmt.Errorf("campaign: space %s: %w", c.Spaces[i].label(i), err)
 		}
 		for _, t := range trials {
-			t.Seq = len(all)
-			all = append(all, t)
+			add(t)
 		}
 	}
 	for i := range c.Workloads {
@@ -554,9 +547,8 @@ func (c *Campaign) Plan() ([]harness.Trial, error) {
 			return nil, fmt.Errorf("campaign: workload #%d: %w", i+1, err)
 		}
 		for _, t := range trials {
-			t.Seq = len(all)
 			t.SampleInterval = sampleEvery
-			all = append(all, t)
+			add(t)
 		}
 	}
 	return all, nil

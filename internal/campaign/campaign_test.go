@@ -207,6 +207,43 @@ spaces:
 	}
 }
 
+// TestPlanDropsRepeatedKeys: a configuration key is planned once, at its
+// first appearance, even when two spaces overlap or a workload repeats a
+// thread count or placement; Seq stays dense.
+func TestPlanDropsRepeatedKeys(t *testing.T) {
+	src := `
+spaces:
+  - specs: [int-alu]
+    threads: [1]
+  - specs: [int-alu, fp-mac]
+    threads: [1]
+workloads:
+  - name: stress
+    exec: [./stress]
+    threads: [1, 2, 1]
+    placements: [none, none]
+`
+	c, err := Parse([]byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials, err := c.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for i, tr := range trials {
+		if tr.Seq != i {
+			t.Errorf("trials[%d].Seq = %d", i, tr.Seq)
+		}
+		got = append(got, fmt.Sprintf("%s/t%d", tr.Name(), tr.Threads))
+	}
+	want := []string{"int-alu/t1", "fp-mac/t1", "stress/t1", "stress/t2"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("plan = %v, want %v", got, want)
+	}
+}
+
 func TestSpaceConfigExplicitZeros(t *testing.T) {
 	// warmup: 0 and cv_target: 0 are meaningful values, distinct from the
 	// omitted-field defaults (1 and 0.05).

@@ -554,6 +554,62 @@ func TestHTTPEndToEndWithAgentLoop(t *testing.T) {
 	}
 }
 
+// TestOverlappingSpacesJobHasNoFailures: a configuration two spaces both
+// declare is planned once. A batch holding two trials under one key would
+// report one of them "trial not executed", since the agent matches results
+// to trials by key.
+func TestOverlappingSpacesJobHasNoFailures(t *testing.T) {
+	c, srv := newTestServer(t)
+	sub := mustSubmit(t, c, `{
+  "meter": "mock",
+  "executor": "inprocess",
+  "spaces": [
+    {"specs": ["int-alu"], "threads": [1], "reps": 1, "warmup": 0},
+    {"specs": ["int-alu"], "threads": [1], "reps": 1, "warmup": 0}
+  ]
+}`)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	agent := &Agent{
+		Coordinator: srv.URL,
+		Host:        testHost("host-a"),
+		Poll:        10 * time.Millisecond,
+		Log:         t.Logf,
+		Runner: BatchRunnerFunc(func(ctx context.Context, b Batch, sink harness.ResultSink) error {
+			for _, tr := range b.Trials {
+				if err := sink.Consume(fakeResult(tr, b.Exec.Meter)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}),
+	}
+	agentDone := make(chan error, 1)
+	go func() { agentDone <- agent.Run(ctx) }()
+	defer func() {
+		cancel()
+		if err := <-agentDone; err != nil {
+			t.Errorf("agent: %v", err)
+		}
+	}()
+	for {
+		st, err := c.Status(sub.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Finished {
+			if st.Failed != 0 || st.Done != 1 {
+				t.Fatalf("finished status = %+v, want 1 done and 0 failed", st)
+			}
+			return
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("job never finished: %+v", st)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 func TestHTTPMalformedEnvelopeIsStructuredError(t *testing.T) {
 	c, srv := newTestServer(t)
 	mustSubmit(t, c, testCampaign)

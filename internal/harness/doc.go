@@ -13,10 +13,15 @@
 // Configurations can pair two heterogeneous specs (co-runs) to measure
 // SMT/CMP interference, the core scenario of the MICRO 2012 methodology.
 //
-// Every configuration is identified by a stable key
-// (spec|specB|tN+M|placement|meter|iN+M, see plan.go) that the store layer
-// dedupes and resumes on. Fleet results carry an optional |h:host|u:microarch
-// suffix — ResultKey builds it, StripHostKey removes it — so one central
-// store can hold the same configuration measured on many machines. The full
-// key grammar is documented in docs/WIRE.md.
+// A trial maps to the identity of the result it will produce in one place
+// (Trial.result, plan.go). From it come the stable configuration key
+// (spec|specB|tN+M|placement|meter|iN+M: Trial.Key is ResultKey of that
+// result), which the store layer dedupes and resumes on, and the nominal
+// activity vector Result.Activity/Trial.Activity — the one design row of
+// the paper's power model, which Measure hands a load-aware meter and the
+// model and adaptive planner fit and score on. Fleet results carry an
+// optional |h:host|u:microarch suffix — ResultKey builds it, StripHostKey
+// removes it — so one central store can hold the same configuration
+// measured on many machines. The full key grammar is documented in
+// docs/WIRE.md.
 package harness

@@ -73,21 +73,24 @@ func TestExternKeyCompat(t *testing.T) {
 	}
 }
 
+// parseKeyDimensionCases cover every trailing-dimension combination;
+// FuzzParseKey seeds from them too.
+var parseKeyDimensionCases = []Result{
+	{Spec: "stress", Threads: 1, Iters: 1, Placement: PlaceNone, Meter: "mock",
+		Workload: "stress"},
+	{Spec: "stress", Threads: 4, Iters: 1, Placement: PlaceCompact, Meter: "rapl",
+		Workload: "stress", Host: "h1"},
+	{Spec: "app", Threads: 2, Iters: 1, Placement: PlaceScatter, Meter: "mock",
+		Workload: "app", Host: "h2", Microarch: "Zen 3"},
+	{Spec: "int-alu", Threads: 2, Iters: 500, Placement: PlaceNone, Meter: "mock",
+		Host: "h3", Microarch: "Icelake"},
+}
+
 // TestParseKeyWorkloadDimension round-trips every trailing-dimension
 // combination through ParseKey and rejects malformed trailers: the store's
 // pushdown filters depend on parsing "|w:" without reading the record.
 func TestParseKeyWorkloadDimension(t *testing.T) {
-	cases := []Result{
-		{Spec: "stress", Threads: 1, Iters: 1, Placement: PlaceNone, Meter: "mock",
-			Workload: "stress"},
-		{Spec: "stress", Threads: 4, Iters: 1, Placement: PlaceCompact, Meter: "rapl",
-			Workload: "stress", Host: "h1"},
-		{Spec: "app", Threads: 2, Iters: 1, Placement: PlaceScatter, Meter: "mock",
-			Workload: "app", Host: "h2", Microarch: "Zen 3"},
-		{Spec: "int-alu", Threads: 2, Iters: 500, Placement: PlaceNone, Meter: "mock",
-			Host: "h3", Microarch: "Icelake"},
-	}
-	for _, r := range cases {
+	for _, r := range parseKeyDimensionCases {
 		key := ResultKey(r)
 		kf, ok := ParseKey(key)
 		if !ok {

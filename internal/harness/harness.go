@@ -202,6 +202,37 @@ type Result struct {
 // IsCoRun reports whether the result measured two specs sharing the machine.
 func (r Result) IsCoRun() bool { return r.SpecB != "" }
 
+// Name labels the result for logs and errors: "specA" or "specA+specB".
+func (r Result) Name() string {
+	if r.IsCoRun() {
+		return r.Spec + "+" + r.SpecB
+	}
+	return r.Spec
+}
+
+// Activity is the result's nominal activity vector, the design row of the
+// paper's power model P = P_static + Σ_c a_c·activity_c: active threads per
+// component for a kernel result (both sides of a co-run, summed when they
+// stress the same component), and an external workload's declared
+// per-thread mix scaled by its thread count. It is the one definition of
+// that row: the planted mock is loaded with it, the model fits and
+// validates on it, and the adaptive planner scores candidates by it
+// (Trial.Activity).
+func (r Result) Activity() map[bench.Component]float64 {
+	act := map[bench.Component]float64{}
+	if r.Workload != "" {
+		for c, weight := range r.WorkloadComponents {
+			act[c] += weight * float64(r.Threads)
+		}
+		return act
+	}
+	act[r.Component] = float64(r.Threads)
+	if r.IsCoRun() {
+		act[r.ComponentB] += float64(r.ThreadsB)
+	}
+	return act
+}
+
 // Runner is an alias of Scheduler, kept for callers that still spell it.
 //
 // Deprecated: use Scheduler, the only dispatcher.
@@ -210,15 +241,11 @@ type Runner = Scheduler
 // logTrialResult emits the Scheduler's one-line progress record for a
 // finished trial.
 func logTrialResult(log func(format string, args ...any), finished, total int, res Result) {
-	label := res.Spec
-	if res.IsCoRun() {
-		label += "+" + res.SpecB
-	}
 	conv := ""
 	if res.Converged {
 		conv = " (converged)"
 	}
 	log("[%d/%d] %-20s threads=%d placement=%-7s reps=%d%s E=%.3fJ t=%.4fs P=%.2fW EDP=%.4f",
-		finished, total, label, res.Threads, res.Placement, len(res.Samples), conv,
+		finished, total, res.Name(), res.Threads, res.Placement, len(res.Samples), conv,
 		res.EnergyJ.Mean, res.TimeS.Mean, res.PowerW.Mean, res.EDP)
 }

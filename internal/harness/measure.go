@@ -35,37 +35,24 @@ type Region struct {
 }
 
 // Measure is the measured-region core every executor shares. It hands a
-// load-aware meter the trial's nominal activity, then runs Warmup discarded
-// and up to MaxReps measured repetitions, each around a fresh Region from
-// prepare, stopping early once the running CV of the energy samples reaches
-// CVTarget after MinReps (the paper's repeat-until-stable criterion). The
-// returned Result carries the trial's identity, the samples, their
-// summaries, and EDP/EDDP; executors add only their counter aggregates.
+// load-aware meter the trial's nominal activity (Trial.Activity), then runs
+// Warmup discarded and up to MaxReps measured repetitions, each around a
+// fresh Region from prepare, stopping early once the running CV of the
+// energy samples reaches CVTarget after MinReps (the paper's
+// repeat-until-stable criterion). The returned Result carries the trial's
+// identity, the samples, their summaries, and EDP/EDDP; executors add only
+// their counter aggregates.
 func Measure(ctx context.Context, m meter.EnergyMeter, t Trial, prepare func() (Region, error)) (Result, error) {
-	res := Result{
-		Spec:           t.Spec.Name,
-		Component:      t.Spec.Component,
-		Threads:        t.Threads,
-		Iters:          t.Iters,
-		Placement:      t.Placement,
-		Meter:          m.Name(),
-		SampleInterval: t.SampleInterval,
-	}
-	if t.SpecB != nil {
-		res.SpecB = t.SpecB.Name
-		res.ComponentB = t.SpecB.Component
-		res.ThreadsB = t.Threads
-		res.ItersB = t.ItersB
-	}
-	if t.Extern != nil {
-		res.Workload = t.Extern.Workload
-		res.WorkloadComponents = t.Extern.Components
-	}
+	res := t.result(m.Name())
 	for _, d := range m.Domains() {
 		res.Domains = append(res.Domains, d.Name)
 	}
 	if la, ok := m.(meter.LoadAware); ok {
-		la.SetLoad(nominalLoad(t))
+		load := map[string]float64{}
+		for c, a := range res.Activity() {
+			load[string(c)] = a
+		}
+		la.SetLoad(load)
 	}
 
 	var conv stats.Accumulator
@@ -119,25 +106,6 @@ func Measure(ctx context.Context, m meter.EnergyMeter, t Trial, prepare func() (
 	res.EDP = res.EnergyJ.Mean * res.TimeS.Mean
 	res.EDDP = res.EDP * res.TimeS.Mean
 	return res, nil
-}
-
-// nominalLoad is the trial's nominal activity vector — the component →
-// active-thread map the nominal power model regresses on. An external
-// workload contributes its declared per-thread mix scaled by the thread
-// count.
-func nominalLoad(t Trial) map[string]float64 {
-	load := map[string]float64{}
-	if t.Extern != nil {
-		for c, weight := range t.Extern.Components {
-			load[string(c)] += weight * float64(t.Threads)
-		}
-		return load
-	}
-	load[string(t.Spec.Component)] = float64(t.Threads)
-	if t.SpecB != nil {
-		load[string(t.SpecB.Component)] += float64(t.Threads)
-	}
-	return load
 }
 
 // measureOnce meters one repetition: read the meter, start the sampler

@@ -66,13 +66,9 @@ type Trial struct {
 	Extern *ExternSpec `json:"extern,omitempty"`
 }
 
-// Name labels the trial for logs and errors: "specA" or "specA+specB".
-func (t Trial) Name() string {
-	if t.SpecB != nil {
-		return t.Spec.Name + "+" + t.SpecB.Name
-	}
-	return t.Spec.Name
-}
+// Name labels the trial for logs and errors: "specA" or "specA+specB",
+// the Name of its result.
+func (t Trial) Name() string { return t.result("").Name() }
 
 // IsCoRun reports whether the trial pairs two specs.
 func (t Trial) IsCoRun() bool { return t.SpecB != nil }
@@ -87,28 +83,39 @@ func (t Trial) Width() int {
 	return t.Threads
 }
 
-// configKey is the canonical configuration identity shared by trials and
-// results. Iteration counts are part of the identity because energy totals
-// are only comparable at equal work.
-func configKey(spec, specB string, threads, threadsB int, placement Placement, meterName string, iters, itersB int) string {
-	return fmt.Sprintf("%s|%s|t%d+%d|%s|%s|i%d+%d",
-		spec, specB, threads, threadsB, placement, meterName, iters, itersB)
+// result is the one Trial→Result mapping: the identity of the result an
+// executor produces for this trial under the named meter. Measure starts
+// every result from it, and Key and Activity derive from it, so a trial's
+// key and design row are by construction those of its result.
+func (t Trial) result(meterName string) Result {
+	r := Result{
+		Spec:           t.Spec.Name,
+		Component:      t.Spec.Component,
+		Threads:        t.Threads,
+		Iters:          t.Iters,
+		Placement:      t.Placement,
+		Meter:          meterName,
+		SampleInterval: t.SampleInterval,
+	}
+	if t.SpecB != nil {
+		r.SpecB, r.ComponentB = t.SpecB.Name, t.SpecB.Component
+		r.ThreadsB, r.ItersB = t.Threads, t.ItersB
+	}
+	if t.Extern != nil {
+		r.Workload, r.WorkloadComponents = t.Extern.Workload, t.Extern.Components
+	}
+	return r
 }
 
-// Key returns the trial's configuration key under the given meter backend.
-// It matches ResultKey of the Result an executor produces for this trial, so
-// resumable sweeps can skip trials whose key the store already holds.
-func (t Trial) Key(meterName string) string {
-	specB, threadsB, itersB := "", 0, 0
-	if t.SpecB != nil {
-		specB, threadsB, itersB = t.SpecB.Name, t.Threads, t.ItersB
-	}
-	key := configKey(t.Spec.Name, specB, t.Threads, threadsB, t.Placement, meterName, t.Iters, itersB)
-	if t.Extern != nil {
-		key += "|w:" + t.Extern.Workload
-	}
-	return key
-}
+// Key returns the trial's configuration key under the given meter backend:
+// ResultKey of the Result an executor produces for this trial, so resumable
+// sweeps can skip trials whose key the store already holds.
+func (t Trial) Key(meterName string) string { return ResultKey(t.result(meterName)) }
+
+// Activity is the trial's nominal activity vector, Result.Activity of the
+// result it will produce: the design row a load-aware meter is handed and
+// the adaptive planner scores before the trial runs.
+func (t Trial) Activity() map[bench.Component]float64 { return t.result("").Activity() }
 
 // ResultKey derives the configuration identity of a measured result: two
 // results with the same key measured the same configuration. An external
@@ -121,7 +128,11 @@ func (t Trial) Key(meterName string) string {
 // Workload-less, hostless results keep the exact historical six-field key,
 // so single-host kernel stores are byte-identical to earlier builds.
 func ResultKey(r Result) string {
-	key := configKey(r.Spec, r.SpecB, r.Threads, r.ThreadsB, r.Placement, r.Meter, r.Iters, r.ItersB)
+	// Iteration counts are part of the identity because energy totals are
+	// only comparable at equal work. Concatenation, not Sprintf: every
+	// planned trial is keyed, for dedup and again for resume.
+	key := r.Spec + "|" + r.SpecB + "|t" + strconv.Itoa(r.Threads) + "+" + strconv.Itoa(r.ThreadsB) +
+		"|" + string(r.Placement) + "|" + r.Meter + "|i" + strconv.Itoa(r.Iters) + "+" + strconv.Itoa(r.ItersB)
 	if r.Workload != "" {
 		key += "|w:" + r.Workload
 	}

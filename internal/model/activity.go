@@ -71,43 +71,105 @@ func countedEvents(c *harness.Counters) []string {
 	return names
 }
 
-// FromResultsCounters converts harness results into fit observations whose
-// activity factors are *measured*: each result's per-component activity is
-// its characteristic hardware event rate (normalized by RateScale) summed
-// over the threads stressing that component, instead of the nominal thread
-// count FromResults assumes. Results without counters are skipped and
-// counted; fitting proceeds on the measured subset. An error is returned
-// only when no result carries counters or a counted result lacks the events
-// its component needs.
-func FromResultsCounters(results []harness.Result) (obs []Observation, skipped int, err error) {
+// checkSource rejects an activity source other than nominal or counters.
+func checkSource(source string) error {
+	switch source {
+	case "", ActivityNominal, ActivityCounters:
+		return nil
+	}
+	return fmt.Errorf("model: unknown activity source %q (want %s|%s)", source, ActivityNominal, ActivityCounters)
+}
+
+// designRow is a result's activity vector under the given source, in the
+// units the fit regresses on; it serves kernel and workload results alike.
+// Nominal is harness.Result.Activity. Counters measures how hard the same
+// components were driven: each one's characteristic event rate over
+// RateScale, per co-run group for a kernel and over the declared components
+// for a workload — the declaration picks which components a workload
+// exercises; the hardware says how hard.
+func designRow(r harness.Result, source string) (map[bench.Component]float64, error) {
+	if err := checkSource(source); err != nil {
+		return nil, err
+	}
+	if r.Workload != "" && len(r.WorkloadComponents) == 0 {
+		return nil, fmt.Errorf("workload declares no components (add components: to its campaign entry)")
+	}
+	if source != ActivityCounters {
+		return r.Activity(), nil
+	}
+	if r.Counters == nil {
+		return nil, fmt.Errorf("result carries no counters (re-run the workload with counters enabled)")
+	}
+	type side struct {
+		comp  bench.Component
+		group int
+	}
+	var sides []side
+	switch {
+	case r.Workload != "":
+		for c := range r.WorkloadComponents {
+			sides = append(sides, side{c, 0})
+		}
+	case r.IsCoRun():
+		sides = []side{{r.Component, 0}, {r.ComponentB, 1}}
+	default:
+		sides = []side{{r.Component, 0}}
+	}
+	act := map[bench.Component]float64{}
+	for _, s := range sides {
+		a, err := componentActivity(r.Counters, s.comp, s.group)
+		if err != nil {
+			return nil, err
+		}
+		act[s.comp] += a
+	}
+	return act, nil
+}
+
+// observations builds the fit's observations from a store's results under
+// the activity source: one per micro-benchmark result, with its label and
+// design row. External-workload results are skipped: they are what the
+// fitted model is validated *against* (Validate), never part of the design
+// it is fitted on. Under counters, results without counters are skipped and
+// counted, and fitting proceeds on the measured subset; it is an error when
+// none carries counters or a counted result lacks the events its component
+// needs.
+func observations(results []harness.Result, source string) (obs []Observation, skipped int, err error) {
+	if err := checkSource(source); err != nil {
+		return nil, 0, err
+	}
+	obs = make([]Observation, 0, len(results))
 	for _, r := range results {
-		// External workloads are validation targets, not fit observations.
 		if r.Workload != "" {
 			continue
 		}
-		if r.Counters == nil {
+		if source == ActivityCounters && r.Counters == nil {
 			skipped++
 			continue
 		}
-		act := map[bench.Component]float64{}
-		a, err := componentActivity(r.Counters, r.Component, 0)
+		act, err := designRow(r, source)
 		if err != nil {
-			return nil, skipped, fmt.Errorf("%s/t%d/%s: %w", r.Spec, r.Threads, r.Placement, err)
+			return nil, skipped, fmt.Errorf("%s: %w", label(r), err)
 		}
-		act[r.Component] += a
-		label := fmt.Sprintf("%s/t%d/%s", r.Spec, r.Threads, r.Placement)
-		if r.IsCoRun() {
-			b, err := componentActivity(r.Counters, r.ComponentB, 1)
-			if err != nil {
-				return nil, skipped, fmt.Errorf("%s+%s/t%d+%d/%s: %w", r.Spec, r.SpecB, r.Threads, r.ThreadsB, r.Placement, err)
-			}
-			act[r.ComponentB] += b
-			label = fmt.Sprintf("%s+%s/t%d+%d/%s", r.Spec, r.SpecB, r.Threads, r.ThreadsB, r.Placement)
-		}
-		obs = append(obs, Observation{Label: label, PowerW: r.PowerW.Mean, Activity: act})
+		obs = append(obs, Observation{Label: label(r), PowerW: r.PowerW.Mean, Activity: act})
 	}
-	if len(obs) == 0 {
+	if source == ActivityCounters && len(obs) == 0 {
 		return nil, skipped, fmt.Errorf("model: no stored results carry measured counters (re-run the sweep with --counters)")
 	}
 	return obs, skipped, nil
+}
+
+// label names a result's configuration in residuals, validation rows,
+// roofline points and errors: "spec/tN/placement", or
+// "specA+specB/tN+M/placement" for a co-run, with an external workload's
+// name in place of the spec.
+func label(r harness.Result) string {
+	if r.IsCoRun() {
+		return fmt.Sprintf("%s+%s/t%d+%d/%s", r.Spec, r.SpecB, r.Threads, r.ThreadsB, r.Placement)
+	}
+	name := r.Spec
+	if r.Workload != "" {
+		name = r.Workload
+	}
+	return fmt.Sprintf("%s/t%d/%s", name, r.Threads, r.Placement)
 }

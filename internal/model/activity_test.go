@@ -31,7 +31,7 @@ func counterResult(spec string, comp bench.Component, threads int, powerW float6
 }
 
 // TestFromResultsCountersPlantedCoefficients is the pipeline's ground-truth
-// test: observations built from planted event rates, with powers generated
+// test: counter-source observations built from planted event rates, with powers generated
 // by P = 10 + 2·act(int-alu) + 5·act(dram), must hand FitPower a design it
 // solves back to exactly those coefficients.
 func TestFromResultsCountersPlantedCoefficients(t *testing.T) {
@@ -54,7 +54,7 @@ func TestFromResultsCountersPlantedCoefficients(t *testing.T) {
 	}
 	// The DRAM observations' activity comes from llc-misses, not the (also
 	// counted) instructions — that is the characteristic-event mapping.
-	obs, skipped, err := FromResultsCounters(results)
+	obs, skipped, err := observations(results, ActivityCounters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestFromResultsCountersPlantedCoefficients(t *testing.T) {
 	}
 }
 
-// TestFromResultsCountersCoRunSplitsGroups: a co-run result must yield a
-// two-component activity vector, each side derived from its own group's
+// TestFromResultsCountersCoRunSplitsGroups: a co-run result's counter-source
+// design row must be a two-component activity vector, each side derived from its own group's
 // threads.
 func TestFromResultsCountersCoRunSplitsGroups(t *testing.T) {
 	r := harness.Result{
@@ -114,7 +114,7 @@ func TestFromResultsCountersCoRunSplitsGroups(t *testing.T) {
 			Reps: 1,
 		},
 	}
-	obs, _, err := FromResultsCounters([]harness.Result{r})
+	obs, _, err := observations([]harness.Result{r}, ActivityCounters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestFromResultsCountersCoRunSplitsGroups(t *testing.T) {
 	}
 }
 
-// TestFromResultsCountersSkipsAndErrors: results without counters are
-// skipped (the store may mix counter and pre-counter sweeps); an all-nominal
+// TestFromResultsCountersSkipsAndErrors: under the counter source, results
+// without counters are skipped (the store may mix counter and pre-counter sweeps); an all-nominal
 // store is an error; a counted result missing its component's
 // characteristic events is an error naming what to re-run.
 func TestFromResultsCountersSkipsAndErrors(t *testing.T) {
@@ -143,7 +143,7 @@ func TestFromResultsCountersSkipsAndErrors(t *testing.T) {
 	counted := counterResult("int-alu", bench.CompIntALU, 1, 16.4,
 		map[string]float64{"instructions": 3.2e9})
 
-	obs, skipped, err := FromResultsCounters([]harness.Result{plain, counted})
+	obs, skipped, err := observations([]harness.Result{plain, counted}, ActivityCounters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +151,13 @@ func TestFromResultsCountersSkipsAndErrors(t *testing.T) {
 		t.Errorf("got %d observations (%d skipped), want 1 and 1", len(obs), skipped)
 	}
 
-	if _, _, err := FromResultsCounters([]harness.Result{plain}); err == nil {
+	if _, _, err := observations([]harness.Result{plain}, ActivityCounters); err == nil {
 		t.Error("an all-nominal result set should error, not fit an empty design")
 	}
 
 	// A DRAM result that only counted cycles cannot provide DRAM activity.
 	bad := counterResult("chase-dram", bench.CompDRAM, 1, 20, map[string]float64{"cycles": 2.5e9})
-	_, _, err = FromResultsCounters([]harness.Result{bad})
+	_, _, err = observations([]harness.Result{bad}, ActivityCounters)
 	if err == nil || !strings.Contains(err.Error(), "llc-misses") {
 		t.Errorf("err = %v, want a complaint naming the missing llc-misses event", err)
 	}
@@ -168,7 +168,7 @@ func TestFromResultsCountersSkipsAndErrors(t *testing.T) {
 // l1d-misses to cache-refs).
 func TestFromResultsCountersFallbackEvent(t *testing.T) {
 	r := counterResult("chase-l3", bench.CompL3, 1, 20, map[string]float64{"cache-refs": 3.3e8})
-	obs, _, err := FromResultsCounters([]harness.Result{r})
+	obs, _, err := observations([]harness.Result{r}, ActivityCounters)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"energybench/internal/bench"
@@ -17,26 +18,13 @@ type Observation struct {
 	Activity map[bench.Component]float64
 }
 
-// FromResults converts harness results into fit observations. A solo run
-// contributes its thread count as activity on its component; a co-run
-// contributes both specs' thread counts on their respective components
-// (summed when both stress the same component). External-workload results
-// are skipped: they are what the fitted model is validated *against*
+// FromResults converts harness results into nominal-activity fit
+// observations: each micro-benchmark result contributes its
+// harness.Result.Activity design row. External-workload results are
+// skipped: they are what the fitted model is validated *against*
 // (Validate), never part of the micro-benchmark design it is fitted on.
 func FromResults(results []harness.Result) []Observation {
-	obs := make([]Observation, 0, len(results))
-	for _, r := range results {
-		if r.Workload != "" {
-			continue
-		}
-		act := map[bench.Component]float64{r.Component: float64(r.Threads)}
-		label := fmt.Sprintf("%s/t%d/%s", r.Spec, r.Threads, r.Placement)
-		if r.IsCoRun() {
-			act[r.ComponentB] += float64(r.ThreadsB)
-			label = fmt.Sprintf("%s+%s/t%d+%d/%s", r.Spec, r.SpecB, r.Threads, r.ThreadsB, r.Placement)
-		}
-		obs = append(obs, Observation{Label: label, PowerW: r.PowerW.Mean, Activity: act})
-	}
+	obs, _, _ := observations(results, ActivityNominal)
 	return obs
 }
 
@@ -77,7 +65,7 @@ type Fit struct {
 
 	// comps is the fixed design ordering of the component columns and
 	// invXtX the inverse normal matrix in that basis ([intercept, comps...]);
-	// both back PredictionVariance and neither serializes.
+	// both back Leverage and neither serializes.
 	comps  []bench.Component
 	invXtX [][]float64
 }
@@ -121,50 +109,85 @@ func (f *Fit) MaxRSE() (float64, bool) {
 	return worst, true
 }
 
-// PredictionVariance returns the unscaled predictive leverage
-// xᵀ(XᵀX)⁻¹x of an activity vector under the fit's design — the
-// D-optimality score the adaptive planner ranks candidate trials by
-// (multiply by the residual variance for an absolute prediction variance).
-// ok is false when the fit carries no design inverse or the activity names
-// a component outside the fitted basis; such a candidate adds a whole new
-// column and is therefore maximally informative.
-func (f *Fit) PredictionVariance(activity map[bench.Component]float64) (float64, bool) {
-	if f.invXtX == nil {
-		return 0, false
-	}
-	for c := range activity {
-		if _, ok := f.CoeffW[c]; !ok {
-			return 0, false
-		}
-	}
-	x := make([]float64, len(f.comps)+1)
-	x[0] = 1
-	for j, c := range f.comps {
-		x[j+1] = activity[c]
-	}
-	var v float64
-	for i := range x {
-		for j := range x {
-			v += x[i] * f.invXtX[i][j] * x[j]
-		}
-	}
-	return v, true
+// Leverage is a fit's design as the adaptive planner's D-optimal pick sees
+// it: the inverse normal matrix (XᵀX)⁻¹, scored against candidate activity
+// vectors and updated as if a candidate had been measured. It is a private
+// copy, so updating it never changes the fit.
+type Leverage struct {
+	comps []bench.Component
+	inv   [][]float64
 }
 
-// DesignBasis returns the fitted component column ordering; together with
-// the intercept in column 0 it is the basis DesignInverse is expressed in.
-func (f *Fit) DesignBasis() []bench.Component {
-	return append([]bench.Component(nil), f.comps...)
-}
-
-// DesignInverse returns a copy of the inverse normal matrix (XᵀX)⁻¹ in the
-// [intercept, DesignBasis...] basis, or nil when unavailable. The adaptive
-// planner seeds its Sherman–Morrison greedy batch selection from it.
-func (f *Fit) DesignInverse() [][]float64 {
+// Leverage returns a fresh copy of the fit's design, or nil when the fit
+// carries no design inverse.
+func (f *Fit) Leverage() *Leverage {
 	if f.invXtX == nil {
 		return nil
 	}
-	return copyMatrix(f.invXtX)
+	return &Leverage{comps: f.comps, inv: copyMatrix(f.invXtX)}
+}
+
+// row is the design row [1, activity...] in the fit's basis, or nil when the
+// activity names a component outside it.
+func (l *Leverage) row(activity map[bench.Component]float64) []float64 {
+	x := make([]float64, len(l.comps)+1)
+	x[0] = 1
+	for c, a := range activity {
+		j := slices.Index(l.comps, c)
+		if j < 0 {
+			return nil
+		}
+		x[j+1] = a
+	}
+	return x
+}
+
+// quad computes xᵀ(XᵀX)⁻¹x.
+func (l *Leverage) quad(x []float64) float64 {
+	var v float64
+	for i := range x {
+		for j := range x {
+			v += x[i] * l.inv[i][j] * x[j]
+		}
+	}
+	return v
+}
+
+// Score is the unscaled predictive leverage xᵀ(XᵀX)⁻¹x of an activity
+// vector — the variance of the model's prediction there, up to the residual
+// variance, and the D-optimality score the planner ranks candidates by. An
+// activity naming a component outside the fitted basis scores +Inf: it adds
+// a whole new column, so it is maximally informative.
+func (l *Leverage) Score(activity map[bench.Component]float64) float64 {
+	x := l.row(activity)
+	if x == nil {
+		return math.Inf(1)
+	}
+	return l.quad(x)
+}
+
+// Add updates the design as if a trial with this activity had been
+// measured: the Sherman–Morrison rank-1 update
+// A⁻¹ ← A⁻¹ − (A⁻¹x)(A⁻¹x)ᵀ / (1 + xᵀA⁻¹x). An activity outside the fitted
+// basis leaves the design unchanged.
+func (l *Leverage) Add(activity map[bench.Component]float64) {
+	x := l.row(activity)
+	if x == nil {
+		return
+	}
+	k := len(x)
+	ax := make([]float64, k)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			ax[i] += l.inv[i][j] * x[j]
+		}
+	}
+	denom := 1 + l.quad(x)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			l.inv[i][j] -= ax[i] * ax[j] / denom
+		}
+	}
 }
 
 // Predict evaluates the fitted model on an activity vector. Components are
@@ -231,9 +254,9 @@ func FitPower(obs []Observation) (*Fit, error) {
 			xty[i] += row[i] * o.PowerW
 		}
 	}
-	// solveLinear overwrites its inputs; solve on copies so the normal
+	// SolveLinear overwrites its inputs; solve on copies so the normal
 	// matrix survives for the covariance inverse below.
-	beta, err := solveLinear(copyMatrix(xtx), append([]float64(nil), xty...))
+	beta, err := SolveLinear(copyMatrix(xtx), append([]float64(nil), xty...))
 	if err != nil {
 		return nil, fmt.Errorf("model: design is rank-deficient — measure each component at two or more thread counts (%w)", err)
 	}
@@ -304,7 +327,7 @@ func copyMatrix(a [][]float64) [][]float64 {
 }
 
 // invertMatrix inverts a symmetric positive-definite matrix (the normal
-// matrix XᵀX) column by column through solveLinear, reusing its pivoting
+// matrix XᵀX) column by column through SolveLinear, reusing its pivoting
 // and singularity detection. a is preserved.
 func invertMatrix(a [][]float64) ([][]float64, error) {
 	n := len(a)
@@ -315,7 +338,7 @@ func invertMatrix(a [][]float64) ([][]float64, error) {
 	for col := 0; col < n; col++ {
 		e := make([]float64, n)
 		e[col] = 1
-		x, err := solveLinear(copyMatrix(a), e)
+		x, err := SolveLinear(copyMatrix(a), e)
 		if err != nil {
 			return nil, err
 		}
@@ -326,9 +349,10 @@ func invertMatrix(a [][]float64) ([][]float64, error) {
 	return inv, nil
 }
 
-// solveLinear solves a·x = b by Gaussian elimination with partial pivoting.
-// a and b are overwritten.
-func solveLinear(a [][]float64, b []float64) ([]float64, error) {
+// SolveLinear solves a·x = b by Gaussian elimination with partial pivoting,
+// failing on a singular matrix. a and b are overwritten. It is the one
+// dense solver: the OLS fit and the bo planner's surrogate both use it.
+func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 	n := len(a)
 	var scale float64
 	for i := range a {

@@ -75,7 +75,7 @@ func SegmentPhases(times, powers []float64, cfg PhaseConfig) []Phase {
 	if n == 0 || len(times) != n {
 		return nil
 	}
-	refMean := mean(powers)
+	refMean := stats.Mean(powers)
 	// A zero-mean series has no scale to judge jumps against; report it as a
 	// single phase rather than chasing noise.
 	minJump := cfg.MinJumpFrac * math.Abs(refMean)
@@ -90,7 +90,7 @@ func SegmentPhases(times, powers []float64, cfg PhaseConfig) []Phase {
 			return
 		}
 		cut += lo
-		if minJump <= 0 || math.Abs(mean(powers[lo:cut])-mean(powers[cut:hi])) < minJump {
+		if minJump <= 0 || math.Abs(stats.Mean(powers[lo:cut])-stats.Mean(powers[cut:hi])) < minJump {
 			return
 		}
 		bounds = append(bounds, cut)
@@ -183,7 +183,7 @@ func DetectThrottles(times, powers []float64, cfg ThrottleConfig) []Throttle {
 	if n < cfg.Window || len(times) != n {
 		return nil
 	}
-	meanW := math.Abs(mean(powers))
+	meanW := math.Abs(stats.Mean(powers))
 	if meanW == 0 {
 		return nil
 	}
@@ -229,7 +229,7 @@ func olsSlope(xs, ys []float64) float64 {
 	if n < 2 {
 		return 0
 	}
-	mx, my := mean(xs), mean(ys)
+	mx, my := stats.Mean(xs), stats.Mean(ys)
 	var num, den float64
 	for i := range xs {
 		dx := xs[i] - mx
@@ -240,12 +240,4 @@ func olsSlope(xs, ys []float64) float64 {
 		return 0
 	}
 	return num / den
-}
-
-func mean(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }

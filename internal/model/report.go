@@ -1,8 +1,6 @@
 package model
 
 import (
-	"fmt"
-
 	"energybench/internal/harness"
 	"energybench/internal/store"
 )
@@ -57,19 +55,11 @@ func BuildReport(results []harness.Result, opts ReportOptions) (*Report, error) 
 		activity = ActivityNominal
 	}
 	rep := &Report{SchemaVersion: store.SchemaVersion, Activity: activity}
-	var obs []Observation
-	var err error
-	switch activity {
-	case ActivityNominal:
-		obs = FromResults(results)
-	case ActivityCounters:
-		if obs, rep.SkippedNoCounters, err = FromResultsCounters(results); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("model: unknown activity source %q (want %s|%s)", activity, ActivityNominal, ActivityCounters)
+	obs, skipped, err := observations(results, activity)
+	if err != nil {
+		return nil, err
 	}
-	rep.Observations = len(obs)
+	rep.Observations, rep.SkippedNoCounters = len(obs), skipped
 	if rep.Fit, err = FitPower(obs); err != nil {
 		return nil, err
 	}

@@ -96,7 +96,7 @@ func BuildRoofline(results []harness.Result) (*Roofline, error) {
 		}
 		p := RooflinePoint{
 			Workload:  r.Workload,
-			Label:     fmt.Sprintf("%s/t%d/%s", r.Workload, r.Threads, r.Placement),
+			Label:     label(r),
 			Threads:   r.Threads,
 			Placement: string(r.Placement),
 		}

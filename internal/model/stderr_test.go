@@ -90,41 +90,50 @@ func TestFitExactlyDeterminedOmitsErrors(t *testing.T) {
 	}
 }
 
+// TestPredictionVariance exercises the planner's leverage API on a fit:
+// Score is the prediction variance xᵀ(XᵀX)⁻¹x, and Add is the rank-1 update
+// a refit with the added row would give.
 func TestPredictionVariance(t *testing.T) {
-	fit, err := FitPower(noisyObs())
+	obs := noisyObs()
+	fit, err := FitPower(obs)
 	if err != nil {
 		t.Fatalf("fit: %v", err)
 	}
+	lev := fit.Leverage()
+	if lev == nil {
+		t.Fatal("leverage unavailable")
+	}
 	// Leverage is smallest near the design's center of mass and grows toward
 	// and beyond its edges.
-	mid, ok := fit.PredictionVariance(map[bench.Component]float64{"int-alu": 3.5})
-	if !ok {
-		t.Fatal("prediction variance unavailable")
-	}
-	out, ok := fit.PredictionVariance(map[bench.Component]float64{"int-alu": 12})
-	if !ok {
-		t.Fatal("prediction variance unavailable")
-	}
+	edge := map[bench.Component]float64{"int-alu": 12}
+	mid, out := lev.Score(map[bench.Component]float64{"int-alu": 3.5}), lev.Score(edge)
 	if out <= mid {
 		t.Errorf("extrapolation leverage %v not above interior leverage %v", out, mid)
 	}
-	// A component outside the fitted basis cannot be scored.
-	if _, ok := fit.PredictionVariance(map[bench.Component]float64{"dram": 1}); ok {
-		t.Error("prediction variance claims to score an unfitted component")
+	// A component outside the fitted basis adds a column: maximally
+	// informative.
+	if v := lev.Score(map[bench.Component]float64{"dram": 1}); !math.IsInf(v, 1) {
+		t.Errorf("unfitted component scores %v, want +Inf", v)
 	}
 
-	basis := fit.DesignBasis()
-	if len(basis) != 1 || basis[0] != "int-alu" {
-		t.Errorf("design basis = %v, want [int-alu]", basis)
+	// Adding a row must match refitting with it, and shrink its own
+	// leverage to v/(1+v).
+	lev.Add(edge)
+	refit, err := FitPower(append(obs, Observation{Label: "edge", PowerW: 46, Activity: edge}))
+	if err != nil {
+		t.Fatalf("refit: %v", err)
 	}
-	inv := fit.DesignInverse()
-	if len(inv) != 2 {
-		t.Fatalf("design inverse is %dx, want 2x2", len(inv))
+	for _, a := range []float64{0, 3.5, 12} {
+		x := map[bench.Component]float64{"int-alu": a}
+		if got, want := lev.Score(x), refit.Leverage().Score(x); math.Abs(got-want) > 1e-12 {
+			t.Errorf("after Add, leverage at %v = %v, refit gives %v", a, got, want)
+		}
 	}
-	// Mutating the returned copy must not corrupt the fit's own state.
-	inv[0][0] = 1e9
-	again, _ := fit.PredictionVariance(map[bench.Component]float64{"int-alu": 3.5})
-	if again != mid {
-		t.Error("DesignInverse returned the fit's internal matrix, not a copy")
+	if got, want := lev.Score(edge), out/(1+out); math.Abs(got-want) > 1e-12 {
+		t.Errorf("added row's leverage = %v, want %v", got, want)
+	}
+	// Leverage is a private copy: updating it leaves the fit's design alone.
+	if again := fit.Leverage().Score(edge); again != out {
+		t.Errorf("Add changed the fit's own design: leverage %v, was %v", again, out)
 	}
 }

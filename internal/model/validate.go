@@ -50,39 +50,6 @@ type Validation struct {
 	EnergyMAPEPct float64 `json:"energy_mape_pct"`
 }
 
-// workloadActivity builds the activity vector the model predicts from, in
-// the same units the fit was trained on. Nominal mode mirrors FromResults:
-// declared component weight × thread count. Counters mode mirrors
-// FromResultsCounters: the measured characteristic-event rate of each
-// *declared* component, normalized by RateScale — the declaration picks
-// which components the workload exercises; the hardware says how hard.
-func workloadActivity(r harness.Result, activity string) (map[bench.Component]float64, error) {
-	if len(r.WorkloadComponents) == 0 {
-		return nil, fmt.Errorf("workload declares no components (add components: to its campaign entry)")
-	}
-	act := map[bench.Component]float64{}
-	switch activity {
-	case "", ActivityNominal:
-		for c, w := range r.WorkloadComponents {
-			act[c] += w * float64(r.Threads)
-		}
-	case ActivityCounters:
-		if r.Counters == nil {
-			return nil, fmt.Errorf("result carries no counters (re-run the workload with counters enabled)")
-		}
-		for c := range r.WorkloadComponents {
-			a, err := componentActivity(r.Counters, c, 0)
-			if err != nil {
-				return nil, err
-			}
-			act[c] += a
-		}
-	default:
-		return nil, fmt.Errorf("model: unknown activity source %q (want %s|%s)", activity, ActivityNominal, ActivityCounters)
-	}
-	return act, nil
-}
-
 // Validate predicts every external-workload result's power under the fitted
 // model and reports per-workload and aggregate error. results may be a whole
 // store's contents; only workload results participate. An error is returned
@@ -102,11 +69,12 @@ func Validate(fit *Fit, activity string, results []harness.Result) (*Validation,
 		}
 		row := WorkloadValidation{
 			Workload:  r.Workload,
-			Label:     fmt.Sprintf("%s/t%d/%s", r.Workload, r.Threads, r.Placement),
+			Label:     label(r),
 			Threads:   r.Threads,
 			Placement: string(r.Placement),
 		}
-		act, err := workloadActivity(r, activity)
+		// The prediction uses the design row the fit was trained on.
+		act, err := designRow(r, activity)
 		if err == nil {
 			for c := range act {
 				if _, ok := fit.CoeffW[c]; !ok {

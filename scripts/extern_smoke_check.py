@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Assertions for the external-workload smoke (make smoke-extern / CI).
 
-Usage: extern_smoke_check.py ANALYSIS.json BENCH_OUT.json
+Usage: extern_smoke_check.py ANALYSIS.json ROWS.json BENCH_OUT.json
 
 The smoke (testdata/extern-smoke.yaml) fits the power model on kernel sweeps
 against a planted mock model, runs the bundled externstress binary as an
 external workload under the same meter, and analyzes the store with
---validate --roofline. This script asserts the PR's acceptance criterion —
-the model predicts every workload configuration's power within 5% aggregate
-MAPE — plus the structural invariants (every workload row predicted, the
+--validate --roofline. ROWS.json is `store query --where workload=stress`
+over that store: both stress configurations must be stored under the |w:
+key dimension. This script asserts that, the acceptance criterion — the
+model predicts every workload configuration's power within 5% aggregate
+MAPE — and the structural invariants (every workload row predicted, the
 roofline placed every point), and writes the comparison as the BENCH_extern
 artifact CI publishes.
 """
@@ -18,7 +20,13 @@ import sys
 MAPE_LIMIT_PCT = 5.0
 
 
-def main(analysis_path, bench_out):
+def main(analysis_path, rows_path, bench_out):
+    recs = json.load(open(rows_path))
+    assert len(recs) == 2, len(recs)
+    assert all(r["result"]["workload"] == "stress" for r in recs), recs[:1]
+    assert all("|w:stress" in r["key"] for r in recs), [r["key"] for r in recs]
+    print("workload rows OK:", sorted(r["key"] for r in recs))
+
     analysis = json.load(open(analysis_path))
 
     v = analysis.get("validation")
@@ -84,6 +92,6 @@ def main(analysis_path, bench_out):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
+    if len(sys.argv) != 4:
         sys.exit(__doc__.strip())
     main(*sys.argv[1:])
