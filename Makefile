@@ -1,5 +1,6 @@
-# Targets mirror .github/workflows/ci.yml; its smoke and coverage jobs run
-# these targets, so each smoke's asserts have one definition.
+# Targets mirror .github/workflows/ci.yml: every step of its build-test,
+# smoke and coverage jobs runs one of these targets, so each gate and each
+# smoke's asserts have one definition.
 
 GO ?= go
 COVER_PKGS := ./internal/stats/... ./internal/meter/... ./internal/perf/... ./internal/model/... ./internal/store/... ./internal/harness/... ./internal/campaign/...
@@ -10,7 +11,7 @@ COVER_FLOOR := 70
 # clean.
 SCRATCH := .scratch
 
-.PHONY: all ci build test lint vet-perfbench staticcheck cover fuzz bench-store smoke smoke-sampling smoke-planner smoke-fleet smoke-extern docs-check clean
+.PHONY: all ci build test lint fmt-check vet vet-perfbench staticcheck cover fuzz smoke smoke-sampling smoke-planner smoke-fleet smoke-extern docs-check clean
 
 all: lint build test
 
@@ -28,9 +29,14 @@ build:
 test:
 	$(GO) test -race -count=1 ./...
 
-lint:
+lint: fmt-check vet
+
+# CI runs fmt-check on the stable toolchain only, vet on every toolchain.
+fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
+
+vet:
 	$(GO) vet ./...
 
 # perfbench/ is a nested module, so ./... above never compiles it; vet it on
@@ -63,15 +69,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadersAgreeWithWriter -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzCampaignParse -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzParseKey -fuzztime=10s ./internal/harness
-
-# The CI store scale smoke: a 50k-record synthetic corpus through the
-# sharded store's append/query/compact lifecycle, self-verified, with the
-# measured throughput written to BENCH_store.json (the artifact CI publishes).
-bench-store: build
-	@mkdir -p $(SCRATCH)
-	rm -rf $(SCRATCH)/scale-store
-	./bin/energybench store bench --db=$(SCRATCH)/scale-store --records=50000 > BENCH_store.json
-	@echo "wrote BENCH_store.json"
+	$(GO) test -run='^$$' -fuzz=FuzzMockParams -fuzztime=10s ./internal/meter
 
 # The CI campaign smoke: subprocess executor, core-leasing scheduler,
 # --parallel 4, store + resume, then the analysis pipeline over the store —
@@ -148,7 +146,8 @@ smoke-fleet: build
 	./scripts/fleet_smoke.sh
 
 # Every internal package must carry its package comment in a doc.go, so
-# `go doc` has one canonical place to find it (CI runs the same check).
+# `go doc` has one canonical place to find it (CI's build-test job runs
+# this target).
 docs-check:
 	@missing=""; for d in internal/*/; do \
 		[ -f "$$d/doc.go" ] || missing="$$missing $$d"; done; \
@@ -157,4 +156,4 @@ docs-check:
 	@echo "docs-check OK (every internal package has a doc.go)"
 
 clean:
-	rm -rf bin $(SCRATCH) cover.out BENCH_store.json BENCH_sampling.json BENCH_planner.json BENCH_fleet.json BENCH_extern.json scale-store smoke-results.jsonl counter-smoke.jsonl counter-analysis.json
+	rm -rf bin $(SCRATCH) cover.out BENCH_sampling.json BENCH_planner.json BENCH_fleet.json BENCH_extern.json smoke-results.jsonl counter-smoke.jsonl counter-analysis.json

@@ -275,7 +275,7 @@ func TestAnalysisSubcommandErrors(t *testing.T) {
 		args []string
 		want string // a fragment of the error naming its reason
 	}{
-		{[]string{"store"}, "query|compact|add|bench"}, // no verb
+		{[]string{"store"}, "query|compact|add"}, // no verb
 		{[]string{"analyze"}, "--db is required"},
 		{[]string{"compare"}, "--db is required"},
 		{[]string{"analyze", "--db=" + missing}, "no such file"}, // store does not exist

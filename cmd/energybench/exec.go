@@ -4,8 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"energybench/internal/campaign"
 	"energybench/internal/extwork"
@@ -103,7 +101,7 @@ func (ec execConfig) newMeter() (meter.EnergyMeter, error) {
 		if err := meter.ValidateMock(ec.MockWatts, ec.MockModel, ec.MockNoiseW); err != nil {
 			return nil, err
 		}
-		steps, err := parseMockSchedule(ec.mockSchedule)
+		steps, err := meter.ParseMockSchedule(ec.mockSchedule)
 		if err != nil {
 			return nil, err
 		}
@@ -117,36 +115,4 @@ func (ec execConfig) newMeter() (meter.EnergyMeter, error) {
 	default:
 		return nil, fmt.Errorf("unknown meter %q (want mock|rapl)", ec.Meter)
 	}
-}
-
-// parseMockSchedule decodes the 'atS:watts,...' flag syntax into mock meter
-// schedule steps, requiring strictly increasing offsets so the piecewise
-// integral is well defined.
-func parseMockSchedule(s string) ([]meter.MockStep, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var steps []meter.MockStep
-	for _, part := range strings.Split(s, ",") {
-		atStr, wattsStr, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("--mock-schedule: step %q is not of the form atS:watts", part)
-		}
-		at, err := strconv.ParseFloat(atStr, 64)
-		if err != nil {
-			return nil, fmt.Errorf("--mock-schedule: bad offset in %q: %w", part, err)
-		}
-		watts, err := strconv.ParseFloat(wattsStr, 64)
-		if err != nil {
-			return nil, fmt.Errorf("--mock-schedule: bad watts in %q: %w", part, err)
-		}
-		if at < 0 || watts < 0 {
-			return nil, fmt.Errorf("--mock-schedule: step %q must have non-negative offset and watts", part)
-		}
-		if len(steps) > 0 && at <= steps[len(steps)-1].AtS {
-			return nil, fmt.Errorf("--mock-schedule: offsets must be strictly increasing, got %g after %g", at, steps[len(steps)-1].AtS)
-		}
-		steps = append(steps, meter.MockStep{AtS: at, Watts: watts})
-	}
-	return steps, nil
 }

@@ -88,7 +88,6 @@ func usage(w io.Writer) {
                                      record array, or an NDJSON record stream)
   energybench store compact [flags]  rewrite a store deduplicated; --shard migrates
                                      a single file to the sharded segment layout
-  energybench store bench [flags]    synthesize a corpus, measure and verify the store
   energybench analyze [flags]      fit the linear power model over a store
   energybench compare [flags]      report co-run interference vs solo baselines
   energybench serve [flags]        run the fleet coordinator daemon (HTTP API)
@@ -194,7 +193,6 @@ store flags:
                       record stream (a coordinator's /jobs/{id}/results)
   --shard             (compact) convert a single-file store to the sharded
                       segment layout in place, compacting as it goes
-  --records=N         (bench) synthetic corpus size, duplicates included (default 50000)
   --where f=v,...     filter: spec|threads|placement|meter|host|workload|key
                       pairs; repeatable, same-field values OR, distinct
                       fields AND
@@ -572,7 +570,7 @@ func loadPriorResults(path string, keys []string) ([]harness.Result, error) {
 // cmdStore dispatches the store verbs.
 func cmdStore(args []string, stdout, stderr io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("store needs a subcommand: query|compact|add|bench")
+		return fmt.Errorf("store needs a subcommand: query|compact|add")
 	}
 	switch args[0] {
 	case "query":
@@ -581,10 +579,8 @@ func cmdStore(args []string, stdout, stderr io.Writer) error {
 		return cmdStoreCompact(args[1:], stdout, stderr)
 	case "add":
 		return cmdStoreAdd(args[1:], stdout, stderr)
-	case "bench":
-		return cmdStoreBench(args[1:], stdout, stderr)
 	default:
-		return fmt.Errorf("unknown store subcommand %q (want query|compact|add|bench)", args[0])
+		return fmt.Errorf("unknown store subcommand %q (want query|compact|add)", args[0])
 	}
 }
 

@@ -199,6 +199,8 @@ func TestMockScheduleRequiresMockMeter(t *testing.T) {
 	}
 }
 
+// TestParseMockSchedule pins the --mock-schedule flag's syntax, which
+// meter.ParseMockSchedule decodes.
 func TestParseMockSchedule(t *testing.T) {
 	cases := []struct {
 		name, in string
@@ -215,18 +217,23 @@ func TestParseMockSchedule(t *testing.T) {
 		{"negative watts", "0.05:-3", nil, true},
 		{"non-increasing", "0.1:20,0.1:30", nil, true},
 		{"decreasing", "0.2:20,0.1:30", nil, true},
+		{"infinite watts", "0.01:Inf", nil, true},
+		{"NaN watts", "0.01:NaN", nil, true},
+		{"NaN offset", "NaN:20", nil, true},
+		{"infinite offset", "0.1:20,Inf:30", nil, true},
+		{"zero step", "0:0", []meter.MockStep{{AtS: 0, Watts: 0}}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := parseMockSchedule(tc.in)
+			got, err := meter.ParseMockSchedule(tc.in)
 			if tc.wantErr {
 				if err == nil {
-					t.Fatalf("parseMockSchedule(%q) = %v, want error", tc.in, got)
+					t.Fatalf("ParseMockSchedule(%q) = %v, want error", tc.in, got)
 				}
 				return
 			}
 			if err != nil {
-				t.Fatalf("parseMockSchedule(%q): %v", tc.in, err)
+				t.Fatalf("ParseMockSchedule(%q): %v", tc.in, err)
 			}
 			if len(got) != len(tc.want) {
 				t.Fatalf("got %v, want %v", got, tc.want)

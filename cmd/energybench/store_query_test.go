@@ -88,9 +88,10 @@ func TestStoreQueryWhereErrors(t *testing.T) {
 }
 
 // TestRemovedSpellingsRejected runs every removed CLI spelling with
-// arguments its old form accepted: the bare `store` form, the --specs/
-// --threads/--placement filter flags on store query, analyze and compare,
-// and the specs=/thread= --where aliases. Each must now fail, naming why.
+// arguments its old form accepted: the bare `store` form, the `store bench`
+// verb, the --specs/--threads/--placement filter flags on store query,
+// analyze and compare, and the specs=/thread= --where aliases. Each must now
+// fail, naming why.
 func TestRemovedSpellingsRejected(t *testing.T) {
 	const db = "testdata/store.jsonl"
 	dir := t.TempDir()
@@ -106,7 +107,7 @@ func TestRemovedSpellingsRejected(t *testing.T) {
 	if err := os.WriteFile(records, runOK(t, "store", "query", "--db="+db).Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	const verbs, flag, field = "query|compact|add|bench", "flag provided but not defined", "unknown field"
+	const verbs, flag, field = "query|compact|add", "flag provided but not defined", "unknown field"
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -115,6 +116,7 @@ func TestRemovedSpellingsRejected(t *testing.T) {
 		{[]string{"store", "--db=" + db, "--specs=int-alu"}, verbs},
 		{[]string{"store", "--db=" + copyDB, "--compact"}, verbs},
 		{[]string{"store", "--db=" + filepath.Join(dir, "added.jsonl"), "--add=" + records}, verbs},
+		{[]string{"store", "bench", "--db=" + filepath.Join(dir, "bench-store"), "--records=800"}, `unknown store subcommand "bench" (want ` + verbs + ")"},
 		{[]string{"store", "query", "--db=" + db, "--specs=int-alu"}, flag},
 		{[]string{"store", "query", "--db=" + db, "--threads=1"}, flag},
 		{[]string{"store", "query", "--db=" + db, "--placement=none"}, flag},
@@ -217,30 +219,5 @@ func TestRunShardedStoreAnalyze(t *testing.T) {
 	}
 	if doc.Observations != 4 {
 		t.Errorf("analyze over the sharded store saw %d observations, want 4", doc.Observations)
-	}
-}
-
-// TestStoreBenchSmall exercises the scale-smoke command end to end at a size
-// cheap enough for the unit suite; its internal assertions (dedup counts,
-// last-wins values, key stability across compaction) do the heavy lifting.
-func TestStoreBenchSmall(t *testing.T) {
-	db := filepath.Join(t.TempDir(), "bench-store")
-	out := runOK(t, "store", "bench", "--db="+db, "--records=800", "--batch=64")
-	var doc struct {
-		Records     int  `json:"records"`
-		UniqueKeys  int  `json:"unique_keys"`
-		Sharded     bool `json:"sharded"`
-		CompactKept int  `json:"compact_kept"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if !doc.Sharded || doc.Records != 800 || doc.UniqueKeys != 200 || doc.CompactKept != 200 {
-		t.Errorf("store bench doc = %+v, want sharded, 800 records, 200 unique", doc)
-	}
-	// Refuses to clobber an existing path.
-	var stdout, stderr bytes.Buffer
-	if err := run(context.Background(), []string{"store", "bench", "--db=" + db, "--records=10"}, &stdout, &stderr); err == nil {
-		t.Error("store bench over an existing path: want error, got nil")
 	}
 }

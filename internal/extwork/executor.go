@@ -90,7 +90,7 @@ func (e *ExternExecutor) setAffinity(pid int, cpus []int) error {
 	if e.affinity != nil {
 		return e.affinity(pid, cpus)
 	}
-	return setProcAffinity(pid, cpus)
+	return harness.SetAffinity(pid, cpus)
 }
 
 // Execute runs one trial. Extern trials go through the same measurement

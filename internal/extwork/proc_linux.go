@@ -7,7 +7,6 @@ import (
 	"os"
 	"strconv"
 	"syscall"
-	"unsafe"
 )
 
 // stopProcess freezes a just-started child with SIGSTOP so affinity and
@@ -31,25 +30,4 @@ func listTasks(pid int) ([]int, error) {
 		}
 	}
 	return tids, nil
-}
-
-// setProcAffinity pins the child's main task to the union of the trial's
-// CPUs via raw sched_setaffinity. Threads the child spawns afterwards
-// inherit the mask, so the whole process stays inside the trial's CPU lease
-// — taskset-style union affinity, since an opaque binary's threads cannot
-// be pinned individually.
-func setProcAffinity(pid int, cpus []int) error {
-	var mask [16]uint64 // 1024 CPUs
-	for _, c := range cpus {
-		if c < 0 || c >= len(mask)*64 {
-			return fmt.Errorf("extwork: cpu %d outside the affinity mask", c)
-		}
-		mask[c/64] |= 1 << (uint(c) % 64)
-	}
-	_, _, errno := syscall.RawSyscall(syscall.SYS_SCHED_SETAFFINITY,
-		uintptr(pid), uintptr(len(mask)*8), uintptr(unsafe.Pointer(&mask[0])))
-	if errno != 0 {
-		return fmt.Errorf("extwork: sched_setaffinity(%d, %v): %w", pid, cpus, errno)
-	}
-	return nil
 }

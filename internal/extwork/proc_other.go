@@ -2,11 +2,6 @@
 
 package extwork
 
-import (
-	"fmt"
-	"runtime"
-)
-
 // Without SIGSTOP/SIGCONT the child runs as soon as it starts; the meter
 // window then includes a sliver of pre-setup execution. Extern trials stay
 // usable on non-Linux hosts (mock meters, tests) with that caveat.
@@ -16,7 +11,3 @@ func contProcess(int) error { return nil }
 // listTasks has no procfs to read; the process-wide fallback (the PID
 // itself) is the only attachable task.
 func listTasks(pid int) ([]int, error) { return []int{pid}, nil }
-
-func setProcAffinity(pid int, cpus []int) error {
-	return fmt.Errorf("extwork: process affinity is not supported on %s", runtime.GOOS)
-}

@@ -697,6 +697,13 @@ func (c *Coordinator) Ingest(agentID string, env ResultEnvelope) (ingestStatus, 
 	if (env.Result == nil) == (env.Error == "") {
 		return 0, fmt.Errorf("%w: envelope must carry exactly one of result or error", ErrBadRequest)
 	}
+	// The result is stored under its own key, so it must be the trial's
+	// configuration too, or a replay after restart would miss the trial.
+	if env.Result != nil {
+		if got := harness.StripHostKey(harness.ResultKey(*env.Result)); got != env.Key {
+			return 0, fmt.Errorf("%w: result key %q does not match envelope key %q", ErrBadRequest, got, env.Key)
+		}
+	}
 
 	l := c.leases[env.BatchID]
 	if l != nil && l.jobID != env.JobID {

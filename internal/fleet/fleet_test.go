@@ -329,6 +329,41 @@ func TestAgentReportedTrialErrorIsStructured(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsResultOffItsEnvelopeKey: an envelope whose key names its
+// trial but whose result measured another configuration is refused before
+// anything is stored, so the trial stays pending instead of counting as
+// done under a key no trial planned.
+func TestIngestRejectsResultOffItsEnvelopeKey(t *testing.T) {
+	c := newTestCoordinator(t, nil)
+	sub := mustSubmit(t, c, testCampaign)
+	agent := mustRegister(t, c, "node-a")
+	b, err := c.Lease(agent, 0)
+	if err != nil || b == nil {
+		t.Fatalf("Lease: %v, %v", b, err)
+	}
+	env := envelopesFor(b)[0]
+	env.Result.Threads = 6
+	if _, err := c.Ingest(agent, env); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("Ingest of a result off its envelope key = %v, want ErrBadRequest", err)
+	}
+	if keys := jobKeys(t, c, sub.JobID); len(keys) != 0 {
+		t.Errorf("job store holds %v after the rejected envelope, want nothing", keys)
+	}
+	if st, _ := c.Status(sub.JobID); st.Done != 0 {
+		t.Errorf("status = %+v, want no trial done", st)
+	}
+	// The intact envelopes still land, and the job completes on its own keys.
+	for _, env := range envelopesFor(b) {
+		if st, err := c.Ingest(agent, env); err != nil || st != ingestAccepted {
+			t.Fatalf("Ingest seq %d: %v, %v", env.Seq, st, err)
+		}
+	}
+	drainJob(t, c, agent)
+	if st, _ := c.Status(sub.JobID); !st.Finished || st.Done != 4 {
+		t.Fatalf("status = %+v, want 4 done", st)
+	}
+}
+
 func TestCoordinatorRestartResume(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{DataDir: dir, LeaseTTL: 30 * time.Second, BatchSize: 2, Resume: true, Log: t.Logf}

@@ -11,13 +11,42 @@ import (
 // cpuMask is a sched_{get,set}affinity mask covering 1024 CPUs.
 type cpuMask [16]uint64
 
-func threadAffinity(op uintptr, mask *cpuMask) syscall.Errno {
+// maskOf builds the mask holding exactly cpus.
+func maskOf(cpus ...int) (cpuMask, error) {
+	var mask cpuMask
+	for _, c := range cpus {
+		if c < 0 || c >= len(mask)*64 {
+			return mask, fmt.Errorf("harness: cpu %d out of supported range", c)
+		}
+		mask[c/64] |= 1 << (uint(c) % 64)
+	}
+	return mask, nil
+}
+
+// schedAffinity runs sched_getaffinity or sched_setaffinity (op) on task
+// tid; tid 0 is the calling thread.
+func schedAffinity(op uintptr, tid int, mask *cpuMask) syscall.Errno {
 	_, _, errno := syscall.RawSyscall(op,
-		0, // the calling thread
+		uintptr(tid),
 		uintptr(len(mask)*8),
 		uintptr(unsafe.Pointer(&mask[0])),
 	)
 	return errno
+}
+
+// SetAffinity confines task pid to the union of cpus. Threads the task
+// spawns afterwards inherit the mask, so an external workload's whole
+// process stays inside its trial's CPU lease: taskset-style union
+// affinity, since an opaque binary's threads cannot be pinned one by one.
+func SetAffinity(pid int, cpus []int) error {
+	mask, err := maskOf(cpus...)
+	if err != nil {
+		return err
+	}
+	if errno := schedAffinity(syscall.SYS_SCHED_SETAFFINITY, pid, &mask); errno != 0 {
+		return fmt.Errorf("harness: sched_setaffinity(pid=%d, cpus=%v): %w", pid, cpus, errno)
+	}
+	return nil
 }
 
 // pinThread binds the calling OS thread to one logical CPU via
@@ -32,19 +61,19 @@ func threadAffinity(op uintptr, mask *cpuMask) syscall.Errno {
 // cpuset) surface the error to the caller, who decides whether pinning is
 // mandatory.
 func pinThread(cpu int) (unpin func() error, err error) {
-	var saved, mask cpuMask
-	if cpu < 0 || cpu >= len(mask)*64 {
-		return nil, fmt.Errorf("harness: cpu %d out of supported range", cpu)
+	mask, err := maskOf(cpu)
+	if err != nil {
+		return nil, err
 	}
-	if errno := threadAffinity(syscall.SYS_SCHED_GETAFFINITY, &saved); errno != 0 {
+	var saved cpuMask
+	if errno := schedAffinity(syscall.SYS_SCHED_GETAFFINITY, 0, &saved); errno != 0 {
 		return nil, fmt.Errorf("harness: sched_getaffinity: %w", errno)
 	}
-	mask[cpu/64] = 1 << (uint(cpu) % 64)
-	if errno := threadAffinity(syscall.SYS_SCHED_SETAFFINITY, &mask); errno != 0 {
+	if errno := schedAffinity(syscall.SYS_SCHED_SETAFFINITY, 0, &mask); errno != 0 {
 		return nil, fmt.Errorf("harness: sched_setaffinity(cpu=%d): %w", cpu, errno)
 	}
 	return func() error {
-		if errno := threadAffinity(syscall.SYS_SCHED_SETAFFINITY, &saved); errno != 0 {
+		if errno := schedAffinity(syscall.SYS_SCHED_SETAFFINITY, 0, &saved); errno != 0 {
 			return fmt.Errorf("harness: restoring thread affinity: %w", errno)
 		}
 		return nil
@@ -57,7 +86,7 @@ func pinThread(cpu int) (unpin func() error, err error) {
 // pinThread's unpin guarantees that — so this reads the process's CPUs.
 func affinityCPUs() map[int]bool {
 	var mask cpuMask
-	if threadAffinity(syscall.SYS_SCHED_GETAFFINITY, &mask) != 0 {
+	if schedAffinity(syscall.SYS_SCHED_GETAFFINITY, 0, &mask) != 0 {
 		return nil
 	}
 	allowed := make(map[int]bool)

@@ -81,3 +81,41 @@ func TestPinnedTrialsRestoreThreadAffinity(t *testing.T) {
 		}
 	}
 }
+
+// TestSetAffinityConfinesTask: SetAffinity gives a task exactly the listed
+// CPUs and refuses a CPU outside the mask's range.
+func TestSetAffinityConfinesTask(t *testing.T) {
+	if err := SetAffinity(0, []int{-1}); err == nil {
+		t.Error("SetAffinity accepted cpu -1")
+	}
+	allowed := affinityCPUs()
+	if len(allowed) == 0 {
+		t.Skip("the process's CPU mask is unknown")
+	}
+	var all []int
+	for c := range allowed {
+		all = append(all, c)
+	}
+	// Confine this goroutine's own thread, locked so no other goroutine
+	// runs on it; it is unlocked only once its mask is restored, so a failed
+	// restore retires the thread instead of leaking the narrow mask.
+	runtime.LockOSThread()
+	tid := syscall.Gettid()
+	if err := SetAffinity(tid, all[:1]); err != nil {
+		var errno syscall.Errno
+		if errors.As(err, &errno) {
+			t.Skipf("sched_setaffinity refused here: %v", err)
+		}
+		t.Fatal(err)
+	}
+	if got := taskCPUs(t, tid); got != 1 {
+		t.Errorf("task %d has %d CPUs after SetAffinity(%v), want 1", tid, got, all[:1])
+	}
+	if err := SetAffinity(tid, all); err != nil {
+		t.Fatalf("restoring the mask: %v", err)
+	}
+	if got := taskCPUs(t, tid); got != len(all) {
+		t.Fatalf("task %d has %d CPUs after the restore, want %d", tid, got, len(all))
+	}
+	runtime.UnlockOSThread()
+}

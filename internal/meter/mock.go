@@ -3,6 +3,7 @@ package meter
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -151,11 +152,11 @@ func (m *Mock) modelWatts(load map[string]float64) float64 {
 
 // ValidateMock checks the mock meter's parameters, the one rule set campaign
 // files, the run flags, worker children and fleet batches share: the draw
-// is positive, the planted model parses, and a noise amplitude is
-// non-negative and only rides on a planted model.
+// is positive and finite, the planted model parses, and a noise amplitude
+// is non-negative, finite, and only rides on a planted model.
 func ValidateMock(watts float64, model string, noiseW float64) error {
-	if !(watts > 0) {
-		return fmt.Errorf("mock_watts must be positive, got %v", watts)
+	if !(watts > 0) || math.IsInf(watts, 1) {
+		return fmt.Errorf("mock_watts must be positive and finite, got %v", watts)
 	}
 	planted, err := ParseMockModel(model)
 	if err != nil {
@@ -164,14 +165,19 @@ func ValidateMock(watts float64, model string, noiseW float64) error {
 	if noiseW != 0 && planted == nil {
 		return fmt.Errorf("mock_noise_w requires mock_model")
 	}
-	if !(noiseW >= 0) {
-		return fmt.Errorf("mock_noise_w must be non-negative, got %v", noiseW)
+	if !nonNegativeFinite(noiseW) {
+		return fmt.Errorf("mock_noise_w must be non-negative and finite, got %v", noiseW)
 	}
 	return nil
 }
 
+// nonNegativeFinite rejects NaN, infinities and negative values, none of
+// which a mock draw can integrate into a meaningful energy.
+func nonNegativeFinite(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
 // ParseMockModel decodes the 'component:watts,...' planted-model syntax
-// shared by the --mock-model flag and the campaign mock_model key.
+// shared by the --mock-model flag and the campaign mock_model key. Every
+// coefficient is non-negative and finite.
 func ParseMockModel(s string) (map[string]float64, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -187,6 +193,9 @@ func ParseMockModel(s string) (map[string]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mock model: bad watts in %q: %w", part, err)
 		}
+		if !nonNegativeFinite(watts) {
+			return nil, fmt.Errorf("mock model: watts in %q must be non-negative and finite", part)
+		}
 		if comp == "" {
 			return nil, fmt.Errorf("mock model: term %q has an empty component name", part)
 		}
@@ -196,6 +205,38 @@ func ParseMockModel(s string) (map[string]float64, error) {
 		model[comp] = watts
 	}
 	return model, nil
+}
+
+// ParseMockSchedule decodes the --mock-schedule 'atS:watts,...' syntax into
+// schedule steps. Offsets and watts are non-negative and finite, and
+// offsets strictly increase, so the piecewise integral is well defined.
+func ParseMockSchedule(s string) ([]MockStep, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var steps []MockStep
+	for _, part := range strings.Split(s, ",") {
+		atStr, wattsStr, ok := strings.Cut(strings.TrimSpace(part), ":")
+		if !ok {
+			return nil, fmt.Errorf("mock schedule: step %q is not of the form atS:watts", part)
+		}
+		at, err := strconv.ParseFloat(atStr, 64)
+		if err != nil {
+			return nil, fmt.Errorf("mock schedule: bad offset in %q: %w", part, err)
+		}
+		watts, err := strconv.ParseFloat(wattsStr, 64)
+		if err != nil {
+			return nil, fmt.Errorf("mock schedule: bad watts in %q: %w", part, err)
+		}
+		if !nonNegativeFinite(at) || !nonNegativeFinite(watts) {
+			return nil, fmt.Errorf("mock schedule: step %q must have non-negative, finite offset and watts", part)
+		}
+		if len(steps) > 0 && at <= steps[len(steps)-1].AtS {
+			return nil, fmt.Errorf("mock schedule: offsets must be strictly increasing, got %g after %g", at, steps[len(steps)-1].AtS)
+		}
+		steps = append(steps, MockStep{AtS: at, Watts: watts})
+	}
+	return steps, nil
 }
 
 // energyJoules integrates the (piecewise-constant) power draw over the first

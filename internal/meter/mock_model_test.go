@@ -82,9 +82,71 @@ func TestParseMockModel(t *testing.T) {
 	if m, err := ParseMockModel(""); err != nil || m != nil {
 		t.Errorf("empty spec parsed to %v, %v; want nil, nil", m, err)
 	}
-	for _, bad := range []string{"int-alu", "int-alu:x", ":2", "a:1,a:2"} {
+	for _, bad := range []string{"int-alu", "int-alu:x", ":2", "a:1,a:2",
+		"int-alu:NaN", "int-alu:Inf", "int-alu:-Inf", "int-alu:-100", "int-alu:2,dram:-0.5"} {
 		if _, err := ParseMockModel(bad); err == nil {
 			t.Errorf("ParseMockModel(%q) accepted malformed input", bad)
 		}
 	}
+	if m, err := ParseMockModel("int-alu:0"); err != nil || m["int-alu"] != 0 {
+		t.Errorf("ParseMockModel(int-alu:0) = %v, %v; want a zero coefficient", m, err)
+	}
+}
+
+func TestValidateMockRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		watts, noiseW float64
+		model         string
+		ok            bool
+	}{
+		{"plain", 42, 0, "", true},
+		{"planted with noise", 42, 0.3, "int-alu:2", true},
+		{"infinite watts", math.Inf(1), 0, "", false},
+		{"NaN watts", math.NaN(), 0, "", false},
+		{"infinite noise", 42, math.Inf(1), "int-alu:1", false},
+		{"NaN noise", 42, math.NaN(), "int-alu:1", false},
+		{"NaN coefficient", 42, 0, "int-alu:NaN", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := ValidateMock(tc.watts, tc.model, tc.noiseW); (err == nil) != tc.ok {
+				t.Errorf("ValidateMock(%v, %q, %v) = %v, want ok=%v", tc.watts, tc.model, tc.noiseW, err, tc.ok)
+			}
+		})
+	}
+}
+
+// FuzzMockParams feeds arbitrary mock parameters to the three mock parsers:
+// none may panic, and whatever they accept must hold only finite values in
+// range — positive watts, non-negative coefficients, noise, offsets and
+// schedule watts, strictly increasing offsets.
+func FuzzMockParams(f *testing.F) {
+	f.Add("int-alu:2,fpu:5,l1:1.5,dram:8", "0.1:20", 42.0, 0.3)
+	f.Add("int-alu:NaN", "NaN:20", math.Inf(1), math.NaN())
+	f.Add(" a : 1e308 ,b:0", "0:0,1e-9:1e308", 1e-300, 0.0)
+	f.Add("int-alu:-100", "0.01:Inf", -1.0, -1.0)
+	f.Fuzz(func(t *testing.T, model, schedule string, watts, noiseW float64) {
+		if m, err := ParseMockModel(model); err == nil {
+			for c, w := range m {
+				if c == "" || !nonNegativeFinite(w) {
+					t.Fatalf("ParseMockModel(%q) accepted %q:%v", model, c, w)
+				}
+			}
+		}
+		if steps, err := ParseMockSchedule(schedule); err == nil {
+			for i, st := range steps {
+				if !nonNegativeFinite(st.AtS) || !nonNegativeFinite(st.Watts) || (i > 0 && st.AtS <= steps[i-1].AtS) {
+					t.Fatalf("ParseMockSchedule(%q) accepted step %d = %+v", schedule, i, st)
+				}
+			}
+		}
+		if err := ValidateMock(watts, model, noiseW); err == nil {
+			if !(watts > 0) || math.IsInf(watts, 0) || !nonNegativeFinite(noiseW) {
+				t.Fatalf("ValidateMock accepted watts=%v noise=%v", watts, noiseW)
+			}
+			if _, err := ParseMockModel(model); err != nil {
+				t.Fatalf("ValidateMock accepted model %q that does not parse: %v", model, err)
+			}
+		}
+	})
 }

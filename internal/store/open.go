@@ -17,11 +17,11 @@ import (
 )
 
 // Store is an open handle on a result store in either layout. It is the
-// single read/append surface: Query streams deduped records, Keys exports
-// the configuration-key set without deserializing results, Append adds
-// records (flushed per call), Get does a point lookup, and Compact rewrites
-// the store deduplicated. A Store is not safe for concurrent use; the
-// harness serializes sink access already.
+// single read/append surface: Query streams deduped records (a Filter on
+// Keys is a point lookup), Keys exports the configuration-key set without
+// deserializing results, Append adds records (flushed per call), and
+// Compact rewrites the store deduplicated. A Store is not safe for
+// concurrent use; the harness serializes sink access already.
 type Store struct {
 	path    string
 	sharded bool
@@ -77,9 +77,6 @@ func Create(path string) (*Store, error) {
 	}
 	return initSharded(path)
 }
-
-// Sharded reports whether the store uses the sharded segment layout.
-func (s *Store) Sharded() bool { return s.sharded }
 
 // Segments returns the number of live segment files (1 for a single-file
 // store, whether or not the file exists yet).
@@ -307,18 +304,6 @@ func (s *Store) Query(f Filter) iter.Seq2[Record, error] {
 			}
 		}
 	}
-}
-
-// Get is a point lookup: the winning record for one configuration key, or
-// ok == false when the store holds no record under it.
-func (s *Store) Get(key string) (rec Record, ok bool, err error) {
-	for r, qerr := range s.Query(Filter{Keys: []string{key}}) {
-		if qerr != nil {
-			return Record{}, false, qerr
-		}
-		return r, true, nil
-	}
-	return Record{}, false, nil
 }
 
 // readLoc reads the raw bytes of one record, caching open segment files

@@ -87,8 +87,9 @@ func initSharded(path string) (*Store, error) {
 }
 
 // openSharded opens an existing store directory. A directory without a
-// manifest is only accepted when empty (it becomes a fresh store) — an
-// arbitrary non-store directory must not be silently adopted.
+// manifest is only accepted when empty but for manifest temp files (it
+// becomes a fresh store) — an arbitrary non-store directory must not be
+// silently adopted.
 func openSharded(path string) (*Store, error) {
 	data, err := os.ReadFile(filepath.Join(path, manifestName))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -96,8 +97,12 @@ func openSharded(path string) (*Store, error) {
 		if derr != nil {
 			return nil, fmt.Errorf("store: %w", derr)
 		}
-		if len(entries) > 0 {
-			return nil, fmt.Errorf("store: %s: directory has no %s and is not empty (not a sharded store)", path, manifestName)
+		for _, e := range entries {
+			// A crash during a new store's first manifest write leaves only
+			// the manifest's temp file: the directory is still empty.
+			if !strings.HasPrefix(e.Name(), manifestName+".tmp-") {
+				return nil, fmt.Errorf("store: %s: directory has no %s and is not empty (not a sharded store)", path, manifestName)
+			}
 		}
 		return initSharded(path)
 	}
@@ -159,8 +164,10 @@ func (s *Store) writeManifest() error {
 // sidecar is trusted only as far as it is consistent with the segment:
 // entries must tile the segment contiguously from offset 0 and stay inside
 // that prefix. Everything past the trusted prefix (the whole file, for the
-// single-file layout) is scanned from the segment itself, and when persist
-// is true the repaired sidecar is written back.
+// single-file layout) is scanned from the segment itself. When persist is
+// true and the sidecar on disk is not exactly the returned entries, the
+// repaired sidecar is written back, so an appender never adds entries after
+// stale ones that a torn segment no longer backs.
 func (s *Store) segEntries(i int, persist bool) ([]sidecarEntry, error) {
 	segPath := s.segPath(i)
 	f, err := os.Open(segPath)
@@ -175,18 +182,19 @@ func (s *Store) segEntries(i int, persist bool) ([]sidecarEntry, error) {
 
 	var entries []sidecarEntry
 	var covered int64
+	whole := false
 	if s.sharded {
-		entries, covered = readSidecar(idxPath(segPath), clean)
+		entries, covered, whole = readSidecar(idxPath(segPath), clean)
 	}
-	if covered == clean {
-		return entries, nil
+	if covered < clean {
+		scanned, err := scanEnvelopes(f, covered, clean)
+		if err != nil {
+			return nil, err
+		}
+		entries = append(entries, scanned...)
+		whole = false
 	}
-	scanned, err := scanEnvelopes(f, covered, clean)
-	if err != nil {
-		return nil, err
-	}
-	entries = append(entries, scanned...)
-	if persist {
+	if persist && !whole {
 		if err := writeSidecar(idxPath(segPath), entries); err != nil {
 			return nil, err
 		}
@@ -197,21 +205,20 @@ func (s *Store) segEntries(i int, persist bool) ([]sidecarEntry, error) {
 // readSidecar decodes sidecar entries, stopping at the first line that is
 // torn, malformed, discontiguous, or pointing past the segment's clean
 // prefix; covered is the segment byte length the returned entries account
-// for. Any failure just shrinks the trusted prefix — the segment scan
-// rebuilds the rest.
-func readSidecar(path string, clean int64) (entries []sidecarEntry, covered int64) {
+// for, and whole reports whether they account for every sidecar byte. Any
+// failure just shrinks the trusted prefix — the segment scan rebuilds the
+// rest.
+func readSidecar(path string, clean int64) (entries []sidecarEntry, covered int64, whole bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0
+		return nil, 0, false
 	}
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
 			break // torn sidecar tail
 		}
-		line := string(data[:nl])
-		data = data[nl+1:]
-		offStr, rest, ok := strings.Cut(line, " ")
+		offStr, rest, ok := strings.Cut(string(data[:nl]), " ")
 		if !ok {
 			break
 		}
@@ -226,8 +233,9 @@ func readSidecar(path string, clean int64) (entries []sidecarEntry, covered int6
 		}
 		entries = append(entries, sidecarEntry{off: off, n: n, key: key})
 		covered = off + int64(n) + 1
+		data = data[nl+1:]
 	}
-	return entries, covered
+	return entries, covered, len(data) == 0
 }
 
 // writeSidecar persists a rebuilt sidecar atomically.

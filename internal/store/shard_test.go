@@ -43,7 +43,7 @@ func TestCreateDetectsLayoutByExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer file.Close()
-	if file.Sharded() {
+	if file.sharded {
 		t.Error(".jsonl path created a sharded store, want single-file")
 	}
 
@@ -52,7 +52,7 @@ func TestCreateDetectsLayoutByExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sharded.Close()
-	if !sharded.Sharded() {
+	if !sharded.sharded {
 		t.Error("extension-less path created a single-file store, want sharded")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "results-store", manifestName)); err != nil {
@@ -61,8 +61,8 @@ func TestCreateDetectsLayoutByExtension(t *testing.T) {
 
 	// Open auto-detects both layouts, and refuses to adopt a random
 	// non-empty directory.
-	if st, err := Open(filepath.Join(dir, "results-store")); err != nil || !st.Sharded() {
-		t.Errorf("Open(dir) = sharded=%v, %v; want sharded store", st.Sharded(), err)
+	if st, err := Open(filepath.Join(dir, "results-store")); err != nil || !st.sharded {
+		t.Errorf("Open(dir) = %+v, %v; want sharded store", st, err)
 	} else {
 		st.Close()
 	}
@@ -491,7 +491,9 @@ func TestFilterKeyPushdownAgreesWithMatch(t *testing.T) {
 	}
 }
 
-func TestShardedGetPointLookup(t *testing.T) {
+// TestShardedKeyFilterPointLookup: a Filter on one key is the point
+// lookup — the key's winning record, or nothing for an absent key.
+func TestShardedKeyFilterPointLookup(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db-store")
 	st, err := Create(path)
 	if err != nil {
@@ -504,15 +506,15 @@ func TestShardedGetPointLookup(t *testing.T) {
 	if _, err := st.Append([]harness.Result{r, mkResult("fp-mac", 1, "none"), updated}); err != nil {
 		t.Fatal(err)
 	}
-	rec, ok, err := st.Get(harness.ResultKey(r))
-	if err != nil || !ok {
-		t.Fatalf("Get = ok=%v, %v", ok, err)
+	got := collect(t, st, Filter{Keys: []string{harness.ResultKey(r)}})
+	if len(got) != 1 {
+		t.Fatalf("key lookup = %d records, want 1", len(got))
 	}
-	if rec.Result.PowerW.Mean != 123 {
-		t.Errorf("Get returned the stale write: %+v", rec.Result.PowerW)
+	if got[0].Result.PowerW.Mean != 123 {
+		t.Errorf("key lookup returned the stale write: %+v", got[0].Result.PowerW)
 	}
-	if _, ok, err := st.Get("no|such|t0+0|key|x|i0+0"); err != nil || ok {
-		t.Errorf("Get(miss) = ok=%v, %v; want absent, nil", ok, err)
+	if miss := collect(t, st, Filter{Keys: []string{"no|such|t0+0|key|x|i0+0"}}); len(miss) != 0 {
+		t.Errorf("key lookup of an absent key = %d records, want none", len(miss))
 	}
 }
 
