@@ -70,6 +70,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCampaignParse -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzParseKey -fuzztime=10s ./internal/harness
 	$(GO) test -run='^$$' -fuzz=FuzzMockParams -fuzztime=10s ./internal/meter
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeAddInput -fuzztime=10s ./cmd/energybench
 
 # The CI campaign smoke: subprocess executor, core-leasing scheduler,
 # --parallel 4, store + resume, then the analysis pipeline over the store —

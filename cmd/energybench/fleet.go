@@ -202,6 +202,10 @@ func cmdSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
+	// Poll soon after submitting, then back off to a 500 ms ceiling, so a
+	// short job is reported within milliseconds of finishing and a long
+	// one costs the coordinator two status requests a second.
+	pause := 10 * time.Millisecond
 	for {
 		st, err := fetchJobStatus(ctx, client, base, sub.JobID)
 		if err != nil {
@@ -229,8 +233,9 @@ func cmdSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("waiting for job %s: %w (last: %d/%d done)", sub.JobID, ctx.Err(), st.Done, st.Trials)
-		case <-time.After(500 * time.Millisecond):
+		case <-time.After(pause):
 		}
+		pause = min(2*pause, 500*time.Millisecond)
 	}
 }
 

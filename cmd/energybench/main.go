@@ -765,25 +765,32 @@ func decodeAddNDJSON(br *bufio.Reader, from string) ([]harness.Result, error) {
 	return results, nil
 }
 
-// decodeResultOrRecord decodes one JSON document as either a bare
-// harness.Result or a store.Record wrapping one, distinguished by which
-// shape yields a spec name.
+// resultOrRecord holds both shapes a `store add` document can take. Their
+// JSON field names are disjoint, so one decode fills the embedded Result
+// from a bare result's fields and the embedded Record from a record's.
+type resultOrRecord struct {
+	harness.Result
+	store.Record
+}
+
+// decodeResultOrRecord decodes one JSON document, in one pass, as either a
+// bare harness.Result or a store.Record wrapping one, distinguished by
+// which shape yields a spec name.
 func decodeResultOrRecord(raw []byte) (harness.Result, error) {
-	var res harness.Result
-	if err := json.Unmarshal(raw, &res); err == nil && res.Spec != "" {
-		return res, nil
-	}
-	var rec store.Record
-	if err := json.Unmarshal(raw, &rec); err != nil {
+	var doc resultOrRecord
+	if err := json.Unmarshal(raw, &doc); err != nil {
 		return harness.Result{}, err
 	}
-	if rec.V > store.SchemaVersion {
-		return harness.Result{}, fmt.Errorf("schema v%d, this build reads up to v%d", rec.V, store.SchemaVersion)
+	if doc.Result.Spec != "" {
+		return doc.Result, nil
 	}
-	if rec.Result.Spec == "" {
+	if doc.V > store.SchemaVersion {
+		return harness.Result{}, fmt.Errorf("schema v%d, this build reads up to v%d", doc.V, store.SchemaVersion)
+	}
+	if doc.Record.Result.Spec == "" {
 		return harness.Result{}, fmt.Errorf("neither a result nor a store record")
 	}
-	return rec.Result, nil
+	return doc.Record.Result, nil
 }
 
 func cmdAnalyze(args []string, stdout, stderr io.Writer) error {

@@ -24,7 +24,10 @@ type Executor interface {
 
 // InProcess executes trials on this process's own threads: per-thread
 // workspaces behind a start barrier, released by the shared measurement
-// core (Measure) between its meter reads.
+// core (Measure) between its meter reads. Its zero value (plus a Meter) is
+// ready to use; workspaces built for one trial are kept for later trials
+// of the same executor (see wsCache), so one executor should live as long
+// as the sweep it runs.
 type InProcess struct {
 	Meter meter.EnergyMeter
 	// pin overrides the thread-pinning syscall in tests; nil means the
@@ -33,6 +36,11 @@ type InProcess struct {
 	// newActivity overrides ActivityMeter construction in tests; nil means
 	// perf.NewMeter over the trial's counter spec.
 	newActivity func(perf.Spec) (perf.ActivityMeter, error)
+	// newWorkspace overrides workspace construction in tests; nil means
+	// bench.NewWorkspace.
+	newWorkspace func(bench.Spec, uint64) *bench.Workspace
+
+	workspaces wsCache
 }
 
 func (e *InProcess) pinFunc() func(int) (func() error, error) {
@@ -49,15 +57,18 @@ func (e *InProcess) activityMeter(spec perf.Spec) (perf.ActivityMeter, error) {
 	return perf.NewMeter(spec)
 }
 
-// workUnit is one worker thread's assignment: which kernel to run on which
-// workspace, which spec group (A=0, B=1) its wall time belongs to, and the
-// component name hinting the mock activity backend at its planted rates.
+// workUnit is one worker thread's assignment: which spec's kernel to run,
+// the seed of its workspace, and which spec group (A=0, B=1) its wall time
+// belongs to. The spec's component hints the mock activity backend at its
+// planted rates. ws is nil until the unit's worker acquires it in the
+// trial's first repetition; later repetitions reuse it, so the chase
+// position carries over from rep to rep.
 type workUnit struct {
-	kernel bench.Kernel
-	ws     *bench.Workspace
-	iters  int
-	group  int
-	comp   string
+	spec  bench.Spec
+	seed  uint64
+	iters int
+	group int
+	ws    *bench.Workspace
 }
 
 func scaleIters(iters int, scale float64) int {
@@ -84,21 +95,22 @@ func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {
 		t.SpecB = &specB
 	}
 
-	// Per-thread workspaces, distinct seeds so chase cycles differ and
-	// threads never share buffers. Co-run units are interleaved A,B,A,B…
-	// so compact placement lands each A/B pair on SMT siblings of one core
-	// and scatter lands them on distinct physical cores.
+	// Per-thread workspace seeds, distinct so chase cycles differ and
+	// threads never share buffers; each unit's worker acquires its
+	// workspace in park. Co-run units are interleaved A,B,A,B… so compact
+	// placement lands each A/B pair on SMT siblings of one core and
+	// scatter lands them on distinct physical cores.
 	var units []workUnit
 	seed := func(i int) uint64 { return uint64(i)*0x9e3779b9 + 12345 }
 	if t.SpecB == nil {
 		for i := 0; i < t.Threads; i++ {
-			units = append(units, workUnit{t.Spec.Kernel, bench.NewWorkspace(t.Spec, seed(i)), t.Iters, 0, string(t.Spec.Component)})
+			units = append(units, workUnit{t.Spec, seed(i), t.Iters, 0, nil})
 		}
 	} else {
 		for i := 0; i < t.Threads; i++ {
 			units = append(units,
-				workUnit{t.Spec.Kernel, bench.NewWorkspace(t.Spec, seed(2*i)), t.Iters, 0, string(t.Spec.Component)},
-				workUnit{t.SpecB.Kernel, bench.NewWorkspace(*t.SpecB, seed(2*i+1)), t.ItersB, 1, string(t.SpecB.Component)})
+				workUnit{t.Spec, seed(2 * i), t.Iters, 0, nil},
+				workUnit{*t.SpecB, seed(2*i + 1), t.ItersB, 1, nil})
 		}
 	}
 	cpus := t.CPUs
@@ -107,6 +119,7 @@ func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {
 	} else if len(cpus) != len(units) {
 		return Result{}, fmt.Errorf("harness: trial has %d explicit CPUs for %d worker threads", len(cpus), len(units))
 	}
+	e.workspaces.widen(units)
 
 	var activity perf.ActivityMeter
 	if t.Counters != nil {
@@ -131,12 +144,15 @@ func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {
 }
 
 // park starts one repetition's worker threads and returns once every one
-// is parked on the start barrier, pinned and with its counter group open.
-// Each thread records its own wall time, so co-runs can report per-spec
-// times. With an activity meter, every worker opens its own counter group
-// (on its pinned CPU, when pinned) and counts exactly the measured region;
-// a measured repetition's per-thread counts are appended to repCounts,
-// parallel to units.
+// is parked on the start barrier, pinned, holding its workspace and with
+// its counter group open. Each thread records its own wall time, so co-runs
+// can report per-spec times. With an activity meter, every worker opens its
+// own counter group (on its pinned CPU, when pinned) and counts exactly the
+// measured region; a measured repetition's per-thread counts are appended
+// to repCounts, parallel to units. In the trial's first repetition each
+// worker acquires its unit's workspace itself, after pinning: the builds
+// run in parallel, a pinned worker touches its pages first, and every
+// build finishes before Measure's opening meter read.
 func (e *InProcess) park(units []workUnit, cpus []int, corun bool, activity perf.ActivityMeter, repCounts *[][]perf.Counts) Region {
 	threads := len(units)
 	start := make(chan struct{})
@@ -190,17 +206,20 @@ func (e *InProcess) park(units []workUnit, cpus []int, corun bool, activity perf
 				}
 				defer unlock()
 			}
+			cpu := -1
+			if cpus != nil {
+				cpu = cpus[t]
+			}
+			if units[t].ws == nil {
+				units[t].ws = e.workspace(units[t], cpu)
+			}
 			// Counter groups open after pinning so a per-CPU session lands
 			// on the right CPU. An open failure is recorded, not fatal here:
 			// the thread still participates in the barrier (abandoning it
 			// would wedge the others) and the repetition is rejected after.
 			var sess perf.Session
 			if activity != nil {
-				cpu := -1
-				if cpus != nil {
-					cpu = cpus[t]
-				}
-				s, err := activity.OpenThread(cpu, units[t].comp)
+				s, err := activity.OpenThread(cpu, string(units[t].spec.Component))
 				if err != nil {
 					ctrErr.Store(errBox{err})
 				} else {
@@ -222,7 +241,7 @@ func (e *InProcess) park(units []workUnit, cpus []int, corun bool, activity perf
 					sess = nil
 				}
 			}
-			v := u.kernel(u.ws, u.iters)
+			v := u.spec.Kernel(u.ws, u.iters)
 			// t0 is written before close(start), so reading it here is
 			// ordered by the channel close.
 			elapsedPer[t] = time.Since(t0).Seconds()

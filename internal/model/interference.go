@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"sort"
 
 	"energybench/internal/harness"
@@ -32,31 +33,67 @@ type Interference struct {
 	BaselineB string `json:"baseline_b_placement"`
 }
 
-// soloBaseline finds the solo result measuring the same work as one side of
-// a co-run: same spec, thread count, iteration count, and meter. Placement
-// preference: the co-run's own placement, then "none", then any.
-func soloBaseline(results []harness.Result, spec string, threads, iters int, meterName string, placement harness.Placement) (harness.Result, bool) {
-	var fallback harness.Result
-	var haveFallback bool
-	var none harness.Result
-	var haveNone bool
-	for _, r := range results {
-		if r.IsCoRun() || r.Spec != spec || r.Threads != threads || r.Iters != iters || r.Meter != meterName {
+// soloKey is the work one side of a co-run measures: spec, thread count,
+// iteration count and meter. A solo baseline must match it exactly.
+type soloKey struct {
+	spec           string
+	threads, iters int
+	meter          string
+}
+
+// placementSpan is where one placement's solo results for a soloKey sit in
+// the dataset: the indices of the first and the last of them.
+type placementSpan struct {
+	placement   harness.Placement
+	first, last int
+}
+
+// soloIndex maps every soloKey to its placements' spans, so picking a
+// baseline scans a key's few placements instead of the whole dataset.
+type soloIndex map[soloKey][]placementSpan
+
+func indexSolos(results []harness.Result) soloIndex {
+	idx := soloIndex{}
+	for i := range results {
+		r := &results[i]
+		if r.IsCoRun() {
 			continue
 		}
-		switch r.Placement {
-		case placement:
-			return r, true
-		case harness.PlaceNone:
-			none, haveNone = r, true
-		default:
-			fallback, haveFallback = r, true
+		k := soloKey{r.Spec, r.Threads, r.Iters, r.Meter}
+		spans := idx[k]
+		if j := slices.IndexFunc(spans, func(s placementSpan) bool { return s.placement == r.Placement }); j >= 0 {
+			spans[j].last = i
+		} else {
+			idx[k] = append(spans, placementSpan{r.Placement, i, i})
 		}
 	}
-	if haveNone {
-		return none, true
+	return idx
+}
+
+// baseline picks the solo result measuring the work k, preferring, in
+// store order, the first result at the co-run's own placement, then the
+// last unpinned one ("none"), then the last at any other placement. It
+// returns nil when no solo result measured k.
+func (idx soloIndex) baseline(results []harness.Result, k soloKey, placement harness.Placement) *harness.Result {
+	none, other := -1, -1
+	for _, s := range idx[k] {
+		switch s.placement {
+		case placement:
+			return &results[s.first]
+		case harness.PlaceNone:
+			none = s.last
+		default:
+			other = max(other, s.last)
+		}
 	}
-	return fallback, haveFallback
+	pick := none
+	if pick < 0 {
+		pick = other
+	}
+	if pick < 0 {
+		return nil
+	}
+	return &results[pick]
 }
 
 // Interferences derives interference metrics for every co-run in the
@@ -64,13 +101,15 @@ func soloBaseline(results []harness.Result, spec string, threads, iters int, met
 // complete baselines are skipped. Output order is deterministic.
 func Interferences(results []harness.Result) []Interference {
 	var out []Interference
-	for _, r := range results {
+	solos := indexSolos(results)
+	for i := range results {
+		r := &results[i]
 		if !r.IsCoRun() || r.TimeA == nil || r.TimeB == nil {
 			continue
 		}
-		a, okA := soloBaseline(results, r.Spec, r.Threads, r.Iters, r.Meter, r.Placement)
-		b, okB := soloBaseline(results, r.SpecB, r.ThreadsB, r.ItersB, r.Meter, r.Placement)
-		if !okA || !okB || a.TimeS.Mean <= 0 || b.TimeS.Mean <= 0 {
+		a := solos.baseline(results, soloKey{r.Spec, r.Threads, r.Iters, r.Meter}, r.Placement)
+		b := solos.baseline(results, soloKey{r.SpecB, r.ThreadsB, r.ItersB, r.Meter}, r.Placement)
+		if a == nil || b == nil || a.TimeS.Mean <= 0 || b.TimeS.Mean <= 0 {
 			continue
 		}
 		soloE := a.EnergyJ.Mean + b.EnergyJ.Mean
