@@ -65,12 +65,13 @@ cover:
 
 # go test -fuzz takes one target per package, so each runs on its own.
 fuzz:
-	$(GO) test -fuzz=Fuzz -fuzztime=10s ./internal/bench
+	$(GO) test -run='^$$' -fuzz=FuzzCyclePermutation -fuzztime=10s ./internal/bench
 	$(GO) test -run='^$$' -fuzz=FuzzReadersAgreeWithWriter -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzCampaignParse -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzParseKey -fuzztime=10s ./internal/harness
 	$(GO) test -run='^$$' -fuzz=FuzzMockParams -fuzztime=10s ./internal/meter
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAddInput -fuzztime=10s ./cmd/energybench
+	$(GO) test -run='^$$' -fuzz=FuzzIngest -fuzztime=10s ./internal/fleet
 
 # The CI campaign smoke: subprocess executor, core-leasing scheduler,
 # --parallel 4, store + resume, then the analysis pipeline over the store —

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"energybench/internal/campaign"
 )
 
 // flagPlanCases are the run and list flag sets the cmd tests, the Makefile,
@@ -81,4 +83,82 @@ func TestFlagPlansGolden(t *testing.T) {
 		got.WriteByte('\n')
 	}
 	checkGolden(t, got.Bytes(), "testdata/flag-plans.golden")
+}
+
+// inlinePlanCampaign sets what no testdata campaign sets: mock counters,
+// in-trial sampling, adaptive repetitions with a cv target, explicit zeros
+// (warmup 0, max_cv 0), a space overlapping an earlier one, and a workload
+// with its own repetition budget.
+const inlinePlanCampaign = `name: golden-inline
+counters: [default]
+counter_backend: mock
+sample_interval: 5ms
+spaces:
+  - name: adaptive
+    specs: [int-alu, chase-l1]
+    corun: [fp-mac+chase-l2]
+    threads: [1, 3]
+    placements: [none, compact]
+    min_reps: 2
+    max_reps: 7
+    cv_target: 0.02
+    warmup: 0
+    max_cv: 0
+    iter_scale: 0.25
+  - name: overlap
+    specs: [int-alu, mixed-50]
+    threads: [1]
+    reps: 4
+    iter_scale: 0.25
+workloads:
+  - name: app
+    exec: [./app, -t, "${THREADS}"]
+    components:
+      fpu: 0.5
+    threads: [2]
+    placements: [scatter]
+    min_reps: 2
+    max_reps: 5
+    cv_target: 0.1
+    warmup: 1
+    max_cv: 0.3
+`
+
+// TestCampaignPlansGolden pins what every testdata campaign file, and one
+// in-test campaign, plans: Load (or Parse) then Plan, each plan compacted to
+// one JSON line, must match the golden byte for byte. It covers what the
+// flag golden cannot: several spaces, co-runs beside solo specs, and
+// workload trials.
+func TestCampaignPlansGolden(t *testing.T) {
+	files, err := filepath.Glob("../../testdata/*.yaml")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata campaigns: %v", err)
+	}
+	var got bytes.Buffer
+	writePlan := func(name string, c *campaign.Campaign) {
+		trials, err := c.Plan()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		line, err := json.Marshal(trials)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got.WriteString(name + "\t")
+		got.Write(line)
+		got.WriteByte('\n')
+	}
+	for _, f := range files {
+		c, err := campaign.Load(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writePlan(filepath.Base(f), c)
+	}
+	c, err := campaign.Parse([]byte(inlinePlanCampaign))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writePlan("inline", c)
+	checkGolden(t, got.Bytes(), "testdata/campaign-plans.golden")
 }

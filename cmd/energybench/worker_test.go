@@ -209,7 +209,8 @@ spaces:
 }
 
 // TestRunFlagValidationFailsFast: invalid executor/parallelism combinations
-// must error out before any trial runs instead of silently serializing.
+// and sweep numbers must error out before any trial runs instead of
+// silently serializing or planning a different sweep.
 func TestRunFlagValidationFailsFast(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -223,6 +224,22 @@ func TestRunFlagValidationFailsFast(t *testing.T) {
 		{"campaign with space flags", []string{"run", "--campaign=x.yaml", "--specs=int-alu"}, "exclusive"},
 		{"campaign with meter flag", []string{"run", "--campaign=x.yaml", "--meter=mock"}, "exclusive"},
 		{"missing campaign file", []string{"run", "--campaign=/does/not/exist.yaml"}, "exist"},
+		// Non-finite and overflowing sweep numbers fail validation, dry run
+		// or not, instead of planning a wrong sweep.
+		{"infinite iter scale", []string{"run", "--dry-run", "--specs=int-alu", "--threads=1", "--iter-scale=Inf"},
+			"campaign: space #1: iter_scale must be positive and finite, got +Inf"},
+		{"overflowing iter scale", []string{"run", "--dry-run", "--specs=int-alu", "--threads=1", "--iter-scale=1e13"},
+			`campaign: space #1: iter_scale 1e+13 overflows spec "int-alu"`},
+		{"NaN iter scale", []string{"run", "--dry-run", "--specs=int-alu", "--threads=1", "--iter-scale=NaN"},
+			"campaign: space #1: iter_scale must be positive and finite, got NaN"},
+		{"NaN cv target", []string{"run", "--dry-run", "--specs=int-alu", "--threads=1", "--cv-target=NaN", "--max-reps=6"},
+			"campaign: space #1: cv target must be non-negative and finite, got NaN"},
+		{"NaN max cv", []string{"run", "--dry-run", "--specs=int-alu", "--threads=1", "--max-cv=NaN"},
+			"campaign: space #1: max cv must be non-negative and finite, got NaN"},
+		{"negative max cv", []string{"run", "--dry-run", "--specs=int-alu", "--threads=1", "--max-cv=-1"},
+			"campaign: space #1: max cv must be non-negative and finite, got -1"},
+		{"NaN target rse", []string{"run", "--dry-run", "--specs=int-alu", "--threads=1", "--algo=active", "--target-rse=NaN"},
+			"campaign: target_rse must be positive and finite, got NaN"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

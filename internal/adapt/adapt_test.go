@@ -103,15 +103,31 @@ func testPool(t *testing.T) []harness.Trial {
 		}
 		specs = append(specs, s)
 	}
-	trials, err := harness.Plan(harness.Space{
-		Specs:        specs,
-		ThreadCounts: []int{1, 2, 3, 4, 5, 6},
-		Placements:   []harness.Placement{harness.PlaceNone},
-		Reps:         1,
-		IterScale:    1,
-	})
-	if err != nil {
-		t.Fatalf("plan: %v", err)
+	return gridTrials(specs, nil, []harness.Placement{harness.PlaceNone})
+}
+
+// gridTrials expands solo specs, then co-run pairs ({A, B} each), over
+// thread counts 1–6 and the placements, in campaign plan order with Seq
+// counted from 0: one measured rep, no warm-up, unscaled iterations.
+func gridTrials(specs []bench.Spec, pairs [][2]bench.Spec, placements []harness.Placement) []harness.Trial {
+	var trials []harness.Trial
+	add := func(a bench.Spec, b *bench.Spec) {
+		for n := 1; n <= 6; n++ {
+			for _, p := range placements {
+				tr := harness.Trial{Seq: len(trials), Spec: a, SpecB: b, Threads: n, Placement: p,
+					Iters: a.Iters, MinReps: 1, MaxReps: 1}
+				if b != nil {
+					tr.ItersB = b.Iters
+				}
+				trials = append(trials, tr)
+			}
+		}
+	}
+	for _, s := range specs {
+		add(s, nil)
+	}
+	for _, p := range pairs {
+		add(p[0], &p[1])
 	}
 	return trials
 }
@@ -330,21 +346,10 @@ func pinPool(t *testing.T) []harness.Trial {
 		return s
 	}
 	intALU := lookup("int-alu")
-	trials, err := harness.Plan(harness.Space{
-		Specs: []bench.Spec{intALU, lookup("fp-mac"), lookup("chase-l1"), lookup("chase-dram")},
-		Pairs: []harness.Pair{
-			{A: intALU, B: lookup("chase-dram")},
-			{A: intALU, B: intALU},
-		},
-		ThreadCounts: []int{1, 2, 3, 4, 5, 6},
-		Placements:   []harness.Placement{harness.PlaceNone, harness.PlaceCompact},
-		Reps:         1,
-		IterScale:    1,
-	})
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	return trials
+	return gridTrials(
+		[]bench.Spec{intALU, lookup("fp-mac"), lookup("chase-l1"), lookup("chase-dram")},
+		[][2]bench.Spec{{intALU, lookup("chase-dram")}, {intALU, intALU}},
+		[]harness.Placement{harness.PlaceNone, harness.PlaceCompact})
 }
 
 // TestPlannerPicksPinned pins both planners' exact dispatch orders (as plan

@@ -1,7 +1,5 @@
 package bench
 
-import "fmt"
-
 // Component identifies the microarchitectural resource a kernel stresses.
 type Component string
 
@@ -31,23 +29,6 @@ type Spec struct {
 	Iters      int       `json:"iters"`             // default inner iterations per repetition
 	Desc       string    `json:"desc,omitempty"`
 	Kernel     Kernel    `json:"-"`
-}
-
-// Validate reports whether the spec is runnable.
-func (s Spec) Validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("bench: spec has empty name")
-	}
-	if s.Kernel == nil {
-		return fmt.Errorf("bench: spec %q has no kernel", s.Name)
-	}
-	if s.Iters <= 0 {
-		return fmt.Errorf("bench: spec %q has non-positive iters %d", s.Name, s.Iters)
-	}
-	if s.WorkingSet < 0 {
-		return fmt.Errorf("bench: spec %q has negative working set %d", s.Name, s.WorkingSet)
-	}
-	return nil
 }
 
 // Workspace holds per-thread mutable state for a kernel. Each worker thread

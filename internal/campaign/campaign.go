@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -105,7 +107,8 @@ type Campaign struct {
 	Workloads []extwork.Workload `json:"workloads,omitempty"`
 }
 
-// SpaceConfig is the declarative form of one harness.Space. Optional fields
+// SpaceConfig is one exploration space: the cartesian product of (Specs ∪
+// Corun pairs) × Threads × Placements, expanded by Trials. Optional fields
 // are pointers where zero is a meaningful value (warmup 0, cv_target 0), so
 // "omitted" and "explicitly zero" stay distinguishable; the defaults mirror
 // the CLI flag defaults.
@@ -261,8 +264,8 @@ func validatePlanner(algo string, batch, budget *int, targetRSE *float64, seed *
 		if algo == adapt.AlgoBO {
 			return fmt.Errorf("target_rse applies only to algo active (bo stops on expected improvement)")
 		}
-		if *targetRSE <= 0 {
-			return fmt.Errorf("target_rse must be positive, got %v", *targetRSE)
+		if !(*targetRSE > 0 && *targetRSE <= math.MaxFloat64) {
+			return fmt.Errorf("target_rse must be positive and finite, got %v", *targetRSE)
 		}
 	}
 	if seed != nil && *seed == 0 {
@@ -272,8 +275,8 @@ func validatePlanner(algo string, batch, budget *int, targetRSE *float64, seed *
 }
 
 // Validate fills in the defaults of omitted top-level fields, then checks
-// the campaign's cross-field invariants and that every space expands into a
-// valid harness.Space (spec names resolve against the catalog, thread counts
+// the campaign's cross-field invariants and that every space and workload
+// expands into trials (spec names resolve against the catalog, thread counts
 // are positive, and so on). It is the one validator behind campaign files
 // and the run/list flags, which describe a one-space campaign.
 func (c *Campaign) Validate() error {
@@ -324,11 +327,7 @@ func (c *Campaign) Validate() error {
 		return fmt.Errorf("campaign: no spaces or workloads declared")
 	}
 	for i := range c.Spaces {
-		space, err := c.Spaces[i].Space()
-		if err == nil {
-			err = space.Validate()
-		}
-		if err != nil {
+		if _, err := c.Spaces[i].Trials(); err != nil {
 			return fmt.Errorf("campaign: space %s: %w", c.Spaces[i].label(i), err)
 		}
 	}
@@ -341,7 +340,7 @@ func (c *Campaign) Validate() error {
 	seen := map[string]bool{}
 	for i := range c.Workloads {
 		w := &c.Workloads[i]
-		if err := w.Validate(); err != nil {
+		if _, err := w.Trials(); err != nil {
 			return fmt.Errorf("campaign: workload #%d: %w", i+1, err)
 		}
 		if seen[w.Name] {
@@ -426,78 +425,122 @@ func (sc *SpaceConfig) label(i int) string {
 	return fmt.Sprintf("#%d", i+1)
 }
 
-// Space resolves the declarative space into a runnable harness.Space,
-// looking spec names up in the benchmark catalog and applying the CLI-flag
-// defaults for omitted fields.
-func (sc *SpaceConfig) Space() (harness.Space, error) {
-	space := harness.Space{
-		Reps:      sc.Reps,
-		MinReps:   sc.MinReps,
-		MaxReps:   sc.MaxReps,
-		CVTarget:  0.05,
-		Warmup:    1,
-		IterScale: 1.0,
-		MaxCV:     0.2,
+// Trials validates the space and expands it into its ordered trials: solo
+// specs first, then co-run pairs, each crossed with every thread count and
+// placement in order, Seq counted from 0 within the space. Spec names
+// resolve against the benchmark catalog, and omitted fields take the CLI
+// flag defaults: reps 3 (reps is the shorthand for min_reps = max_reps),
+// warmup 1, cv_target 0.05, max_cv 0.2, iter_scale 1, threads [1, 2],
+// placements [none]. Campaign.Plan stamps the counter spec and sampling
+// interval and drops repeated keys.
+func (sc *SpaceConfig) Trials() ([]harness.Trial, error) {
+	minReps := cmp.Or(sc.MinReps, sc.Reps, 3)
+	maxReps := cmp.Or(sc.MaxReps, minReps)
+	cvTarget, warmup := valueOr(sc.CVTarget, 0.05), valueOr(sc.Warmup, 1)
+	iterScale, maxCV := valueOr(sc.IterScal, 1.0), valueOr(sc.MaxCV, 0.2)
+	switch {
+	case !(iterScale > 0 && iterScale <= math.MaxFloat64):
+		return nil, fmt.Errorf("iter_scale must be positive and finite, got %v", iterScale)
+	case len(sc.Specs) == 0 && len(sc.Corun) == 0:
+		return nil, fmt.Errorf("space declares neither specs nor corun pairs")
+	case minReps <= 0:
+		return nil, fmt.Errorf("min reps must be positive, got %d", minReps)
+	case maxReps < minReps:
+		return nil, fmt.Errorf("max reps %d below min reps %d", maxReps, minReps)
+	case !(cvTarget >= 0 && cvTarget <= math.MaxFloat64):
+		return nil, fmt.Errorf("cv target must be non-negative and finite, got %v", cvTarget)
+	case !(maxCV >= 0 && maxCV <= math.MaxFloat64):
+		return nil, fmt.Errorf("max cv must be non-negative and finite, got %v", maxCV)
+	case warmup < 0:
+		return nil, fmt.Errorf("warmup must be non-negative, got %d", warmup)
 	}
-	if space.Reps == 0 && space.MinReps == 0 {
-		space.Reps = 3
+	threads := sc.Threads
+	if len(threads) == 0 {
+		threads = []int{1, 2} // mirror the CLI --threads default
 	}
-	if sc.CVTarget != nil {
-		space.CVTarget = *sc.CVTarget
+	for _, n := range threads {
+		if n <= 0 {
+			return nil, fmt.Errorf("non-positive thread count %d", n)
+		}
 	}
-	if sc.Warmup != nil {
-		space.Warmup = *sc.Warmup
+	names := sc.Placements
+	if len(names) == 0 {
+		names = []string{string(harness.PlaceNone)}
 	}
-	if sc.IterScal != nil {
-		space.IterScale = *sc.IterScal
+	placements := make([]harness.Placement, len(names))
+	for i, name := range names {
+		p, err := harness.ParsePlacement(name)
+		if err != nil {
+			return nil, err
+		}
+		placements[i] = p
 	}
-	if sc.MaxCV != nil {
-		space.MaxCV = *sc.MaxCV
-	}
-	if space.IterScale <= 0 {
-		return space, fmt.Errorf("iter_scale must be positive, got %v", space.IterScale)
-	}
-	if len(sc.Specs) == 0 && len(sc.Corun) == 0 {
-		return space, fmt.Errorf("space declares neither specs nor corun pairs")
-	}
-	for _, name := range sc.Specs {
+	// lookup resolves a spec name and its scaled iteration count.
+	lookup := func(name string) (bench.Spec, int, error) {
 		s, err := bench.Lookup(strings.TrimSpace(name))
 		if err != nil {
-			return space, err
+			return s, 0, err
 		}
-		space.Specs = append(space.Specs, s)
+		iters, ok := scaleIters(s.Iters, iterScale)
+		if !ok {
+			return s, 0, fmt.Errorf("iter_scale %v overflows spec %q's iteration count", iterScale, s.Name)
+		}
+		return s, iters, nil
+	}
+	trials := make([]harness.Trial, 0, (len(sc.Specs)+len(sc.Corun))*len(threads)*len(placements))
+	add := func(a bench.Spec, itersA int, b *bench.Spec, itersB int) {
+		for _, n := range threads {
+			for _, p := range placements {
+				trials = append(trials, harness.Trial{
+					Seq: len(trials), Spec: a, SpecB: b, Threads: n, Placement: p,
+					Iters: itersA, ItersB: itersB, Warmup: warmup, MinReps: minReps, MaxReps: maxReps,
+					CVTarget: cvTarget, MaxCV: maxCV,
+				})
+			}
+		}
+	}
+	for _, name := range sc.Specs {
+		s, iters, err := lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		add(s, iters, nil, 0)
 	}
 	for _, pair := range sc.Corun {
 		nameA, nameB, ok := strings.Cut(pair, "+")
 		if !ok {
-			return space, fmt.Errorf("corun pair %q is not of the form specA+specB", pair)
+			return nil, fmt.Errorf("corun pair %q is not of the form specA+specB", pair)
 		}
-		a, err := bench.Lookup(strings.TrimSpace(nameA))
+		a, itersA, err := lookup(nameA)
 		if err != nil {
-			return space, err
+			return nil, err
 		}
-		b, err := bench.Lookup(strings.TrimSpace(nameB))
+		b, itersB, err := lookup(nameB)
 		if err != nil {
-			return space, err
+			return nil, err
 		}
-		space.Pairs = append(space.Pairs, harness.Pair{A: a, B: b})
+		add(a, itersA, &b, itersB)
 	}
-	space.ThreadCounts = sc.Threads
-	if len(space.ThreadCounts) == 0 {
-		space.ThreadCounts = []int{1, 2} // mirror the CLI --threads default
+	return trials, nil
+}
+
+// valueOr resolves a pointer-optional field.
+func valueOr[T any](p *T, def T) T {
+	if p != nil {
+		return *p
 	}
-	placements := sc.Placements
-	if len(placements) == 0 {
-		placements = []string{"none"}
+	return def
+}
+
+// scaleIters applies a space's iteration scale to a spec's default count,
+// never going below one iteration; ok is false when the scaled count does
+// not fit in an int.
+func scaleIters(iters int, scale float64) (n int, ok bool) {
+	f := float64(iters) * scale
+	if f >= math.MaxInt {
+		return 0, false
 	}
-	for _, p := range placements {
-		pl, err := harness.ParsePlacement(p)
-		if err != nil {
-			return space, err
-		}
-		space.Placements = append(space.Placements, pl)
-	}
-	return space, nil
+	return max(int(f), 1), true
 }
 
 // Plan expands every space in declaration order into one combined trial
@@ -506,8 +549,8 @@ func (sc *SpaceConfig) Space() (harness.Space, error) {
 // dry runs, and progress logs. A configuration key is planned once, at its
 // first appearance: spaces may overlap, and a space or workload may repeat
 // an entry. (Executors and fleet agents match results to trials by key.)
-// The campaign's counter spec and sampling interval (when any) apply to
-// every space and workload.
+// The campaign's counter spec, normalized once by CounterSpec, and its
+// sampling interval (when any) are stamped on every trial.
 func (c *Campaign) Plan() ([]harness.Trial, error) {
 	counters, err := c.CounterSpec()
 	if err != nil {
@@ -519,37 +562,28 @@ func (c *Campaign) Plan() ([]harness.Trial, error) {
 	}
 	var all []harness.Trial
 	planned := map[string]bool{}
-	add := func(t harness.Trial) {
-		if key := t.Key(c.Meter); !planned[key] {
-			planned[key] = true
-			t.Seq = len(all)
-			all = append(all, t)
+	add := func(trials []harness.Trial) {
+		for _, t := range trials {
+			if key := t.Key(c.Meter); !planned[key] {
+				planned[key] = true
+				t.Seq, t.Counters, t.SampleInterval = len(all), counters, sampleEvery
+				all = append(all, t)
+			}
 		}
 	}
 	for i := range c.Spaces {
-		space, err := c.Spaces[i].Space()
+		trials, err := c.Spaces[i].Trials()
 		if err != nil {
 			return nil, fmt.Errorf("campaign: space %s: %w", c.Spaces[i].label(i), err)
 		}
-		space.Counters = counters
-		space.SampleInterval = sampleEvery
-		trials, err := harness.Plan(space)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: space %s: %w", c.Spaces[i].label(i), err)
-		}
-		for _, t := range trials {
-			add(t)
-		}
+		add(trials)
 	}
 	for i := range c.Workloads {
-		trials, err := c.Workloads[i].Trials(counters)
+		trials, err := c.Workloads[i].Trials()
 		if err != nil {
 			return nil, fmt.Errorf("campaign: workload #%d: %w", i+1, err)
 		}
-		for _, t := range trials {
-			t.SampleInterval = sampleEvery
-			add(t)
-		}
+		add(trials)
 	}
 	return all, nil
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"energybench/internal/harness"
 	"energybench/internal/perf"
 )
 
@@ -52,27 +52,29 @@ func TestParseValidYAMLCampaign(t *testing.T) {
 	if len(c.Spaces) != 2 {
 		t.Fatalf("got %d spaces, want 2", len(c.Spaces))
 	}
-	solo, err := c.Spaces[0].Space()
+	solo, err := c.Spaces[0].Trials()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(solo.Specs) != 2 || solo.Reps != 2 || solo.Warmup != 0 || solo.IterScale != 0.05 {
-		t.Errorf("solo space mis-resolved: %+v", solo)
+	if len(solo) != 4 {
+		t.Fatalf("solo space expands to %d trials, want 4", len(solo))
 	}
-	// Defaults for fields the file omits must mirror the CLI flag defaults.
-	if solo.CVTarget != 0.05 || solo.MaxCV != 0.2 {
-		t.Errorf("solo defaults: cv_target=%v max_cv=%v, want 0.05/0.2", solo.CVTarget, solo.MaxCV)
+	// 0.05 × int-alu's 4,000,000 iterations; defaults for fields the file
+	// omits must mirror the CLI flag defaults (cv_target 0.05, max_cv 0.2).
+	if tr := solo[0]; tr.MinReps != 2 || tr.MaxReps != 2 || tr.Warmup != 0 || tr.Iters != 200000 ||
+		tr.CVTarget != 0.05 || tr.MaxCV != 0.2 {
+		t.Errorf("solo trial mis-resolved: %+v", tr)
 	}
-	corun, err := c.Spaces[1].Space()
+	corun, err := c.Spaces[1].Trials()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(corun.Pairs) != 1 || corun.MinReps != 2 || corun.MaxReps != 6 || corun.CVTarget != 0.1 {
-		t.Errorf("corun space mis-resolved: %+v", corun)
+	if len(corun) != 1 || !corun[0].IsCoRun() {
+		t.Fatalf("corun space expands to %+v, want one co-run trial", corun)
 	}
 	// Warmup omitted → CLI default 1.
-	if corun.Warmup != 1 {
-		t.Errorf("corun warmup = %d, want default 1", corun.Warmup)
+	if tr := corun[0]; tr.MinReps != 2 || tr.MaxReps != 6 || tr.CVTarget != 0.1 || tr.Warmup != 1 {
+		t.Errorf("corun trial mis-resolved: %+v", tr)
 	}
 }
 
@@ -155,6 +157,7 @@ func TestParseRejectsInvalidCampaigns(t *testing.T) {
 		{"bad corun shape", "spaces:\n  - corun: [int-alu]\n", "specA+specB"},
 		{"zero threads", "spaces:\n  - specs: [int-alu]\n    threads: [0]\n", "thread count"},
 		{"bad iter scale", "spaces:\n  - specs: [int-alu]\n    iter_scale: -1\n", "iter_scale"},
+		{"overflowing iter scale", "spaces:\n  - specs: [int-alu]\n    iter_scale: 1e13\n", "iter_scale 1e+13 overflows spec \"int-alu\""},
 		{"empty file", "   \n", "empty"},
 		{"zero mock watts", "mock_watts: 0\nspaces:\n  - specs: [int-alu]\n", "mock_watts must be positive"},
 		{"negative mock watts", "mock_watts: -5\nspaces:\n  - specs: [int-alu]\n", "mock_watts must be positive"},
@@ -258,15 +261,14 @@ spaces:
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := c.Spaces[0].Space()
+	trials, err := c.Spaces[0].Trials()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("explicit-zero space should plan cleanly: %v", err)
 	}
-	if sp.Warmup != 0 || sp.CVTarget != 0 || sp.MaxCV != 0 {
-		t.Errorf("explicit zeros lost: warmup=%d cv_target=%v max_cv=%v", sp.Warmup, sp.CVTarget, sp.MaxCV)
-	}
-	if _, err := harness.Plan(sp); err != nil {
-		t.Errorf("explicit-zero space should plan cleanly: %v", err)
+	for _, tr := range trials {
+		if tr.Warmup != 0 || tr.CVTarget != 0 || tr.MaxCV != 0 {
+			t.Errorf("explicit zeros lost: warmup=%d cv_target=%v max_cv=%v", tr.Warmup, tr.CVTarget, tr.MaxCV)
+		}
 	}
 }
 
@@ -395,5 +397,188 @@ func TestCampaignSampleInterval(t *testing.T) {
 	}
 	if d, err := c2.Sampling(); err != nil || d != 0 {
 		t.Errorf("Sampling() on omitted key = %v, %v; want 0", d, err)
+	}
+}
+
+func ptr[T any](v T) *T { return &v }
+
+// TestSpaceValidate: SpaceConfig.Trials rejects every space it cannot
+// expand into runnable trials, naming the fault.
+func TestSpaceValidate(t *testing.T) {
+	good := SpaceConfig{Specs: []string{"int-alu", "chase-l1"}}
+	if _, err := good.Trials(); err != nil {
+		t.Fatalf("valid space rejected: %v", err)
+	}
+	mutations := []struct {
+		name    string
+		mut     func(*SpaceConfig)
+		wantErr string
+	}{
+		{"no-specs", func(s *SpaceConfig) { s.Specs = nil }, "neither specs nor corun pairs"},
+		{"zero-threads", func(s *SpaceConfig) { s.Threads = []int{0} }, "non-positive thread count 0"},
+		{"negative-reps", func(s *SpaceConfig) { s.Reps = -1 }, "min reps must be positive, got -1"},
+		{"negative-warmup", func(s *SpaceConfig) { s.Warmup = ptr(-1) }, "warmup must be non-negative, got -1"},
+		{"unknown-spec", func(s *SpaceConfig) { s.Specs = []string{"broken"} }, "broken"},
+		{"unknown-placement", func(s *SpaceConfig) { s.Placements = []string{"diagonal"} }, "diagonal"},
+		{"zero-iter-scale", func(s *SpaceConfig) { s.IterScal = ptr(0.0) }, "iter_scale must be positive and finite, got 0"},
+		{"nan-iter-scale", func(s *SpaceConfig) { s.IterScal = ptr(math.NaN()) }, "iter_scale must be positive and finite, got NaN"},
+		{"inf-iter-scale", func(s *SpaceConfig) { s.IterScal = ptr(math.Inf(1)) }, "iter_scale must be positive and finite, got +Inf"},
+		{"overflowing-iter-scale", func(s *SpaceConfig) { s.IterScal = ptr(1e13) }, "iter_scale 1e+13 overflows spec \"int-alu\""},
+		{"negative-inf-cv-target", func(s *SpaceConfig) { s.CVTarget = ptr(math.Inf(-1)) }, "cv target must be non-negative and finite, got -Inf"},
+		{"nan-cv-target", func(s *SpaceConfig) { s.CVTarget = ptr(math.NaN()) }, "cv target must be non-negative and finite, got NaN"},
+		{"inf-cv-target", func(s *SpaceConfig) { s.CVTarget = ptr(math.Inf(1)) }, "cv target must be non-negative and finite, got +Inf"},
+		{"negative-max-cv", func(s *SpaceConfig) { s.MaxCV = ptr(-1.0) }, "max cv must be non-negative and finite, got -1"},
+		{"nan-max-cv", func(s *SpaceConfig) { s.MaxCV = ptr(math.NaN()) }, "max cv must be non-negative and finite, got NaN"},
+		{"inf-max-cv", func(s *SpaceConfig) { s.MaxCV = ptr(math.Inf(1)) }, "max cv must be non-negative and finite, got +Inf"},
+	}
+	for _, tc := range mutations {
+		t.Run(tc.name, func(t *testing.T) {
+			s := good
+			tc.mut(&s)
+			_, err := s.Trials()
+			if err == nil {
+				t.Fatalf("invalid space accepted, want error containing %q", tc.wantErr)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("error %q does not contain %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestSpaceValidateCoRun: a space of co-run pairs alone is valid, and a
+// pair naming an unknown spec is rejected.
+func TestSpaceValidateCoRun(t *testing.T) {
+	good := SpaceConfig{Corun: []string{"int-alu+chase-l1"}, Threads: []int{1}, Reps: 1}
+	if _, err := good.Trials(); err != nil {
+		t.Fatalf("valid pair-only space rejected: %v", err)
+	}
+	bad := good
+	bad.Corun = []string{"int-alu+broken"}
+	if _, err := bad.Trials(); err == nil || !strings.Contains(err.Error(), "broken") {
+		t.Errorf("space with an unknown pair member: err = %v, want it named", err)
+	}
+}
+
+// TestPlanExpandsSpaceInOrder: solo specs come first, then co-run pairs,
+// each crossed with every thread count and then every placement in order,
+// Seq counted from 0 and the reps shorthand giving min = max.
+func TestPlanExpandsSpaceInOrder(t *testing.T) {
+	sc := SpaceConfig{
+		Specs:      []string{"int-alu", "chase-l1"},
+		Corun:      []string{"int-alu+chase-l1"},
+		Placements: []string{"none", "scatter"},
+	}
+	trials, err := sc.Trials()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for i, tr := range trials {
+		if tr.Seq != i {
+			t.Errorf("trials[%d].Seq = %d", i, tr.Seq)
+		}
+		if tr.MinReps != 3 || tr.MaxReps != 3 || tr.Warmup != 1 {
+			t.Errorf("trials[%d]: reps %d/%d warmup %d, want the defaults 3/3 and 1", i, tr.MinReps, tr.MaxReps, tr.Warmup)
+		}
+		got = append(got, fmt.Sprintf("%s/t%d/%s", tr.Name(), tr.Threads, tr.Placement))
+	}
+	want := []string{
+		"int-alu/t1/none", "int-alu/t1/scatter", "int-alu/t2/none", "int-alu/t2/scatter",
+		"chase-l1/t1/none", "chase-l1/t1/scatter", "chase-l1/t2/none", "chase-l1/t2/scatter",
+		"int-alu+chase-l1/t1/none", "int-alu+chase-l1/t1/scatter", "int-alu+chase-l1/t2/none", "int-alu+chase-l1/t2/scatter",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("plan = %v, want %v", got, want)
+	}
+}
+
+// TestPlanAppliesIterScaleAndRepBounds: iter_scale scales both sides of a
+// co-run, never below one iteration, and min_reps/max_reps/cv_target
+// override the reps shorthand.
+func TestPlanAppliesIterScaleAndRepBounds(t *testing.T) {
+	sc := SpaceConfig{
+		Specs: []string{"int-alu"}, Corun: []string{"int-alu+chase-dram"}, Threads: []int{1},
+		IterScal: ptr(0.5), Reps: 2, MinReps: 3, MaxReps: 9, CVTarget: ptr(0.1),
+	}
+	trials, err := sc.Trials()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trials[0].Iters != 2_000_000 {
+		t.Errorf("Iters = %d, want 2000000 after 0.5 scale of 4000000", trials[0].Iters)
+	}
+	if trials[1].Iters != 2_000_000 || trials[1].ItersB != 200_000 {
+		t.Errorf("co-run iters = %d+%d, want 2000000+200000", trials[1].Iters, trials[1].ItersB)
+	}
+	if trials[0].MinReps != 3 || trials[0].MaxReps != 9 || trials[0].CVTarget != 0.1 {
+		t.Errorf("rep budget = %d/%d cv %v, want 3/9 cv 0.1",
+			trials[0].MinReps, trials[0].MaxReps, trials[0].CVTarget)
+	}
+	sc.IterScal = ptr(1e-9)
+	if trials, err = sc.Trials(); err != nil || trials[0].Iters != 1 {
+		t.Errorf("tiny scale: trials %+v, err %v; want one iteration", trials, err)
+	}
+}
+
+// TestSpaceValidateRepBounds: the repetition budget resolves reps as the
+// shorthand for min = max, and rejects a non-positive minimum and a maximum
+// below it.
+func TestSpaceValidateRepBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		sc               SpaceConfig
+		minReps, maxReps int
+		wantErr          string
+	}{
+		{"default", SpaceConfig{}, 3, 3, ""},
+		{"max only", SpaceConfig{MaxReps: 5}, 3, 5, ""},
+		{"min without reps", SpaceConfig{MinReps: 2}, 2, 2, ""},
+		{"min over reps", SpaceConfig{Reps: 2, MinReps: 4}, 4, 4, ""},
+		{"negative min", SpaceConfig{MinReps: -2, MaxReps: 5}, 0, 0, "min reps must be positive, got -2"},
+		{"max below min", SpaceConfig{MinReps: 5, MaxReps: 2}, 0, 0, "max reps 2 below min reps 5"},
+		{"negative cv target", SpaceConfig{CVTarget: ptr(-1.0)}, 0, 0, "cv target must be non-negative and finite, got -1"},
+	} {
+		tc.sc.Specs = []string{"int-alu"}
+		trials, err := tc.sc.Trials()
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if tr := trials[0]; tr.MinReps != tc.minReps || tr.MaxReps != tc.maxReps {
+			t.Errorf("%s: reps %d/%d, want %d/%d", tc.name, tr.MinReps, tr.MaxReps, tc.minReps, tc.maxReps)
+		}
+	}
+}
+
+// TestPlanStampsNormalizedCounterSpec: Plan attaches the normalized counter
+// spec (explicit backend and expanded event list) to every space and
+// workload trial, so serialized trials are self-describing.
+func TestPlanStampsNormalizedCounterSpec(t *testing.T) {
+	c, err := Parse([]byte("counter_backend: mock\nspaces:\n  - specs: [int-alu]\n    threads: [1]\n" +
+		"workloads:\n  - name: w\n    exec: [./w]\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials, err := c.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trials) != 2 {
+		t.Fatalf("planned %d trials, want 2", len(trials))
+	}
+	for _, tr := range trials {
+		if c := tr.Counters; c == nil || c.Backend != perf.BackendMock || !reflect.DeepEqual(c.Events, perf.DefaultEvents()) {
+			t.Errorf("%s: stamped spec = %+v, want mock backend with the default events expanded", tr.Name(), c)
+		}
+	}
+	if _, err := Parse([]byte("counters: [tlb-flushes]\nspaces:\n  - specs: [int-alu]\n")); err == nil {
+		t.Error("Parse should reject an unknown counter event")
 	}
 }

@@ -8,5 +8,9 @@
 //
 // A Campaign is the CLI's only sweep description: the run and list flags
 // fill in a one-space Campaign, so flags and files share one Validate and
-// one Plan.
+// one Plan. It is also the one planner: SpaceConfig.Trials and
+// extwork.Workload.Trials check each space and workload as they expand it
+// straight into harness trials, and Campaign.Plan stamps the counter spec
+// and sampling interval on them, keeps each configuration key's first
+// appearance and numbers the trials in order.
 package campaign

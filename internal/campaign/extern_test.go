@@ -126,6 +126,9 @@ func TestParseRejectsInvalidWorkloads(t *testing.T) {
 		{"zero thread count",
 			"spaces:\n  - specs: [int-alu]\nworkloads:\n  - name: w\n    exec: [./w]\n    threads: [0]\n",
 			"thread count"},
+		{"negative max cv",
+			"spaces:\n  - specs: [int-alu]\nworkloads:\n  - name: w\n    exec: [./w]\n    max_cv: -1\n",
+			"max cv must be non-negative and finite, got -1"},
 		{"pipe in name",
 			"spaces:\n  - specs: [int-alu]\nworkloads:\n  - name: \"a|b\"\n    exec: [./w]\n",
 			"may not contain"},

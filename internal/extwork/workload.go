@@ -2,11 +2,11 @@ package extwork
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"energybench/internal/bench"
 	"energybench/internal/harness"
-	"energybench/internal/perf"
 )
 
 // Workload is one campaign-declared external workload: how to build and
@@ -97,46 +97,11 @@ func (w Workload) Spec() (harness.ExternSpec, error) {
 	return spec, nil
 }
 
-// Validate checks the workload can be expanded into trials.
-func (w Workload) Validate() error {
-	if _, err := w.Spec(); err != nil {
-		return err
-	}
-	for _, t := range w.Threads {
-		if t <= 0 {
-			return fmt.Errorf("extwork: workload %q has non-positive thread count %d", w.Name, t)
-		}
-	}
-	for _, p := range w.Placements {
-		if _, err := harness.ParsePlacement(p); err != nil {
-			return fmt.Errorf("extwork: workload %q: %w", w.Name, err)
-		}
-	}
-	minReps := intOr(w.MinReps, intOr(w.Reps, 1))
-	maxReps := intOr(w.MaxReps, minReps)
-	if minReps <= 0 {
-		return fmt.Errorf("extwork: workload %q min reps must be positive, got %d", w.Name, minReps)
-	}
-	if maxReps < minReps {
-		return fmt.Errorf("extwork: workload %q max reps %d below min reps %d", w.Name, maxReps, minReps)
-	}
-	if floatOr(w.CVTarget, 0) < 0 {
-		return fmt.Errorf("extwork: workload %q cv target must be non-negative", w.Name)
-	}
-	if intOr(w.Warmup, 0) < 0 {
-		return fmt.Errorf("extwork: workload %q warmup must be non-negative", w.Name)
-	}
-	return nil
-}
-
-// Trials expands the workload's threads × placements grid into extern
-// trials, Seq numbered 0-based within the workload (callers re-sequence
-// across a whole campaign plan). counters, when non-nil, must already be
-// normalized; it attaches the campaign's counter spec to every trial.
-func (w Workload) Trials(counters *perf.Spec) ([]harness.Trial, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
+// Trials validates the workload and expands its threads × placements grid
+// into extern trials, Seq numbered 0-based within the workload.
+// Campaign.Plan re-sequences them across the whole plan and stamps the
+// campaign's counter spec and sampling interval.
+func (w Workload) Trials() ([]harness.Trial, error) {
 	spec, err := w.Spec()
 	if err != nil {
 		return nil, err
@@ -145,19 +110,41 @@ func (w Workload) Trials(counters *perf.Spec) ([]harness.Trial, error) {
 	if len(threads) == 0 {
 		threads = []int{1}
 	}
-	placements := w.Placements
-	if len(placements) == 0 {
-		placements = []string{string(harness.PlaceNone)}
+	for _, n := range threads {
+		if n <= 0 {
+			return nil, fmt.Errorf("extwork: workload %q has non-positive thread count %d", w.Name, n)
+		}
+	}
+	names := w.Placements
+	if len(names) == 0 {
+		names = []string{string(harness.PlaceNone)}
+	}
+	placements := make([]harness.Placement, len(names))
+	for i, name := range names {
+		p, err := harness.ParsePlacement(name)
+		if err != nil {
+			return nil, fmt.Errorf("extwork: workload %q: %w", w.Name, err)
+		}
+		placements[i] = p
 	}
 	minReps := intOr(w.MinReps, intOr(w.Reps, 1))
 	maxReps := intOr(w.MaxReps, minReps)
-	var trials []harness.Trial
+	cvTarget, maxCV, warmup := floatOr(w.CVTarget, 0), floatOr(w.MaxCV, 0), intOr(w.Warmup, 0)
+	switch {
+	case minReps <= 0:
+		return nil, fmt.Errorf("extwork: workload %q min reps must be positive, got %d", w.Name, minReps)
+	case maxReps < minReps:
+		return nil, fmt.Errorf("extwork: workload %q max reps %d below min reps %d", w.Name, maxReps, minReps)
+	case !(cvTarget >= 0 && cvTarget <= math.MaxFloat64):
+		return nil, fmt.Errorf("extwork: workload %q cv target must be non-negative and finite, got %v", w.Name, cvTarget)
+	case !(maxCV >= 0 && maxCV <= math.MaxFloat64):
+		return nil, fmt.Errorf("extwork: workload %q max cv must be non-negative and finite, got %v", w.Name, maxCV)
+	case warmup < 0:
+		return nil, fmt.Errorf("extwork: workload %q warmup must be non-negative", w.Name)
+	}
+	trials := make([]harness.Trial, 0, len(threads)*len(placements))
 	for _, n := range threads {
-		for _, p := range placements {
-			placement, err := harness.ParsePlacement(p)
-			if err != nil {
-				return nil, err
-			}
+		for _, placement := range placements {
 			s := spec
 			trials = append(trials, harness.Trial{
 				Seq: len(trials),
@@ -168,12 +155,11 @@ func (w Workload) Trials(counters *perf.Spec) ([]harness.Trial, error) {
 				Threads:   n,
 				Placement: placement,
 				Iters:     1,
-				Warmup:    intOr(w.Warmup, 0),
+				Warmup:    warmup,
 				MinReps:   minReps,
 				MaxReps:   maxReps,
-				CVTarget:  floatOr(w.CVTarget, 0),
-				MaxCV:     floatOr(w.MaxCV, 0),
-				Counters:  counters,
+				CVTarget:  cvTarget,
+				MaxCV:     maxCV,
 				Extern:    &s,
 			})
 		}

@@ -669,9 +669,11 @@ const (
 )
 
 // Ingest merges one result envelope. Results for already-done trials are
-// idempotently counted as duplicates (normal after a lease reclaim race);
-// error envelopes for trials whose lease was reclaimed are stale and
-// dropped, because the trial has been re-dispatched elsewhere.
+// idempotently counted as duplicates (normal after a lease reclaim race).
+// An error envelope fails its trial only when it names a live lease of the
+// posting agent that still holds the trial; any other error is stale and
+// dropped, because the trial was re-dispatched, already settled, or is
+// another agent's to report.
 func (c *Coordinator) Ingest(agentID string, env ResultEnvelope) (ingestStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -737,9 +739,9 @@ func (c *Coordinator) Ingest(agentID string, env ResultEnvelope) (ingestStatus, 
 		return ingestDuplicate, nil
 	}
 	if env.Error != "" {
-		if l == nil {
-			// The lease was reclaimed and the trial re-dispatched (or it
-			// already failed); this straggler error is obsolete.
+		if l == nil || l.agentID != agentID || !l.outstanding[env.Seq] {
+			// The lease was reclaimed and the trial re-dispatched, the
+			// trial already settled, or the trial is not this agent's.
 			return ingestStale, nil
 		}
 		j.state[env.Seq] = trialFailed

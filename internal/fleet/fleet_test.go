@@ -51,7 +51,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-func newTestCoordinator(t *testing.T, clk *fakeClock) *Coordinator {
+func newTestCoordinator(t testing.TB, clk *fakeClock) *Coordinator {
 	t.Helper()
 	opts := Options{DataDir: t.TempDir(), LeaseTTL: 30 * time.Second, BatchSize: 2, Resume: true, Log: t.Logf}
 	if clk != nil {
@@ -107,7 +107,7 @@ func envelopesFor(b *Batch) []ResultEnvelope {
 	return envs
 }
 
-func mustRegister(t *testing.T, c *Coordinator, name string) string {
+func mustRegister(t testing.TB, c *Coordinator, name string) string {
 	t.Helper()
 	reg, err := c.Register(testHost(name))
 	if err != nil {
@@ -116,7 +116,7 @@ func mustRegister(t *testing.T, c *Coordinator, name string) string {
 	return reg.AgentID
 }
 
-func mustSubmit(t *testing.T, c *Coordinator, raw string) submitResponse {
+func mustSubmit(t testing.TB, c *Coordinator, raw string) submitResponse {
 	t.Helper()
 	sub, err := c.Submit([]byte(raw))
 	if err != nil {
@@ -147,7 +147,7 @@ func drainJob(t *testing.T, c *Coordinator, agentID string) int {
 	}
 }
 
-func jobKeys(t *testing.T, c *Coordinator, jobID string) map[string]bool {
+func jobKeys(t testing.TB, c *Coordinator, jobID string) map[string]bool {
 	t.Helper()
 	path, err := c.ResultsPath(jobID)
 	if err != nil {
@@ -361,6 +361,60 @@ func TestIngestRejectsResultOffItsEnvelopeKey(t *testing.T) {
 	drainJob(t, c, agent)
 	if st, _ := c.Status(sub.JobID); !st.Finished || st.Done != 4 {
 		t.Fatalf("status = %+v, want 4 done", st)
+	}
+}
+
+// TestIngestIgnoresErrorsForTrialsItDoesNotHold: an agent's error envelope
+// for a trial leased to another agent is stale, whether it names its own
+// batch or the other agent's, so the trial stays leased and is re-dispatched
+// if its holder crashes; an error for a trial the agent holds still fails it.
+func TestIngestIgnoresErrorsForTrialsItDoesNotHold(t *testing.T) {
+	clk := newFakeClock()
+	c := newTestCoordinator(t, clk)
+	sub := mustSubmit(t, c, testCampaign)
+	a, b := mustRegister(t, c, "host-a"), mustRegister(t, c, "host-b")
+	batchA, err := c.Lease(a, 0)
+	if err != nil || batchA == nil {
+		t.Fatalf("Lease A: %v, %v", batchA, err)
+	}
+	batchB, err := c.Lease(b, 0)
+	if err != nil || batchB == nil {
+		t.Fatalf("Lease B: %v, %v", batchB, err)
+	}
+	envsB := envelopesFor(batchB)
+	for i, batchID := range []string{batchA.BatchID, batchB.BatchID} {
+		env := envsB[i]
+		env.BatchID, env.Result, env.Error = batchID, nil, "forged failure"
+		if st, err := c.Ingest(a, env); err != nil || st != ingestStale {
+			t.Errorf("A's error for B's seq %d under batch %s: status %v, err %v; want stale", env.Seq, batchID, st, err)
+		}
+	}
+	if st, _ := c.Status(sub.JobID); st.Leased != 4 || st.Failed != 0 {
+		t.Fatalf("status = %+v, want 4 leased, 0 failed", st)
+	}
+
+	// A reports its own trials: one result, one error it may post.
+	envsA := envelopesFor(batchA)
+	envsA[1].Result, envsA[1].Error = nil, "worker child exited with signal: killed"
+	for _, env := range envsA {
+		if st, err := c.Ingest(a, env); err != nil || st != ingestAccepted {
+			t.Fatalf("A's own seq %d: status %v, err %v; want accepted", env.Seq, st, err)
+		}
+	}
+
+	// B crashes: its lease expires and both its trials go back to the queue.
+	clk.Advance(31 * time.Second)
+	if err := c.Heartbeat(a); err != nil {
+		t.Fatal(err)
+	}
+	c.Reap()
+	st, _ := c.Status(sub.JobID)
+	if st.Pending != 2 || st.Redispatched != 2 || st.Done != 1 || st.Failed != 1 {
+		t.Fatalf("after B's lease expired: status = %+v, want 2 pending and redispatched, 1 done, 1 failed", st)
+	}
+	again, err := c.Lease(a, 0)
+	if err != nil || again == nil || len(again.Trials) != 2 {
+		t.Fatalf("re-lease of B's trials: %+v, %v", again, err)
 	}
 }
 

@@ -48,9 +48,8 @@ func TestPinnedTrialsRestoreThreadAffinity(t *testing.T) {
 		t.Skip("needs 2 or more CPUs to tell a pinned thread from an unpinned one")
 	}
 	e := &InProcess{Meter: meter.NewMock(42)}
-	spec := tinySpace(t).Specs[0]
 	for _, p := range []Placement{PlaceScatter, PlaceCompact, PlaceScatter, PlaceCompact} {
-		trial := Trial{Spec: spec, Threads: n, Placement: p, Iters: 1000, MinReps: 2, MaxReps: 2}
+		trial := Trial{Spec: tinyInt, Threads: n, Placement: p, Iters: 1000, MinReps: 2, MaxReps: 2}
 		if _, err := e.Execute(context.Background(), trial); err != nil {
 			var errno syscall.Errno
 			if errors.As(err, &errno) {

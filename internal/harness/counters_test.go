@@ -171,36 +171,6 @@ func TestNoCountersMeansNoCounters(t *testing.T) {
 	}
 }
 
-// TestPlanStampsNormalizedCounterSpec: the planner must attach the
-// normalized spec (explicit backend and expanded event list) to every trial
-// so serialized trials are self-describing.
-func TestPlanStampsNormalizedCounterSpec(t *testing.T) {
-	spec, _ := bench.Lookup("int-alu")
-	space := Space{
-		Specs: []bench.Spec{spec}, ThreadCounts: []int{1}, Placements: []Placement{PlaceNone},
-		Reps: 1, Counters: &perf.Spec{Backend: perf.BackendMock},
-	}
-	trials, err := Plan(space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trials) != 1 {
-		t.Fatalf("planned %d trials, want 1", len(trials))
-	}
-	c := trials[0].Counters
-	if c == nil {
-		t.Fatal("trial has no counter spec")
-	}
-	if c.Backend != perf.BackendMock || len(c.Events) != len(perf.DefaultEvents()) {
-		t.Errorf("stamped spec = %+v, want mock backend with the default events expanded", c)
-	}
-
-	space.Counters = &perf.Spec{Events: []string{"tlb-flushes"}}
-	if err := space.Validate(); err == nil {
-		t.Error("Validate should reject an unknown counter event")
-	}
-}
-
 // failingActivityMeter is an ActivityMeter whose sessions never open.
 type failingActivityMeter struct{}
 

@@ -71,16 +71,6 @@ type workUnit struct {
 	ws    *bench.Workspace
 }
 
-func scaleIters(iters int, scale float64) int {
-	if scale > 0 {
-		iters = int(float64(iters) * scale)
-		if iters < 1 {
-			iters = 1
-		}
-	}
-	return iters
-}
-
 // Execute runs the trial's repetitions through Measure, parking the worker
 // threads behind a fresh barrier for every repetition.
 func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {

@@ -54,16 +54,12 @@ func sampleSequenceCounter(deltasMicroJ []uint64) func(int) uint64 {
 	}
 }
 
-func adaptiveSpace(t *testing.T) Space {
-	s := tinySpace(t)
-	s.Specs = s.Specs[:1]
-	s.ThreadCounts = []int{1}
-	s.Warmup = 1
-	s.Reps = 0
-	s.MinReps = 3
-	s.MaxReps = 10
-	s.CVTarget = 0.05
-	return s
+// adaptiveTrial runs one warm-up, then 3 to 10 measured repetitions,
+// stopping early once the energy CV falls to 0.05.
+func adaptiveTrial() Trial {
+	tr := tinyTrial(1)
+	tr.MinReps, tr.MaxReps, tr.CVTarget = 3, 10, 0.05
+	return tr
 }
 
 // TestAdaptiveRepsStopEarlyOnStableConfig is the acceptance-criteria test:
@@ -72,7 +68,7 @@ func adaptiveSpace(t *testing.T) Space {
 func TestAdaptiveRepsStopEarlyOnStableConfig(t *testing.T) {
 	m := &scriptedMeter{counter: constantDeltaCounter(1000)}
 	r := inProcess(m)
-	results, err := sweep(context.Background(), r, adaptiveSpace(t))
+	results, err := sweep(context.Background(), r, adaptiveTrial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +91,9 @@ func TestAdaptiveRepsRunToCapOnNoisyConfig(t *testing.T) {
 	// Period-3 cycle keeps the sample CV ~0.9 forever.
 	m := &scriptedMeter{counter: sampleSequenceCounter([]uint64{100, 100, 10000, 100, 100, 10000, 100, 100, 10000, 100, 100, 10000})}
 	r := inProcess(m)
-	space := adaptiveSpace(t)
-	space.MaxCV = 0 // keep every sample so the count is exact
-	results, err := sweep(context.Background(), r, space)
+	tr := adaptiveTrial()
+	tr.MaxCV = 0 // keep every sample so the count is exact
+	results, err := sweep(context.Background(), r, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +112,9 @@ func TestAdaptiveRepsRunToCapOnNoisyConfig(t *testing.T) {
 func TestFixedRepsUnchanged(t *testing.T) {
 	m := &scriptedMeter{counter: constantDeltaCounter(1000)}
 	r := inProcess(m)
-	space := tinySpace(t)
-	space.Specs = space.Specs[:1]
-	space.ThreadCounts = []int{1}
-	space.CVTarget = 0.05 // the CLI default; must be inert when min == max reps
-	results, err := sweep(context.Background(), r, space)
+	tr := tinyTrial(1)
+	tr.CVTarget = 0.05 // the CLI default; must be inert when min == max reps
+	results, err := sweep(context.Background(), r, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +161,7 @@ func TestPowerUsesMeterWindow(t *testing.T) {
 	const watts = 40.0
 	m := newLatencyMeter(watts, 50*time.Millisecond)
 	r := inProcess(m)
-	space := tinySpace(t)
-	space.Specs = space.Specs[:1]
-	space.ThreadCounts = []int{1}
-	results, err := sweep(context.Background(), r, space)
+	results, err := sweep(context.Background(), r, tinyTrial(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +189,7 @@ func TestPowerUsesMeterWindow(t *testing.T) {
 func TestScriptedMeterPowerFallsBackToThreadClock(t *testing.T) {
 	m := &scriptedMeter{counter: constantDeltaCounter(1_000_000)} // 1 J per rep
 	r := inProcess(m)
-	space := tinySpace(t)
-	space.Specs = space.Specs[:1]
-	space.ThreadCounts = []int{1}
-	results, err := sweep(context.Background(), r, space)
+	results, err := sweep(context.Background(), r, tinyTrial(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,12 +205,10 @@ func TestScriptedMeterPowerFallsBackToThreadClock(t *testing.T) {
 
 func TestSamplingAttachesSeries(t *testing.T) {
 	m := meter.NewMock(42)
-	space := tinySpace(t)
-	space.Specs = space.Specs[:1]
-	space.ThreadCounts = []int{1}
-	space.SampleInterval = time.Millisecond
+	tr := tinyTrial(1)
+	tr.SampleInterval = time.Millisecond
 	r := inProcess(m)
-	results, err := sweep(context.Background(), r, space)
+	results, err := sweep(context.Background(), r, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,13 +247,11 @@ func TestSamplingAttachesSeries(t *testing.T) {
 
 func TestSamplingWithCountersCollectsEventSeries(t *testing.T) {
 	m := meter.NewMock(42)
-	space := tinySpace(t)
-	space.Specs = space.Specs[:1]
-	space.ThreadCounts = []int{2}
-	space.SampleInterval = time.Millisecond
-	space.Counters = &perf.Spec{Backend: perf.BackendMock}
+	tr := tinyTrial(2)
+	tr.SampleInterval = time.Millisecond
+	tr.Counters = &perf.Spec{Backend: perf.BackendMock}
 	r := inProcess(m)
-	results, err := sweep(context.Background(), r, space)
+	results, err := sweep(context.Background(), r, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,124 +1,12 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
 	"energybench/internal/bench"
 	"energybench/internal/meter"
-	"energybench/internal/perf"
 	"energybench/internal/stats"
 )
-
-// Pair is a co-run configuration: two heterogeneous specs sharing the
-// machine. The harness runs an equal number of threads of each, interleaved
-// in placement order so compact puts A/B on SMT siblings of the same core
-// and scatter puts them on separate physical cores.
-type Pair struct {
-	A, B bench.Spec
-}
-
-// Space is the exploration space to sweep: the cartesian product of
-// (Specs ∪ Pairs), ThreadCounts, and Placements. For a Pair, a thread count
-// of n means n threads of each spec (2n total).
-//
-// Each configuration runs Warmup discarded repetitions, then at least
-// MinReps measured ones, stopping early once the running CV of the energy
-// samples falls to CVTarget (if positive), and never exceeding MaxReps.
-// Reps is the fixed-budget shorthand: when MinReps/MaxReps are zero it
-// stands in for both, preserving the original fixed-repetition behavior.
-type Space struct {
-	Specs        []bench.Spec
-	Pairs        []Pair
-	ThreadCounts []int
-	Placements   []Placement
-	Reps         int     // fixed repetitions; shorthand for MinReps = MaxReps = Reps
-	MinReps      int     // minimum measured repetitions (0: fall back to Reps)
-	MaxReps      int     // repetition hard cap (0: fall back to MinReps)
-	CVTarget     float64 // energy-CV convergence target for early stop; 0 disables
-	Warmup       int     // discarded warm-up repetitions per configuration
-	IterScale    float64
-	// MaxCV is the coefficient-of-variation threshold for outlier
-	// rejection over the energy samples; 0 disables rejection.
-	MaxCV float64
-	// Counters, when non-nil, attaches per-thread hardware activity
-	// metering to every trial: each worker thread counts the spec'd events
-	// around the measured region and the scaled counts ride on the result
-	// (internal/perf).
-	Counters *perf.Spec
-	// SampleInterval, when positive, polls the energy meter (and, with
-	// Counters set, the worker perf sessions) on this period during every
-	// measured repetition, attaching a time-resolved Series to each sample.
-	// 0 disables in-trial sampling.
-	SampleInterval time.Duration
-}
-
-// repBounds resolves the Reps/MinReps/MaxReps shorthand into the effective
-// (min, max) repetition budget.
-func (s Space) repBounds() (minReps, maxReps int) {
-	minReps = s.MinReps
-	if minReps == 0 {
-		minReps = s.Reps
-	}
-	maxReps = s.MaxReps
-	if maxReps == 0 {
-		maxReps = minReps
-	}
-	return minReps, maxReps
-}
-
-// Validate checks the space is runnable.
-func (s Space) Validate() error {
-	if len(s.Specs) == 0 && len(s.Pairs) == 0 {
-		return fmt.Errorf("harness: space has no specs or pairs")
-	}
-	for _, sp := range s.Specs {
-		if err := sp.Validate(); err != nil {
-			return err
-		}
-	}
-	for _, p := range s.Pairs {
-		if err := p.A.Validate(); err != nil {
-			return err
-		}
-		if err := p.B.Validate(); err != nil {
-			return err
-		}
-	}
-	if len(s.ThreadCounts) == 0 {
-		return fmt.Errorf("harness: space has no thread counts")
-	}
-	for _, t := range s.ThreadCounts {
-		if t <= 0 {
-			return fmt.Errorf("harness: non-positive thread count %d", t)
-		}
-	}
-	if len(s.Placements) == 0 {
-		return fmt.Errorf("harness: space has no placements")
-	}
-	minReps, maxReps := s.repBounds()
-	if minReps <= 0 {
-		return fmt.Errorf("harness: min reps must be positive, got %d", minReps)
-	}
-	if maxReps < minReps {
-		return fmt.Errorf("harness: max reps %d below min reps %d", maxReps, minReps)
-	}
-	if s.CVTarget < 0 {
-		return fmt.Errorf("harness: cv target must be non-negative, got %v", s.CVTarget)
-	}
-	if s.Warmup < 0 {
-		return fmt.Errorf("harness: warmup must be non-negative, got %d", s.Warmup)
-	}
-	if s.Counters != nil {
-		if _, err := s.Counters.Normalize(); err != nil {
-			return fmt.Errorf("harness: %w", err)
-		}
-	}
-	if s.SampleInterval < 0 {
-		return fmt.Errorf("harness: sample interval must be non-negative, got %v", s.SampleInterval)
-	}
-	return nil
-}
 
 // Sample is one measured repetition of one configuration. For co-runs,
 // TimeAS/TimeBS are the wall times of the slowest thread of each spec, so

@@ -15,20 +15,30 @@ import (
 	"energybench/internal/meter"
 )
 
-func tinySpace(t *testing.T) Space {
-	t.Helper()
-	specs := []bench.Spec{
-		{Name: "tiny-int", Component: bench.CompIntALU, Iters: 2000, Kernel: bench.KernelIntALU},
-		{Name: "tiny-chase", Component: bench.CompL1, WorkingSet: 4096, Iters: 2000, Kernel: bench.KernelChase},
+// tinyInt and tinyChase are non-catalog specs small enough for a test to
+// run many repetitions of.
+var (
+	tinyInt   = bench.Spec{Name: "tiny-int", Component: bench.CompIntALU, Iters: 2000, Kernel: bench.KernelIntALU}
+	tinyChase = bench.Spec{Name: "tiny-chase", Component: bench.CompL1, WorkingSet: 4096, Iters: 2000, Kernel: bench.KernelChase}
+	tinySpecs = []bench.Spec{tinyInt, tinyChase}
+)
+
+// tinyTrials crosses specs with thread counts, spec major, Seq counted from
+// 0: unpinned trials at each spec's own iteration count, each one warm-up
+// and then three measured repetitions.
+func tinyTrials(specs []bench.Spec, threads ...int) []Trial {
+	var trials []Trial
+	for _, s := range specs {
+		for _, n := range threads {
+			trials = append(trials, Trial{Seq: len(trials), Spec: s, Threads: n, Placement: PlaceNone,
+				Iters: s.Iters, Warmup: 1, MinReps: 3, MaxReps: 3})
+		}
 	}
-	return Space{
-		Specs:        specs,
-		ThreadCounts: []int{1, 2},
-		Placements:   []Placement{PlaceNone},
-		Reps:         3,
-		Warmup:       1,
-	}
+	return trials
 }
+
+// tinyTrial is the one tiny-int trial at the given thread count.
+func tinyTrial(threads int) Trial { return tinyTrials([]bench.Spec{tinyInt}, threads)[0] }
 
 // inProcess is the serial in-process sweep every tier-1 `run` uses: the
 // Scheduler over an InProcess executor.
@@ -36,20 +46,16 @@ func inProcess(m meter.EnergyMeter) *Scheduler {
 	return &Scheduler{Executor: &InProcess{Meter: m}}
 }
 
-// sweep plans the space and runs it through s, collecting the results.
-func sweep(ctx context.Context, s *Scheduler, space Space) ([]Result, error) {
-	trials, err := Plan(space)
-	if err != nil {
-		return nil, err
-	}
+// sweep runs the trials through s, collecting the results.
+func sweep(ctx context.Context, s *Scheduler, trials ...Trial) ([]Result, error) {
 	var c Collector
-	err = s.RunPlan(ctx, trials, &c)
+	err := s.RunPlan(ctx, trials, &c)
 	return c.Results, err
 }
 
 func TestRunnerSweepsFullSpace(t *testing.T) {
 	r := inProcess(meter.NewMock(42))
-	results, err := sweep(context.Background(), r, tinySpace(t))
+	results, err := sweep(context.Background(), r, tinyTrials(tinySpecs, 1, 2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,51 +85,23 @@ func TestRunnerContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := inProcess(meter.NewMock(42))
-	if _, err := sweep(ctx, r, tinySpace(t)); err == nil {
+	if _, err := sweep(ctx, r, tinyTrials(tinySpecs, 1, 2)...); err == nil {
 		t.Error("want context error from cancelled run, got nil")
 	}
 }
 
-func TestSpaceValidate(t *testing.T) {
-	good := tinySpace(t)
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid space rejected: %v", err)
-	}
-	mutations := []struct {
-		name string
-		mut  func(*Space)
-	}{
-		{"no-specs", func(s *Space) { s.Specs = nil }},
-		{"no-threads", func(s *Space) { s.ThreadCounts = nil }},
-		{"zero-threads", func(s *Space) { s.ThreadCounts = []int{0} }},
-		{"no-placements", func(s *Space) { s.Placements = nil }},
-		{"zero-reps", func(s *Space) { s.Reps = 0 }},
-		{"negative-warmup", func(s *Space) { s.Warmup = -1 }},
-		{"invalid-spec", func(s *Space) { s.Specs = []bench.Spec{{Name: "broken"}} }},
-	}
-	for _, tc := range mutations {
-		t.Run(tc.name, func(t *testing.T) {
-			s := tinySpace(t)
-			tc.mut(&s)
-			if err := s.Validate(); err == nil {
-				t.Error("invalid space accepted")
-			}
-		})
-	}
-}
-
+// TestRunnerIterScale: the executor runs the trial's scaled iteration
+// count, not its spec's default.
 func TestRunnerIterScale(t *testing.T) {
-	space := tinySpace(t)
-	space.Specs = space.Specs[:1]
-	space.ThreadCounts = []int{1}
-	space.IterScale = 0.5
+	tr := tinyTrial(1)
+	tr.Iters = tinyInt.Iters / 2
 	r := inProcess(meter.NewMock(42))
-	results, err := sweep(context.Background(), r, space)
+	results, err := sweep(context.Background(), r, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if results[0].Iters != 1000 {
-		t.Errorf("Iters = %d, want 1000 after 0.5 scale of 2000", results[0].Iters)
+		t.Errorf("Iters = %d, want the trial's 1000, half the spec's 2000", results[0].Iters)
 	}
 }
 
@@ -141,10 +119,8 @@ func (failingMeter) Read() (meter.Reading, error) {
 // hold locked OS threads) rather than leaking them on the start barrier.
 func TestRunnerMeterFailureReleasesWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
-	space := tinySpace(t)
-	space.ThreadCounts = []int{4}
 	r := inProcess(failingMeter{})
-	if _, err := sweep(context.Background(), r, space); err == nil {
+	if _, err := sweep(context.Background(), r, tinyTrials(tinySpecs, 4)...); err == nil {
 		t.Fatal("want error from failing meter, got nil")
 	}
 	// Workers exit asynchronously after done.Wait; give the scheduler a
@@ -161,16 +137,14 @@ func TestRunnerMeterFailureReleasesWorkers(t *testing.T) {
 // TestRunnerCoRunPairs checks a paired configuration runs both specs
 // concurrently and reports per-spec wall times alongside the shared energy.
 func TestRunnerCoRunPairs(t *testing.T) {
-	specs := tinySpace(t).Specs
-	space := Space{
-		Pairs:        []Pair{{A: specs[0], B: specs[1]}},
-		ThreadCounts: []int{1, 2},
-		Placements:   []Placement{PlaceNone},
-		Reps:         2,
-		Warmup:       0,
+	pairs := tinyTrials([]bench.Spec{tinyInt}, 1, 2)
+	specB := tinyChase
+	for i := range pairs {
+		pairs[i].SpecB, pairs[i].ItersB = &specB, specB.Iters
+		pairs[i].Warmup, pairs[i].MinReps, pairs[i].MaxReps = 0, 2, 2
 	}
 	r := inProcess(meter.NewMock(42))
-	results, err := sweep(context.Background(), r, space)
+	results, err := sweep(context.Background(), r, pairs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +180,7 @@ func TestRunnerCoRunPairs(t *testing.T) {
 		}
 	}
 	// Solo results must not carry co-run summaries.
-	solo, err := sweep(context.Background(), r, tinySpace(t))
+	solo, err := sweep(context.Background(), r, tinyTrials(tinySpecs, 1, 2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,19 +188,6 @@ func TestRunnerCoRunPairs(t *testing.T) {
 		if res.IsCoRun() || res.TimeA != nil || res.TimeB != nil {
 			t.Errorf("solo result carries co-run fields: %+v", res)
 		}
-	}
-}
-
-func TestSpaceValidateCoRun(t *testing.T) {
-	specs := tinySpace(t).Specs
-	good := Space{Pairs: []Pair{{A: specs[0], B: specs[1]}}, ThreadCounts: []int{1}, Placements: []Placement{PlaceNone}, Reps: 1}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid pair-only space rejected: %v", err)
-	}
-	bad := good
-	bad.Pairs = []Pair{{A: specs[0], B: bench.Spec{Name: "broken"}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("space with invalid pair member accepted")
 	}
 }
 
@@ -247,9 +208,11 @@ func TestRunnerMidSweepCancellation(t *testing.T) {
 		Log:    func(string, ...any) { cancel() },
 		groups: fakeGroups(),
 	}
-	space := tinySpace(t)
-	space.Placements = []Placement{PlaceCompact}
-	results, err := sweep(ctx, r, space)
+	trials := tinyTrials(tinySpecs, 1, 2)
+	for i := range trials {
+		trials[i].Placement = PlaceCompact
+	}
+	results, err := sweep(ctx, r, trials...)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -297,12 +260,9 @@ func TestRunnerPinErrorNotMaskedByReadError(t *testing.T) {
 		},
 		groups: fakeGroups(),
 	}
-	space := tinySpace(t)
-	space.Specs = space.Specs[:1]
-	space.ThreadCounts = []int{2}
-	space.Placements = []Placement{PlaceCompact}
-	space.Warmup = 0
-	_, err := sweep(context.Background(), r, space)
+	tr := tinyTrial(2)
+	tr.Placement, tr.Warmup = PlaceCompact, 0
+	_, err := sweep(context.Background(), r, tr)
 	if err == nil {
 		t.Fatal("want error, got nil")
 	}

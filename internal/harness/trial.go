@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -12,9 +11,9 @@ import (
 
 // Trial is one planned configuration: a first-class, serializable unit of
 // work carrying everything an Executor needs — the spec(s), thread count,
-// placement, scaled iteration counts, and the repetition budget. The planner
-// expands a Space into an ordered []Trial; executors run them one at a time;
-// sinks consume the results. Keeping trials explicit is what makes sweeps
+// placement, scaled iteration counts, and the repetition budget. A campaign
+// (internal/campaign) expands its spaces and workloads into an ordered
+// []Trial; executors run them one at a time; sinks consume the results. Keeping trials explicit is what makes sweeps
 // resumable (skip trials whose key is already stored) and sizable up front
 // (dry runs print the plan without executing it).
 type Trial struct {
@@ -49,7 +48,7 @@ type Trial struct {
 	// and it travels to subprocess workers with the rest of the trial.
 	CPUs []int `json:"cpus,omitempty"`
 	// Counters, when non-nil, makes the executor meter hardware activity
-	// around every repetition's measured region. The planner stamps the
+	// around every repetition's measured region. The campaign stamps the
 	// normalized spec (explicit backend + event list), so a serialized
 	// trial reproduces the same counter configuration in a worker child.
 	Counters *perf.Spec `json:"counters,omitempty"`
@@ -256,63 +255,6 @@ func parseKeyPair(s string, prefix byte) (a, b int, ok bool) {
 		return 0, 0, false
 	}
 	return a, b, true
-}
-
-// Plan validates the space and expands it into the explicit ordered trial
-// list: solo specs first, then co-run pairs, each crossed with every thread
-// count and placement in order.
-func Plan(space Space) ([]Trial, error) {
-	if err := space.Validate(); err != nil {
-		return nil, err
-	}
-	minReps, maxReps := space.repBounds()
-	var counters *perf.Spec
-	if space.Counters != nil {
-		norm, err := space.Counters.Normalize()
-		if err != nil {
-			return nil, fmt.Errorf("harness: %w", err)
-		}
-		counters = &norm
-	}
-	var trials []Trial
-	add := func(specA bench.Spec, specB *bench.Spec, threads int, placement Placement) {
-		t := Trial{
-			Seq:       len(trials),
-			Spec:      specA,
-			SpecB:     specB,
-			Threads:   threads,
-			Placement: placement,
-			Iters:     scaleIters(specA.Iters, space.IterScale),
-			Warmup:    space.Warmup,
-			MinReps:   minReps,
-			MaxReps:   maxReps,
-			CVTarget:  space.CVTarget,
-			MaxCV:     space.MaxCV,
-			Counters:  counters,
-
-			SampleInterval: space.SampleInterval,
-		}
-		if specB != nil {
-			t.ItersB = scaleIters(specB.Iters, space.IterScale)
-		}
-		trials = append(trials, t)
-	}
-	for _, spec := range space.Specs {
-		for _, threads := range space.ThreadCounts {
-			for _, placement := range space.Placements {
-				add(spec, nil, threads, placement)
-			}
-		}
-	}
-	for _, pair := range space.Pairs {
-		b := pair.B
-		for _, threads := range space.ThreadCounts {
-			for _, placement := range space.Placements {
-				add(pair.A, &b, threads, placement)
-			}
-		}
-	}
-	return trials, nil
 }
 
 // FilterTrials drops every trial for which skip returns true, preserving

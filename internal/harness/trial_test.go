@@ -10,96 +10,17 @@ import (
 	"energybench/internal/meter"
 )
 
-func TestPlanExpandsSpaceInOrder(t *testing.T) {
-	space := tinySpace(t)
-	space.Pairs = []Pair{{A: space.Specs[0], B: space.Specs[1]}}
-	trials, err := Plan(space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 specs × 2 thread counts + 1 pair × 2 thread counts, 1 placement.
-	if len(trials) != 6 {
-		t.Fatalf("got %d trials, want 6", len(trials))
-	}
-	for i, tr := range trials {
-		if tr.Seq != i {
-			t.Errorf("trials[%d].Seq = %d", i, tr.Seq)
-		}
-		if tr.MinReps != 3 || tr.MaxReps != 3 {
-			t.Errorf("trials[%d]: rep bounds %d/%d, want 3/3 from Reps shorthand", i, tr.MinReps, tr.MaxReps)
-		}
-		if tr.Warmup != 1 {
-			t.Errorf("trials[%d]: warmup %d, want 1", i, tr.Warmup)
-		}
-	}
-	// Solo trials first (plan order is the sweep order), pairs after.
-	if trials[0].IsCoRun() || !trials[4].IsCoRun() {
-		t.Errorf("plan order wrong: solo trials must precede co-run trials")
-	}
-	if trials[4].Name() != "tiny-int+tiny-chase" {
-		t.Errorf("pair trial name = %q", trials[4].Name())
-	}
-}
-
-func TestPlanAppliesIterScaleAndRepBounds(t *testing.T) {
-	space := tinySpace(t)
-	space.IterScale = 0.5
-	space.Reps = 2
-	space.MinReps = 3
-	space.MaxReps = 9
-	space.CVTarget = 0.1
-	trials, err := Plan(space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trials[0].Iters != 1000 {
-		t.Errorf("Iters = %d, want 1000 after 0.5 scale of 2000", trials[0].Iters)
-	}
-	if trials[0].MinReps != 3 || trials[0].MaxReps != 9 || trials[0].CVTarget != 0.1 {
-		t.Errorf("rep budget = %d/%d cv %v, want 3/9 cv 0.1",
-			trials[0].MinReps, trials[0].MaxReps, trials[0].CVTarget)
-	}
-}
-
-func TestSpaceValidateRepBounds(t *testing.T) {
-	s := tinySpace(t)
-	s.Reps = 0
-	s.MinReps = 0
-	s.MaxReps = 5
-	if err := s.Validate(); err == nil {
-		t.Error("space with no minimum reps accepted")
-	}
-	s = tinySpace(t)
-	s.MinReps = 5
-	s.MaxReps = 2
-	if err := s.Validate(); err == nil {
-		t.Error("space with max < min reps accepted")
-	}
-	s = tinySpace(t)
-	s.CVTarget = -1
-	if err := s.Validate(); err == nil {
-		t.Error("space with negative cv target accepted")
-	}
-	s = tinySpace(t)
-	s.Reps = 0
-	s.MinReps = 2
-	if err := s.Validate(); err != nil {
-		t.Errorf("MinReps without Reps rejected: %v", err)
-	}
-}
-
 // TestTrialKeyMatchesResultKey pins the resume contract: the key a planned
 // trial computes must equal the key derived from the result its execution
 // produces, for both solo and co-run configurations.
 func TestTrialKeyMatchesResultKey(t *testing.T) {
-	space := tinySpace(t)
-	space.Pairs = []Pair{{A: space.Specs[0], B: space.Specs[1]}}
-	space.ThreadCounts = []int{2}
-	space.Reps = 1
-	space.Warmup = 0
-	trials, err := Plan(space)
-	if err != nil {
-		t.Fatal(err)
+	trials := tinyTrials(tinySpecs, 2)
+	pair := trials[0]
+	specB := tinyChase
+	pair.SpecB, pair.ItersB = &specB, specB.Iters
+	trials = append(trials, pair)
+	for i := range trials {
+		trials[i].Warmup, trials[i].MinReps, trials[i].MaxReps = 0, 1, 1
 	}
 	m := meter.NewMock(42)
 	exec := &InProcess{Meter: m}
@@ -152,10 +73,7 @@ func TestParseKeyRoundTrip(t *testing.T) {
 }
 
 func TestFilterTrials(t *testing.T) {
-	trials, err := Plan(tinySpace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	trials := tinyTrials(tinySpecs, 1, 2)
 	kept, skipped := FilterTrials(trials, func(tr Trial) bool { return tr.Threads == 2 })
 	if skipped != 2 || len(kept) != 2 {
 		t.Fatalf("kept %d skipped %d, want 2/2", len(kept), skipped)
@@ -173,10 +91,7 @@ func TestFilterTrials(t *testing.T) {
 }
 
 func TestRunPlanNilSinkAndErrors(t *testing.T) {
-	trials, err := Plan(tinySpace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	trials := tinyTrials(tinySpecs, 1, 2)
 	r := inProcess(meter.NewMock(42))
 	if err := r.RunPlan(context.Background(), trials[:1], nil); err != nil {
 		t.Errorf("nil sink must discard results, got %v", err)
@@ -201,7 +116,7 @@ func (m *loadRecorder) SetLoad(load map[string]float64) { m.load = load }
 // its measured result reports and the one a load-aware meter was handed,
 // and its key is the result's key.
 func TestTrialActivityIsTheResultDesignRow(t *testing.T) {
-	intALU, dram := tinySpace(t).Specs[0], bench.Spec{Name: "tiny-dram", Component: bench.CompDRAM}
+	intALU, dram := tinyInt, bench.Spec{Name: "tiny-dram", Component: bench.CompDRAM}
 	stress := &ExternSpec{Workload: "stress", Exec: []string{"./stress"},
 		Components: map[bench.Component]float64{bench.CompIntALU: 1, bench.CompDRAM: 0.25}}
 	for _, tc := range []struct {
