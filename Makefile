@@ -3,7 +3,7 @@
 # smoke's asserts have one definition.
 
 GO ?= go
-COVER_PKGS := ./internal/stats/... ./internal/meter/... ./internal/perf/... ./internal/model/... ./internal/store/... ./internal/harness/... ./internal/campaign/...
+COVER_PKGS := ./internal/stats/... ./internal/meter/... ./internal/perf/... ./internal/model/... ./internal/store/... ./internal/harness/... ./internal/campaign/... ./internal/par/...
 COVER_FLOOR := 70
 
 # All transient outputs (coverage profiles, smoke stores, analysis JSON) land
@@ -67,6 +67,7 @@ cover:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCyclePermutation -fuzztime=10s ./internal/bench
 	$(GO) test -run='^$$' -fuzz=FuzzReadersAgreeWithWriter -fuzztime=10s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzSidecar -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzCampaignParse -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzParseKey -fuzztime=10s ./internal/harness
 	$(GO) test -run='^$$' -fuzz=FuzzMockParams -fuzztime=10s ./internal/meter

@@ -14,6 +14,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,6 +33,7 @@ import (
 	"energybench/internal/fleet"
 	"energybench/internal/harness"
 	"energybench/internal/model"
+	"energybench/internal/par"
 	"energybench/internal/perf"
 	"energybench/internal/store"
 )
@@ -711,11 +713,16 @@ func cmdStoreAdd(args []string, stdout, stderr io.Writer) error {
 // emits: the JSON array `run` prints, the JSON array of store records
 // `store query` prints, or an NDJSON stream of store records (what a fleet
 // coordinator's GET /jobs/{id}/results emits) — so merged fleet output
-// pipes straight into a local store.
+// pipes straight into a local store. Empty or whitespace-only input is an
+// empty stream (a job whose trials all failed streams nothing) and decodes
+// to no results. Documents are decoded a window at a time on every CPU.
 func decodeAddInput(r io.Reader, from string) ([]harness.Result, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	for {
 		b, err := br.Peek(1)
+		if err == io.EOF {
+			return nil, nil
+		}
 		if err != nil {
 			return nil, fmt.Errorf("reading results from %s: %w", from, err)
 		}
@@ -733,18 +740,34 @@ func decodeAddInput(r io.Reader, from string) ([]harness.Result, error) {
 		return nil, fmt.Errorf("decoding results from %s: %w", from, err)
 	}
 	results := make([]harness.Result, 0, len(raws))
-	for i, raw := range raws {
-		res, err := decodeResultOrRecord(raw)
+	step := par.Window()
+	for start := 0; start < len(raws); start += step {
+		decoded, err := par.Map(raws[start:min(start+step, len(raws))], decodeResultOrRecord)
+		results = append(results, decoded...)
 		if err != nil {
-			return nil, fmt.Errorf("entry %d from %s: %w", i+1, from, err)
+			return nil, fmt.Errorf("entry %d from %s: %w", len(results)+1, from, err)
 		}
-		results = append(results, res)
 	}
 	return results, nil
 }
 
+// decodeAddNDJSON decodes an NDJSON stream a window of lines at a time. A
+// decode error on a line comes before a read error past it, as it would in
+// a line-by-line decode.
 func decodeAddNDJSON(br *bufio.Reader, from string) ([]harness.Result, error) {
 	var results []harness.Result
+	var lines []json.RawMessage
+	var lineNos []int
+	decodeWindow := func() error {
+		decoded, err := par.Map(lines, decodeResultOrRecord)
+		results = append(results, decoded...)
+		if err != nil {
+			return fmt.Errorf("record %d from %s: %w", lineNos[len(decoded)], from, err)
+		}
+		lines, lineNos = lines[:0], lineNos[:0]
+		return nil
+	}
+	step := par.Window()
 	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 64<<10), 64<<20)
 	line := 0
@@ -753,11 +776,16 @@ func decodeAddNDJSON(br *bufio.Reader, from string) ([]harness.Result, error) {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		res, err := decodeResultOrRecord(sc.Bytes())
-		if err != nil {
-			return nil, fmt.Errorf("record %d from %s: %w", line, from, err)
+		lines = append(lines, bytes.Clone(sc.Bytes()))
+		lineNos = append(lineNos, line)
+		if len(lines) == step {
+			if err := decodeWindow(); err != nil {
+				return nil, err
+			}
 		}
-		results = append(results, res)
+	}
+	if err := decodeWindow(); err != nil {
+		return nil, err
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("reading records from %s: %w", from, err)
@@ -776,7 +804,7 @@ type resultOrRecord struct {
 // decodeResultOrRecord decodes one JSON document, in one pass, as either a
 // bare harness.Result or a store.Record wrapping one, distinguished by
 // which shape yields a spec name.
-func decodeResultOrRecord(raw []byte) (harness.Result, error) {
+func decodeResultOrRecord(raw json.RawMessage) (harness.Result, error) {
 	var doc resultOrRecord
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return harness.Result{}, err

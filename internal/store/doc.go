@@ -14,6 +14,14 @@
 // measurement. This is what turns one-shot sweeps into the accumulating
 // datasets the model-fitting layer consumes.
 //
+// Decoding dominates a full read, and records decode independently, so
+// Query reads a window of records at a time, decodes the window on every
+// CPU (par.Map) and yields it in order: consumers see the serial sequence,
+// errors included. A bulk Append encodes its windows the same way and
+// writes them in order, after checking every key, so a refused batch
+// writes nothing. A single-record Append stays on the caller, so a sweep's
+// sink never runs goroutines beside a measured region.
+//
 // Records carry a schema version (SchemaVersion); every version back to v1
 // loads transparently. The record schema's history and both on-disk
 // layouts are documented in docs/WIRE.md.

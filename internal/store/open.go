@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"energybench/internal/harness"
+	"energybench/internal/par"
 )
 
 // Store is an open handle on a result store in either layout. It is the
@@ -116,23 +117,37 @@ func (s *Store) flush() error {
 }
 
 // Append writes the results as records stamped with the current time and
-// returns how many were written. The write is flushed (readable by a fresh
-// Open) before Append returns, so per-configuration sinks stay durable
-// against interrupts mid-sweep; fsync happens on Close.
+// returns how many were written. Every key is checked before anything is
+// written, so a call that fails on a key writes nothing. Records are encoded
+// a window at a time on every CPU (a single record on the caller) and
+// written in order. The write is flushed (readable by a fresh Open) before
+// Append returns, so per-configuration sinks stay durable against
+// interrupts mid-sweep; fsync happens on Close.
 func (s *Store) Append(results []harness.Result) (int, error) {
 	now := time.Now().UTC()
-	for _, res := range results {
-		rec := Record{V: SchemaVersion, Key: harness.ResultKey(res), SavedAt: now, Result: res}
-		if strings.Contains(rec.Key, "\n") {
+	keys := make([]string, len(results))
+	for i, res := range results {
+		keys[i] = harness.ResultKey(res)
+		if strings.Contains(keys[i], "\n") {
 			// A sidecar index holds one key per line.
-			return 0, fmt.Errorf("store: key %q contains a newline", rec.Key)
+			return 0, fmt.Errorf("store: key %q contains a newline", keys[i])
 		}
-		line, err := encodeRecord(rec)
+	}
+	step := par.Window()
+	window := make([]Record, 0, min(step, len(results)))
+	for start := 0; start < len(results); start += step {
+		window = window[:0]
+		for i := start; i < min(start+step, len(results)); i++ {
+			window = append(window, Record{V: SchemaVersion, Key: keys[i], SavedAt: now, Result: results[i]})
+		}
+		lines, err := par.Map(window, encodeRecord)
 		if err != nil {
 			return 0, err
 		}
-		if err := s.appendRaw(rec.Key, line); err != nil {
-			return 0, err
+		for i, line := range lines {
+			if err := s.appendRaw(window[i].Key, line); err != nil {
+				return 0, err
+			}
 		}
 	}
 	if err := s.flush(); err != nil {
@@ -265,8 +280,10 @@ func (s *Store) Keys() (map[string]bool, error) {
 
 // Query streams the records passing the filter, deduped by configuration
 // key (last write wins) in first-appearance order, without materializing
-// the corpus. The iterator yields at most one non-nil error, as its final
-// element.
+// the corpus: records are read a window at a time, decoded on every CPU,
+// and yielded in order once the whole window is decoded, so no goroutine
+// outlives a yield. The iterator yields at most one non-nil error, as its
+// final element, after every record before the one that failed.
 func (s *Store) Query(f Filter) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
 		ix, err := s.buildIndex(f)
@@ -280,30 +297,50 @@ func (s *Store) Query(f Filter) iter.Seq2[Record, error] {
 				fh.Close()
 			}
 		}()
-		for _, key := range ix.order {
-			raw, err := s.readLoc(files, ix.winner[key])
+		step := par.Window()
+		raws := make([][]byte, 0, min(step, len(ix.order)))
+		for start := 0; start < len(ix.order); start += step {
+			keys := ix.order[start:min(start+step, len(ix.order))]
+			raws = raws[:0]
+			var readErr error
+			for _, key := range keys {
+				raw, err := s.readLoc(files, ix.winner[key])
+				if err != nil {
+					readErr = err
+					break
+				}
+				raws = append(raws, raw)
+			}
+			recs, err := par.Map(raws, decodeRecord)
+			for _, rec := range recs {
+				if f.Match(rec.Result) && !yield(rec, nil) {
+					return
+				}
+			}
 			if err != nil {
-				yield(Record{}, err)
+				yield(Record{}, fmt.Errorf("store: %s: record %q: %w", s.path, keys[len(recs)], err))
 				return
 			}
-			var rec Record
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				yield(Record{}, fmt.Errorf("store: %s: record %q: %w", s.path, key, err))
-				return
-			}
-			if rec.V < 1 || rec.V > SchemaVersion {
-				yield(Record{}, fmt.Errorf("store: %s: record %q: schema v%d not supported (this build reads up to v%d)",
-					s.path, key, rec.V, SchemaVersion))
-				return
-			}
-			if !f.Match(rec.Result) {
-				continue
-			}
-			if !yield(rec, nil) {
+			if readErr != nil {
+				yield(Record{}, readErr)
 				return
 			}
 		}
 	}
+}
+
+// decodeRecord decodes one record line into a fresh Record (decoding into
+// a reused one would share its slices and maps with records already
+// yielded) and checks its schema version.
+func decodeRecord(raw []byte) (Record, error) {
+	var rec Record
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return Record{}, err
+	}
+	if rec.V < 1 || rec.V > SchemaVersion {
+		return Record{}, fmt.Errorf("schema v%d not supported (this build reads up to v%d)", rec.V, SchemaVersion)
+	}
+	return rec, nil
 }
 
 // readLoc reads the raw bytes of one record, caching open segment files

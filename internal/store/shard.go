@@ -202,17 +202,24 @@ func (s *Store) segEntries(i int, persist bool) ([]sidecarEntry, error) {
 	return entries, nil
 }
 
-// readSidecar decodes sidecar entries, stopping at the first line that is
-// torn, malformed, discontiguous, or pointing past the segment's clean
-// prefix; covered is the segment byte length the returned entries account
-// for, and whole reports whether they account for every sidecar byte. Any
-// failure just shrinks the trusted prefix — the segment scan rebuilds the
-// rest.
+// readSidecar reads the sidecar at path and parses it against a segment
+// whose clean prefix is clean bytes long (see parseSidecar). An unreadable
+// sidecar covers nothing.
 func readSidecar(path string, clean int64) (entries []sidecarEntry, covered int64, whole bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, false
 	}
+	return parseSidecar(data, clean)
+}
+
+// parseSidecar decodes sidecar entries, stopping at the first line that is
+// torn, malformed, discontiguous, or pointing past the segment's clean
+// prefix; covered is the segment byte length the returned entries account
+// for, and whole reports whether they account for every sidecar byte. Any
+// failure just shrinks the trusted prefix — the segment scan rebuilds the
+// rest.
+func parseSidecar(data []byte, clean int64) (entries []sidecarEntry, covered int64, whole bool) {
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
@@ -228,7 +235,9 @@ func readSidecar(path string, clean int64) (entries []sidecarEntry, covered int6
 		}
 		off, err1 := strconv.ParseInt(offStr, 10, 64)
 		n, err2 := strconv.Atoi(nStr)
-		if err1 != nil || err2 != nil || n <= 0 || off != covered || off+int64(n)+1 > clean {
+		// off == covered <= clean, so clean-off cannot overflow, where
+		// off+n+1 can for a corrupt length near the integer maximum.
+		if err1 != nil || err2 != nil || n <= 0 || off != covered || int64(n) >= clean-off {
 			break
 		}
 		entries = append(entries, sidecarEntry{off: off, n: n, key: key})

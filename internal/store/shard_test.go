@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -538,4 +541,65 @@ func TestOpenRejectsNewerManifest(t *testing.T) {
 	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "v999") {
 		t.Errorf("newer store schema = %v, want refusal", err)
 	}
+}
+
+// TestShardedRebuildsOverflowingSidecar: a sidecar length so large that
+// offset+length wraps around is corrupt, not a huge record; reads rebuild
+// that entry from the segment instead of slicing with the wrapped bound.
+func TestShardedRebuildsOverflowingSidecar(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db-store")
+	in := []harness.Result{mkResult("int-alu", 1, "none"), mkResult("chase-l1", 1, "none")}
+	appendTo(t, path, in...)
+	sidecar := filepath.Join(path, "seg-00000001.keys")
+	data, err := os.ReadFile(sidecar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	off, _, _ := strings.Cut(lines[1], " ")
+	lines[1] = fmt.Sprintf("%s %d %s\n", off, math.MaxInt64, harness.ResultKey(in[1]))
+	if err := os.WriteFile(sidecar, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	recs := openCollect(t, path, Filter{})
+	if len(recs) != 2 || !reflect.DeepEqual(recs[1].Result, in[1]) {
+		t.Fatalf("query over the overflowing sidecar = %d records, want both stored", len(recs))
+	}
+	appendTo(t, path, mkResult("fp-mac", 1, "none"))
+	if recs := openCollect(t, path, Filter{}); len(recs) != 3 {
+		t.Errorf("after an append repaired the sidecar: %d records, want 3", len(recs))
+	}
+}
+
+// FuzzSidecar: the sidecar parser never panics, its entries tile the
+// segment contiguously from offset 0 and stay inside the clean prefix, and
+// it reports the sidecar whole only when every line became an entry.
+func FuzzSidecar(f *testing.F) {
+	f.Add([]byte("0 446 a\n447 446 b\n"), int64(894))
+	f.Add([]byte("0 446 a\n447 9223372036854775807 b\n"), int64(894))
+	f.Add([]byte("0 10 k\n11 5"), int64(100))
+	f.Add([]byte("0 -1 k\n"), int64(100))
+	f.Add([]byte("9223372036854775807 1 k\n"), int64(math.MaxInt64))
+	f.Add([]byte(""), int64(0))
+	f.Fuzz(func(t *testing.T, data []byte, clean int64) {
+		if clean < 0 {
+			clean = -(clean + 1) // a segment's clean length is never negative
+		}
+		entries, covered, whole := parseSidecar(data, clean)
+		var next int64
+		for i, e := range entries {
+			// next <= clean, so clean-e.off-1 cannot overflow.
+			if e.off != next || e.n <= 0 || int64(e.n) > clean-e.off-1 {
+				t.Fatalf("entry %d = [%d,+%d) does not continue the tiling at %d inside clean %d", i, e.off, e.n, next, clean)
+			}
+			next = e.off + int64(e.n) + 1
+		}
+		if covered != next || covered > clean {
+			t.Fatalf("covered = %d, want the entries' end %d, within clean %d", covered, next, clean)
+		}
+		if whole && (bytes.Count(data, []byte("\n")) != len(entries) || (len(data) > 0 && data[len(data)-1] != '\n')) {
+			t.Fatalf("whole reported with %d entries for %d lines: %q", len(entries), bytes.Count(data, []byte("\n")), data)
+		}
+	})
 }

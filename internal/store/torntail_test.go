@@ -117,6 +117,31 @@ func TestAppendRejectsNewlineKey(t *testing.T) {
 	}
 }
 
+// TestFailedAppendWritesNothing: every key is checked before the first
+// write, so a batch whose last result has a bad key leaves no record of
+// the batch behind, even after Close flushes the appender.
+func TestFailedAppendWritesNothing(t *testing.T) {
+	for _, name := range []string{"db.jsonl", "db-store"} {
+		path := filepath.Join(t.TempDir(), name)
+		appendTo(t, path, mkResult("fp-mac", 1, "none"))
+		st, err := Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := []harness.Result{mkResult("int-alu", 1, "none"), mkResult("int-alu", 2, "none"), mkResult("a\nb", 1, "none")}
+		if n, err := st.Append(batch); err == nil || n != 0 {
+			t.Errorf("%s: append = %d, %v; want 0 and the newline key refused", name, n, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]bool{harness.ResultKey(mkResult("fp-mac", 1, "none")): true}
+		if keys, err := keysOf(path); err != nil || !maps.Equal(keys, want) {
+			t.Errorf("%s: keys after the failed append = %v, %v; want only the earlier record's", name, keys, err)
+		}
+	}
+}
+
 // FuzzReadersAgreeWithWriter feeds arbitrary bytes to both layouts and
 // checks that reads never panic and that readers agree with the writer
 // about the torn tail: whenever Keys succeeds, one Append adds exactly its
