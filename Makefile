@@ -11,7 +11,7 @@ COVER_FLOOR := 70
 # clean.
 SCRATCH := .scratch
 
-.PHONY: all ci build test lint fmt-check vet vet-perfbench staticcheck cover fuzz smoke smoke-sampling smoke-planner smoke-fleet smoke-extern docs-check clean
+.PHONY: all ci build test lint fmt-check vet vet-perfbench staticcheck cover fuzz bench-harness smoke smoke-sampling smoke-planner smoke-fleet smoke-extern docs-check clean
 
 all: lint build test
 
@@ -73,6 +73,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMockParams -fuzztime=10s ./internal/meter
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAddInput -fuzztime=10s ./cmd/energybench
 	$(GO) test -run='^$$' -fuzz=FuzzIngest -fuzztime=10s ./internal/fleet
+
+# Per-layer harness numbers, re-runnable without perfbench's traced re-drive:
+# a whole in-process trial's cost and meter windows, and one repetition's
+# sampler start and stop. A measurement, not a gate, so ci does not run it.
+bench-harness:
+	$(GO) test -run='^$$' -bench=BenchmarkInProcessOverhead -count=5 ./internal/harness
+	$(GO) test -run='^$$' -bench=BenchmarkSamplerStartStop -count=5 ./internal/meter
 
 # The CI campaign smoke: subprocess executor, core-leasing scheduler,
 # --parallel 4, store + resume, then the analysis pipeline over the store —

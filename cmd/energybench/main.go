@@ -623,7 +623,7 @@ func cmdStoreQuery(args []string, stdout, stderr io.Writer) error {
 		sort.Strings(keys)
 		return writeJSON(stdout, keys)
 	}
-	var out []store.Record // an empty result prints as null
+	out := []store.Record{} // an empty result prints as [], like --keys
 	for rec, err := range st.Query(f) {
 		if err != nil {
 			return err

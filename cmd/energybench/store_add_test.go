@@ -149,3 +149,30 @@ func TestFailedStoreAddWritesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreAddOfNothingCreatesStore: adding zero records (an empty stream)
+// to a new store creates it in either layout, so querying it afterwards
+// prints empty arrays instead of failing on a missing path.
+func TestStoreAddOfNothingCreatesStore(t *testing.T) {
+	dir := t.TempDir()
+	from := filepath.Join(dir, "empty.ndjson")
+	if err := os.WriteFile(from, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"e.jsonl", "e-store"} {
+		db := filepath.Join(dir, name)
+		if out := runOK(t, "store", "add", "--db="+db, "--from="+from); !strings.Contains(out.String(), `"added": 0`) {
+			t.Fatalf("%s: store add = %s, want 0 added", name, out)
+		}
+		for _, extra := range [][]string{nil, {"--keys"}} {
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"store", "query", "--db=" + db}, extra...)
+			if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+				t.Fatalf("%s: store query %v after an empty add: %v", name, extra, err)
+			}
+			if stdout.String() != "[]\n" {
+				t.Errorf("%s: store query %v = %q, want []", name, extra, stdout.String())
+			}
+		}
+	}
+}

@@ -21,7 +21,7 @@ func legacyListing(t *testing.T, db string, f store.Filter) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []store.Record
+	out := []store.Record{} // `store query` prints no match as [], not null
 	for _, rec := range recs {
 		if f.Match(rec.Result) {
 			out = append(out, rec)
@@ -219,5 +219,29 @@ func TestRunShardedStoreAnalyze(t *testing.T) {
 	}
 	if doc.Observations != 4 {
 		t.Errorf("analyze over the sharded store saw %d observations, want 4", doc.Observations)
+	}
+}
+
+// TestStoreQueryNoMatchPrintsEmptyArray: a query that selects nothing
+// prints an empty JSON array, as --keys does, never null: for a filter
+// that matches no record and for a store that holds none.
+func TestStoreQueryNoMatchPrintsEmptyArray(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty-store")
+	st, err := store.Create(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"--db=testdata/store.jsonl", "--where", "spec=no-such-kernel"},
+		{"--db=" + empty},
+		{"--db=" + empty, "--keys"},
+	} {
+		got := runOK(t, append([]string{"store", "query"}, args...)...)
+		if got.String() != "[]\n" {
+			t.Errorf("store query %v = %q, want []", args, got)
+		}
 	}
 }

@@ -9,8 +9,9 @@
 // records a failed trial as a *TrialError and keeps sweeping. Measure (measure.go) is the one measured-region core every
 // executor shares — warm-up, CV-converged repetitions, the meter reads,
 // sampling, the meter-window power rule, summaries and EDP/EDDP — so an
-// executor supplies only each repetition's Region: worker threads parked
-// behind a barrier here, a frozen child process in internal/extwork.
+// executor supplies only each repetition's Region: one kernel call per
+// unit of workers that live for the trial here (the caller runs unit 0),
+// a frozen child process in internal/extwork.
 // Configurations can pair two heterogeneous specs (co-runs) to measure
 // SMT/CMP interference, the core scenario of the MICRO 2012 methodology.
 //

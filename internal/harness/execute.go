@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -22,9 +23,10 @@ type Executor interface {
 	Execute(ctx context.Context, t Trial) (Result, error)
 }
 
-// InProcess executes trials on this process's own threads: per-thread
-// workspaces behind a start barrier, released by the shared measurement
-// core (Measure) between its meter reads. Its zero value (plus a Meter) is
+// InProcess executes trials on this process's own threads: per-unit
+// workers set up once per trial, each repetition released by the shared
+// measurement core (Measure) between its meter reads, with the calling
+// goroutine running unit 0. Its zero value (plus a Meter) is
 // ready to use; workspaces built for one trial are kept for later trials
 // of the same executor (see wsCache), so one executor should live as long
 // as the sweep it runs.
@@ -57,12 +59,12 @@ func (e *InProcess) activityMeter(spec perf.Spec) (perf.ActivityMeter, error) {
 	return perf.NewMeter(spec)
 }
 
-// workUnit is one worker thread's assignment: which spec's kernel to run,
-// the seed of its workspace, and which spec group (A=0, B=1) its wall time
+// workUnit is one worker's assignment: which spec's kernel to run, the
+// seed of its workspace, and which spec group (A=0, B=1) its wall time
 // belongs to. The spec's component hints the mock activity backend at its
-// planted rates. ws is nil until the unit's worker acquires it in the
-// trial's first repetition; later repetitions reuse it, so the chase
-// position carries over from rep to rep.
+// planted rates. ws is nil until the unit's worker acquires it while the
+// trial is set up; every repetition reuses it, so the chase position
+// carries over from rep to rep.
 type workUnit struct {
 	spec  bench.Spec
 	seed  uint64
@@ -71,8 +73,24 @@ type workUnit struct {
 	ws    *bench.Workspace
 }
 
-// Execute runs the trial's repetitions through Measure, parking the worker
-// threads behind a fresh barrier for every repetition.
+// Execute runs the trial's repetitions through Measure on workers that live
+// for the trial. The calling goroutine is unit 0; every further unit gets
+// one helper goroutine. Each worker sets itself up once, before the first
+// repetition: when the trial is pinned or counted it locks its OS thread
+// (and pins it, when pinned), then acquires its workspace and opens its
+// counter session. A repetition is then one kernel call per unit between
+// a Start and a Stop of its session. With the caller as unit 0, a
+// one-unit trial runs its kernel on the measuring goroutine itself, with
+// no thread wake-up inside the meter window, and a pinned trial's meter
+// reads run on unit 0's CPU.
+//
+// The workers are torn down when Execute returns, on success, failure and
+// cancellation alike: sessions closed, masks restored, threads unlocked. A
+// thread whose mask cannot be restored stays locked: a helper's dies with
+// its goroutine, and the caller's stays with the calling goroutine, so the
+// runtime retires it when that goroutine exits (the Scheduler's launch
+// goroutine exits right after the trial; a worker child exits after its
+// one trial).
 func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {
 	if err := graftKernel(&t.Spec); err != nil {
 		return Result{}, err
@@ -85,11 +103,10 @@ func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {
 		t.SpecB = &specB
 	}
 
-	// Per-thread workspace seeds, distinct so chase cycles differ and
-	// threads never share buffers; each unit's worker acquires its
-	// workspace in park. Co-run units are interleaved A,B,A,B… so compact
-	// placement lands each A/B pair on SMT siblings of one core and
-	// scatter lands them on distinct physical cores.
+	// Per-unit workspace seeds, distinct so chase cycles differ and units
+	// never share buffers. Co-run units are interleaved A,B,A,B… so
+	// compact placement lands each A/B pair on SMT siblings of one core
+	// and scatter lands them on distinct physical cores.
 	var units []workUnit
 	seed := func(i int) uint64 { return uint64(i)*0x9e3779b9 + 12345 }
 	if t.SpecB == nil {
@@ -102,6 +119,9 @@ func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {
 				workUnit{t.Spec, seed(2 * i), t.Iters, 0, nil},
 				workUnit{*t.SpecB, seed(2*i + 1), t.ItersB, 1, nil})
 		}
+	}
+	if len(units) == 0 {
+		return Result{}, fmt.Errorf("harness: trial has no worker threads (threads %d)", t.Threads)
 	}
 	cpus := t.CPUs
 	if cpus == nil {
@@ -120,9 +140,11 @@ func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {
 		activity = am
 	}
 
+	c := e.hire(units, cpus, activity)
+	defer c.dismiss()
 	var repCounts [][]perf.Counts
 	res, err := Measure(ctx, e.Meter, t, func() (Region, error) {
-		return e.park(units, cpus, t.SpecB != nil, activity, &repCounts), nil
+		return c.region(t.SpecB != nil, &repCounts), nil
 	})
 	if err != nil {
 		return res, err
@@ -133,162 +155,245 @@ func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {
 	return res, nil
 }
 
-// park starts one repetition's worker threads and returns once every one
-// is parked on the start barrier, pinned, holding its workspace and with
-// its counter group open. Each thread records its own wall time, so co-runs
-// can report per-spec times. With an activity meter, every worker opens its
-// own counter group (on its pinned CPU, when pinned) and counts exactly the
-// measured region; a measured repetition's per-thread counts are appended
-// to repCounts, parallel to units. In the trial's first repetition each
-// worker acquires its unit's workspace itself, after pinning: the builds
-// run in parallel, a pinned worker touches its pages first, and every
-// build finishes before Measure's opening meter read.
-func (e *InProcess) park(units []workUnit, cpus []int, corun bool, activity perf.ActivityMeter, repCounts *[][]perf.Counts) Region {
-	threads := len(units)
-	start := make(chan struct{})
-	abort := make(chan struct{})
-	var ready, done sync.WaitGroup
-	ready.Add(threads)
-	done.Add(threads)
-	// errBox gives every Store the same concrete type: atomic.Value panics
-	// on stores of differing types, and these slots receive errors of
-	// several concrete kinds (syscall errnos, wrapped fmt errors).
-	type errBox struct{ err error }
-	var pinErr, ctrErr atomic.Value
-	var sink uint64
-	var t0 time.Time
-	elapsedPer := make([]float64, threads)
-	var countsPer []perf.Counts
-	// sessPer exposes each worker's counter session to the sampler. Slots
-	// are written before ready.Done(), so ready.Wait() orders them before
-	// the sampler starts polling.
-	var sessPer []perf.Session
-	if activity != nil {
-		countsPer = make([]perf.Counts, threads)
-		sessPer = make([]perf.Session, threads)
-	}
-	pin := e.pinFunc()
+// worker is one unit's state for a trial: its workspace and counter
+// session, the errors its set-up and repetitions met, and what its latest
+// repetition produced.
+type worker struct {
+	unit workUnit
+	cpu  int // pinned logical CPU, -1 when unpinned
+	sess *liveSession
+	// run wakes a helper for one repetition; closing it ends the helper.
+	// The caller's worker (unit 0) has none.
+	run chan struct{}
 
-	for t := 0; t < threads; t++ {
-		go func(t int) {
-			defer done.Done()
-			// The OS thread must stay fixed whenever it is pinned *or*
-			// counted: a per-thread perf session binds to the OS thread that
-			// opened it, so goroutine migration mid-kernel would silently
-			// divorce the counts from the work.
-			if cpus != nil || activity != nil {
-				runtime.LockOSThread()
-				unlock := runtime.UnlockOSThread
-				if cpus != nil {
-					if unpin, err := pin(cpus[t]); err != nil {
-						pinErr.Store(errBox{err})
-					} else {
-						// The thread goes back to the runtime's pool only
-						// with its original mask restored; one that cannot
-						// be restored stays locked, so the runtime retires
-						// it with this goroutine.
-						unlock = func() {
-							if unpin() == nil {
-								runtime.UnlockOSThread()
-							}
-						}
-					}
-				}
-				defer unlock()
-			}
-			cpu := -1
-			if cpus != nil {
-				cpu = cpus[t]
-			}
-			if units[t].ws == nil {
-				units[t].ws = e.workspace(units[t], cpu)
-			}
-			// Counter groups open after pinning so a per-CPU session lands
-			// on the right CPU. An open failure is recorded, not fatal here:
-			// the thread still participates in the barrier (abandoning it
-			// would wedge the others) and the repetition is rejected after.
-			var sess perf.Session
-			if activity != nil {
-				s, err := activity.OpenThread(cpu, string(units[t].spec.Component))
-				if err != nil {
-					ctrErr.Store(errBox{err})
-				} else {
-					sess = s
-					sessPer[t] = s
-					defer sess.Close()
-				}
-			}
+	pinErr, ctrErr error
+	elapsed        float64
+	counts         perf.Counts
+	sink           uint64
+}
+
+// liveSession is a kept counter session as the sampler polls it. Until its
+// unit Starts it, a kept session still reports the previous repetition's
+// final counts, so it reports nothing until live: the region's counter
+// baseline is zero, and a tick that lands before a unit has started adds
+// nothing stale to the series.
+type liveSession struct {
+	perf.Session
+	live atomic.Bool
+}
+
+func (s *liveSession) Poll() (perf.Counts, error) {
+	p, ok := s.Session.(perf.Poller)
+	if !ok || !s.live.Load() {
+		return perf.Counts{}, nil
+	}
+	return p.Poll()
+}
+
+// crew is one trial's workers: workers[0] runs on the goroutine that
+// called Execute, every other on a helper goroutine of its own.
+type crew struct {
+	workers  []*worker
+	sessions []perf.Session // the opened sessions, for the sampler
+	events   []string       // the counted events; nil when uncounted
+	done     sync.WaitGroup // the helpers' current repetition
+	exited   sync.WaitGroup // the helpers' teardown
+	tearDown func()         // the caller's own teardown
+}
+
+// hire sets up a trial's workers and returns once every one is set up:
+// each helper on its own goroutine, unit 0 on the caller. The workspace
+// builds run in parallel, a pinned worker touches its pages first, and
+// every build finishes before Measure's opening meter read.
+func (e *InProcess) hire(units []workUnit, cpus []int, activity perf.ActivityMeter) *crew {
+	c := &crew{workers: make([]*worker, len(units))}
+	for i, u := range units {
+		w := &worker{unit: u, cpu: -1}
+		if cpus != nil {
+			w.cpu = cpus[i]
+		}
+		if i > 0 {
+			w.run = make(chan struct{}, 1)
+		}
+		c.workers[i] = w
+	}
+	pinned, lock := cpus != nil, cpus != nil || activity != nil
+	var ready sync.WaitGroup
+	ready.Add(len(units) - 1)
+	c.exited.Add(len(units) - 1)
+	for _, w := range c.workers[1:] {
+		go func() {
+			defer c.exited.Done()
+			tearDown := e.setUp(w, pinned, lock, activity)
+			defer tearDown()
 			ready.Done()
-			select {
-			case <-start:
-			case <-abort:
-				return
+			for range w.run {
+				w.rep()
+				c.done.Done()
 			}
-			u := units[t]
-			if sess != nil {
-				if err := sess.Start(); err != nil {
-					ctrErr.Store(errBox{err})
-					sess = nil
-				}
-			}
-			v := u.spec.Kernel(u.ws, u.iters)
-			// t0 is written before close(start), so reading it here is
-			// ordered by the channel close.
-			elapsedPer[t] = time.Since(t0).Seconds()
-			if sess != nil {
-				counts, err := sess.Stop()
-				if err != nil {
-					ctrErr.Store(errBox{err})
-				} else {
-					countsPer[t] = counts
-				}
-			}
-			atomic.AddUint64(&sink, v)
-		}(t)
+		}()
 	}
+	if len(units) > 1 {
+		yieldToHelpers()
+	}
+	c.tearDown = e.setUp(c.workers[0], pinned, lock, activity)
 	ready.Wait()
-
-	r := Region{Sessions: sessPer}
 	if activity != nil {
-		r.Events = activity.Events()
-	}
-	// Abort releases the parked workers (which hold locked OS threads)
-	// without running them.
-	r.Abort = func() {
-		close(abort)
-		done.Wait()
-	}
-	r.Release = func() error {
-		t0 = time.Now()
-		close(start)
-		done.Wait()
-		atomic.AddUint64(&bench.Sink, sink)
-		// A pin failure invalidates the placement and a counter failure
-		// the activity vector the model will regress against.
-		var errs []error
-		for _, slot := range []*atomic.Value{&pinErr, &ctrErr} {
-			if b := slot.Load(); b != nil {
-				errs = append(errs, b.(errBox).err)
+		c.events = activity.Events()
+		for _, w := range c.workers {
+			if w.sess != nil {
+				c.sessions = append(c.sessions, w.sess)
 			}
 		}
-		return errors.Join(errs...)
+	}
+	return c
+}
+
+// setUp makes the calling goroutine worker w's for the trial and returns
+// its teardown. The OS thread must stay fixed whenever it is pinned *or*
+// counted: a per-thread perf session binds to the OS thread that opened
+// it, so goroutine migration mid-kernel would silently divorce the counts
+// from the work. The counter session opens after pinning, so a per-CPU
+// session lands on the right CPU. A pin or open failure is recorded, not
+// fatal here: the worker still takes part in every repetition, which
+// fails on it.
+func (e *InProcess) setUp(w *worker, pinned, lock bool, activity perf.ActivityMeter) (tearDown func()) {
+	unlock := func() {}
+	if lock {
+		runtime.LockOSThread()
+		unlock = runtime.UnlockOSThread
+		if pinned {
+			if unpin, err := e.pinFunc()(w.cpu); err != nil {
+				w.pinErr = err
+			} else {
+				// The thread goes back to the runtime's pool only with
+				// its original mask restored; one that cannot be
+				// restored stays locked.
+				unlock = func() {
+					if unpin() == nil {
+						runtime.UnlockOSThread()
+					}
+				}
+			}
+		}
+	}
+	w.unit.ws = e.workspace(w.unit, w.cpu)
+	if activity != nil {
+		if s, err := activity.OpenThread(w.cpu, string(w.unit.spec.Component)); err != nil {
+			w.ctrErr = err
+		} else {
+			w.sess = &liveSession{Session: s}
+		}
+	}
+	return func() {
+		if w.sess != nil {
+			w.sess.Close()
+		}
+		unlock()
+	}
+}
+
+// rep runs one repetition of w's kernel between a Start and a Stop of its
+// counter session. The unit is timed from its own start, so a helper's
+// wake-up is not part of its co-run time.
+func (w *worker) rep() {
+	start := time.Now()
+	counting := false
+	if w.sess != nil {
+		if err := w.sess.Start(); err != nil {
+			w.ctrErr = err
+		} else {
+			w.sess.live.Store(true)
+			counting = true
+		}
+	}
+	w.sink += w.unit.spec.Kernel(w.unit.ws, w.unit.iters)
+	w.elapsed = time.Since(start).Seconds()
+	if counting {
+		if c, err := w.sess.Stop(); err != nil {
+			w.ctrErr = err
+		} else {
+			w.counts = c
+		}
+	}
+}
+
+// region prepares one repetition. Release wakes the helpers, runs unit 0
+// on the calling goroutine and waits for the helpers; with an activity
+// meter every unit counts exactly its own kernel call, and a measured
+// repetition's per-unit counts are appended to repCounts, parallel to
+// units.
+func (c *crew) region(corun bool, repCounts *[][]perf.Counts) Region {
+	for _, w := range c.workers {
+		if w.sess != nil {
+			w.sess.live.Store(false)
+		}
+	}
+	r := Region{Sessions: c.sessions, Events: c.events}
+	r.Release = func() error {
+		helpers := c.workers[1:]
+		c.done.Add(len(helpers))
+		for _, w := range helpers {
+			w.run <- struct{}{}
+		}
+		if len(helpers) > 0 {
+			yieldToHelpers()
+		}
+		c.workers[0].rep()
+		c.done.Wait()
+		// A pin failure invalidates the placement and a counter failure
+		// the activity vector the model will regress against.
+		var pinErr, ctrErr error
+		for _, w := range c.workers {
+			pinErr = cmp.Or(pinErr, w.pinErr)
+			ctrErr = cmp.Or(ctrErr, w.ctrErr)
+		}
+		return errors.Join(pinErr, ctrErr)
 	}
 	r.Measured = func(s *Sample) {
-		if countsPer != nil {
-			*repCounts = append(*repCounts, countsPer)
+		if c.events != nil {
+			counts := make([]perf.Counts, len(c.workers))
+			for i, w := range c.workers {
+				counts[i] = w.counts
+			}
+			*repCounts = append(*repCounts, counts)
 		}
 		if !corun {
 			return
 		}
-		for t, u := range units {
-			if u.group == 0 {
-				s.TimeAS = max(s.TimeAS, elapsedPer[t])
+		for _, w := range c.workers {
+			if w.unit.group == 0 {
+				s.TimeAS = max(s.TimeAS, w.elapsed)
 			} else {
-				s.TimeBS = max(s.TimeBS, elapsedPer[t])
+				s.TimeBS = max(s.TimeBS, w.elapsed)
 			}
 		}
 	}
 	return r
+}
+
+// yieldToHelpers hands the calling goroutine's P to the helpers it just
+// started or woke. A woken goroutine waits in its waker's run-next slot, which
+// another P steals only after a pause of tens of microseconds while the
+// waker keeps running: a helper would start that much after unit 0, later
+// than a worker woken by a waker that blocks. Yielding once runs the
+// helper on this P at once and puts the caller on the global run queue,
+// which an idle P serves without that pause.
+func yieldToHelpers() { runtime.Gosched() }
+
+// dismiss ends the helpers and tears every worker down, returning once
+// every thread's mask is restored.
+func (c *crew) dismiss() {
+	for _, w := range c.workers[1:] {
+		close(w.run)
+	}
+	c.tearDown()
+	c.exited.Wait()
+	var sink uint64
+	for _, w := range c.workers {
+		sink += w.sink
+	}
+	atomic.AddUint64(&bench.Sink, sink)
 }
 
 // graftKernel restores what a serialized spec cannot carry: the kernel

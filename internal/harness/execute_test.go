@@ -2,6 +2,9 @@ package harness
 
 import (
 	"context"
+	"math"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -277,5 +280,160 @@ func TestSamplingWithCountersCollectsEventSeries(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSeriesCountsSumToCountedTotals: a sampled, counted trial's series
+// accounts for every count of its measured repetitions: for each event,
+// the series deltas summed over the measured samples, per repetition,
+// equal the event's TotalMean. The counter baseline is zero, because
+// Start resets every session, so no interval before the first poll goes
+// missing. Repetitions of a few microseconds get only the final point;
+// ones of a few milliseconds get ticks too.
+func TestSeriesCountsSumToCountedTotals(t *testing.T) {
+	for _, iters := range []int{tinyInt.Iters, 2_500_000} {
+		tr := tinyTrial(2)
+		tr.Iters = iters
+		tr.SampleInterval = time.Millisecond
+		tr.Counters = &perf.Spec{Backend: perf.BackendMock, Events: perf.DefaultEvents()}
+		res, err := (&InProcess{Meter: meter.NewMock(42)}).Execute(context.Background(), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Counters == nil || res.Counters.Reps != len(res.Samples) {
+			t.Fatalf("counters = %+v over %d samples", res.Counters, len(res.Samples))
+		}
+		for e, ev := range res.Counters.Events {
+			var sum float64
+			for _, s := range res.Samples {
+				for _, pt := range s.Series.Points {
+					sum += pt.Counts[e]
+				}
+			}
+			got := sum / float64(len(res.Samples))
+			if math.Abs(got-ev.TotalMean) > 1e-9*ev.TotalMean {
+				t.Errorf("%d iters, %s: series sums to %v per repetition, want the counted total %v", iters, ev.Event, got, ev.TotalMean)
+			}
+		}
+	}
+}
+
+// countingActivity wraps an ActivityMeter, counting session opens and,
+// per session, every Start, Stop and Close. Its sessions forward
+// perf.Poller, so the sampler still polls them.
+type countingActivity struct {
+	perf.ActivityMeter
+	mu       sync.Mutex
+	opened   int
+	sessions []*countingSession
+}
+
+type countingSession struct {
+	perf.Session
+	a                     *countingActivity
+	starts, stops, closes int
+}
+
+func (a *countingActivity) OpenThread(cpu int, workload string) (perf.Session, error) {
+	s, err := a.ActivityMeter.OpenThread(cpu, workload)
+	if err != nil {
+		return nil, err
+	}
+	cs := &countingSession{Session: s, a: a}
+	a.mu.Lock()
+	a.opened++
+	a.sessions = append(a.sessions, cs)
+	a.mu.Unlock()
+	return cs, nil
+}
+
+func (s *countingSession) count(n *int) {
+	s.a.mu.Lock()
+	*n++
+	s.a.mu.Unlock()
+}
+
+func (s *countingSession) Start() error { s.count(&s.starts); return s.Session.Start() }
+
+func (s *countingSession) Stop() (perf.Counts, error) {
+	s.count(&s.stops)
+	return s.Session.Stop()
+}
+
+func (s *countingSession) Close() error { s.count(&s.closes); return s.Session.Close() }
+
+func (s *countingSession) Poll() (perf.Counts, error) { return s.Session.(perf.Poller).Poll() }
+
+// TestWorkersSetUpOncePerTrial: through the pin and activity seams, a
+// trial's workers pin their threads and open their counter sessions once
+// for the whole trial, not once per repetition: a 2-thread compact trial
+// of one warm-up and three measured repetitions opens and closes 2
+// sessions and pins and restores 2 threads, and a one-thread trial starts
+// and stops its one session once per repetition.
+func TestWorkersSetUpOncePerTrial(t *testing.T) {
+	var mu sync.Mutex
+	pins, restores := 0, 0
+	var activity *countingActivity
+	e := &InProcess{
+		Meter: meter.NewMock(42),
+		pin: func(int) (func() error, error) {
+			mu.Lock()
+			pins++
+			mu.Unlock()
+			return func() error {
+				mu.Lock()
+				restores++
+				mu.Unlock()
+				return nil
+			}, nil
+		},
+		newActivity: func(spec perf.Spec) (perf.ActivityMeter, error) {
+			am, err := perf.NewMeter(spec)
+			activity = &countingActivity{ActivityMeter: am}
+			return activity, err
+		},
+	}
+	counters := &perf.Spec{Backend: perf.BackendMock, Events: []string{"instructions"}}
+	tr := tinyTrial(2)
+	tr.Placement, tr.CPUs, tr.Counters = PlaceCompact, []int{0, 1}, counters
+	tr.SampleInterval = time.Millisecond
+	if _, err := e.Execute(context.Background(), tr); err != nil {
+		t.Fatal(err)
+	}
+	closes := 0
+	for _, s := range activity.sessions {
+		closes += s.closes
+	}
+	if activity.opened != 2 || closes != 2 {
+		t.Errorf("2-thread trial opened %d and closed %d sessions, want 2 and 2", activity.opened, closes)
+	}
+	if pins != 2 || restores != 2 {
+		t.Errorf("2-thread trial pinned %d threads and restored %d, want 2 and 2", pins, restores)
+	}
+
+	tr = tinyTrial(1)
+	tr.Counters = counters
+	if _, err := e.Execute(context.Background(), tr); err != nil {
+		t.Fatal(err)
+	}
+	reps := tr.Warmup + tr.MaxReps
+	if len(activity.sessions) != 1 {
+		t.Fatalf("1-thread trial opened %d sessions, want 1", len(activity.sessions))
+	}
+	if s := activity.sessions[0]; s.starts != reps || s.stops != reps || s.closes != 1 {
+		t.Errorf("1-thread trial's session: %d starts, %d stops, %d closes; want %d, %d, 1", s.starts, s.stops, s.closes, reps, reps)
+	}
+}
+
+// TestZeroThreadTrialFails: a kernel trial with no worker threads has
+// nothing to measure, so Execute refuses it instead of storing an empty
+// measurement. Campaigns reject such a trial; a hand-written worker-trial
+// or fleet input can still carry one.
+func TestZeroThreadTrialFails(t *testing.T) {
+	tr := tinyTrial(1)
+	tr.Threads = 0
+	_, err := (&InProcess{Meter: meter.NewMock(42)}).Execute(context.Background(), tr)
+	if err == nil || !strings.Contains(err.Error(), "no worker threads") {
+		t.Fatalf("err = %v, want the zero-thread trial refused", err)
 	}
 }

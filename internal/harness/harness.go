@@ -9,13 +9,15 @@ import (
 )
 
 // Sample is one measured repetition of one configuration. For co-runs,
-// TimeAS/TimeBS are the wall times of the slowest thread of each spec, so
-// per-spec slowdowns can be computed against solo baselines; DomainJ breaks
-// EnergyJ down per meter domain in Result.Domains order.
+// TimeAS/TimeBS are the wall times of the slowest thread of each spec, each
+// timed from its own start, so per-spec slowdowns can be computed against
+// solo baselines; DomainJ breaks EnergyJ down per meter domain in
+// Result.Domains order.
 //
 // Two windows are recorded per repetition: TimeS is the wall time of the
-// slowest worker thread (the throughput clock), MeterTimeS is the meter's
-// own before→after read window (the energy clock). PowerW divides EnergyJ by
+// released region, until its slowest worker thread finishes (the
+// throughput clock), MeterTimeS is the meter's own before→after read window
+// (the energy clock). PowerW divides EnergyJ by
 // the meter window, since that is the span the energy delta was measured
 // over; dividing by the shorter thread window would systematically inflate
 // power by the meter's read latency.

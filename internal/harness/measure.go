@@ -10,22 +10,25 @@ import (
 	"energybench/internal/stats"
 )
 
-// Region is one repetition's measured work, prepared and parked by an
-// executor: kernel worker threads waiting behind a start barrier, or an
-// external workload's child process launched frozen. Measure owns
-// everything around it — the meter reads, sampling, and aggregation — so
-// every executor measures exactly the same window the same way.
+// Region is one repetition's measured work, prepared by an executor: one
+// kernel call per unit of a trial's workers, or an external workload's
+// child process launched frozen. Measure owns everything around it — the
+// meter reads, sampling, and aggregation — so every executor measures
+// exactly the same window the same way.
 type Region struct {
-	// Release starts the parked work and returns once it has finished
+	// Release runs the prepared work and returns once it has finished
 	// (counter sessions stopped). Its error invalidates the repetition;
 	// the closing meter read still happens and its error joins this one.
 	Release func() error
-	// Abort tears the parked work down unreleased; Measure calls it instead
-	// of Release when the opening meter read fails.
+	// Abort, when non-nil, tears the prepared work down unreleased;
+	// Measure calls it instead of Release when the opening meter read
+	// fails.
 	Abort func()
 	// Sessions are the region's counter sessions and Events their event
 	// names. With sampling on, the sampler polls every session that can be
-	// read without stopping (perf.Poller); nil entries are skipped.
+	// read without stopping (perf.Poller); nil entries are skipped. The
+	// sampler's first poll, before Release, is the series' counter
+	// baseline, so a session must report only this repetition's counts.
 	Sessions []perf.Session
 	Events   []string
 	// Measured, when non-nil, sees each measured (non-warm-up) sample
@@ -112,11 +115,16 @@ func Measure(ctx context.Context, m meter.EnergyMeter, t Trial, prepare func() (
 // (anchored on that reading, so its first interval and the energy delta
 // share a start point), release the region and wait for it, stop the
 // sampler, read again. Every series point therefore falls inside the meter
-// window.
+// window. All of it runs on the calling goroutine, the sampler's baseline
+// and final point included, so a region that runs its work on this
+// goroutine too (the in-process executor's unit 0) needs no thread
+// hand-off between the two reads.
 func measureOnce(m meter.EnergyMeter, every time.Duration, r Region) (Sample, error) {
 	before, err := m.Read()
 	if err != nil {
-		r.Abort()
+		if r.Abort != nil {
+			r.Abort()
+		}
 		return Sample{}, err
 	}
 	var sampling *meter.Sampling

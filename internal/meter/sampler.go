@@ -1,6 +1,7 @@
 package meter
 
 import (
+	"sync"
 	"time"
 )
 
@@ -33,91 +34,142 @@ type Series struct {
 // must return cumulative per-event values that are monotonic within the
 // sampled region; the sampler emits deltas between consecutive polls and
 // clamps negatives (e.g. a session reset racing the first tick) to zero.
+// Its first poll, taken by Start, is the baseline of the first interval.
 type Sampler struct {
 	Meter    EnergyMeter
 	Interval time.Duration
 	Counts   func() ([]float64, error)
 	Events   []string
 
-	// tick overrides the ticker channel in tests so each point is driven
-	// explicitly instead of by wall-clock time.
+	// tick replaces the timer in tests, so each point is driven explicitly
+	// instead of by wall-clock time; Stop then takes every delivered
+	// tick's point before its final one.
 	tick <-chan time.Time
 }
 
-// Sampling is one in-flight sampling run started by Sampler.Start.
+// Sampling is one in-flight sampling run started by Sampler.Start. The
+// caller takes the baseline and the final point itself; each tick in
+// between runs on a goroutine of its own (a timer's, or in tests the one
+// draining the tick channel).
 type Sampling struct {
 	sampler *Sampler
-	stop    chan struct{}
-	done    chan struct{}
+	begin   time.Time
 
-	// Owned by the sampling goroutine until done is closed.
-	series Series
-	err    error
+	// mu orders the ticks against Stop and guards the fields below it.
+	// A point holds it across its meter read and counter poll, so the
+	// ticks, the final point and the caller's own reads around the
+	// sampling run never call the meter at once, and no tick appends a
+	// point after Stop has taken the final one.
+	mu         sync.Mutex
+	timer      *time.Timer
+	stopped    bool
+	prev       Reading
+	prevCounts []float64
+	series     Series
+	err        error
+
+	// stop and done hand the tick channel's goroutine its end, in tests.
+	stop, done chan struct{}
 }
 
 // Start begins sampling anchored at a reading the caller has already taken
 // (the trial's before-read), so the first interval needs no extra meter
-// round-trip. Sampling runs until Stop.
+// round-trip. It polls the counter baseline on the calling goroutine, so
+// the first interval starts at the anchor, not whenever a sampling
+// goroutine first runs. Ticks keep a ticker's schedule: one due every
+// whole Interval after Start, a tick that overran its successor skipping
+// it. Sampling runs until Stop.
 func (s *Sampler) Start(anchor Reading) *Sampling {
 	sp := &Sampling{
 		sampler: s,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		begin:   time.Now(),
+		prev:    anchor,
 		series: Series{
 			StartAt:   anchor.At,
 			IntervalS: s.Interval.Seconds(),
 			Events:    s.Events,
 		},
 	}
-	go sp.run(anchor)
+	if sp.prevCounts, sp.err = sp.pollCounts(); sp.err != nil {
+		return sp
+	}
+	if s.tick != nil {
+		sp.stop, sp.done = make(chan struct{}), make(chan struct{})
+		go sp.drain(s.tick)
+		return sp
+	}
+	sp.mu.Lock()
+	sp.timer = time.AfterFunc(s.Interval, sp.onTimer)
+	sp.mu.Unlock()
 	return sp
 }
 
-// Stop ends the sampling run, flushes one final point covering the partial
-// interval since the last tick, and returns the collected series. The first
-// meter or counter error encountered aborts collection and is returned here;
-// the points gathered before it remain valid. Stop must be called exactly
-// once.
+// Stop ends the sampling run, takes one final point covering the partial
+// interval since the last tick, and returns the collected series. The final
+// point is read on the calling goroutine, and Stop does not wait for a
+// sampling goroutine to run: a tick already taking its point finishes
+// first, and a tick that has not started by then adds nothing. The first
+// meter or counter error encountered aborts collection and is returned
+// here; the points gathered before it remain valid. Stop must be called
+// exactly once.
 func (sp *Sampling) Stop() (Series, error) {
-	close(sp.stop)
-	<-sp.done
+	if sp.done != nil {
+		// A test's tick channel: every tick it delivered is taken first.
+		close(sp.stop)
+		<-sp.done
+	}
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	sp.stopped = true
+	if sp.timer != nil {
+		sp.timer.Stop()
+	}
+	if sp.err == nil {
+		// Final flush: close the last partial interval so the series
+		// covers the whole measured window.
+		sp.point()
+	}
 	return sp.series, sp.err
 }
 
-func (sp *Sampling) run(anchor Reading) {
-	defer close(sp.done)
-	tick := sp.sampler.tick
-	if tick == nil {
-		ticker := time.NewTicker(sp.sampler.Interval)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
-	prev := anchor
-	prevCounts, err := sp.pollCounts()
-	if err != nil {
-		sp.err = err
+// onTimer takes one tick's point and arms the timer for the next whole
+// interval after Start.
+func (sp *Sampling) onTimer() {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.stopped || sp.err != nil {
 		return
 	}
+	sp.point()
+	if sp.err == nil {
+		iv := sp.sampler.Interval
+		sp.timer.Reset(iv - time.Since(sp.begin)%iv)
+	}
+}
+
+// drain takes a point for every tick the test's channel delivers until
+// Stop.
+func (sp *Sampling) drain(tick <-chan time.Time) {
+	defer close(sp.done)
 	for {
 		select {
 		case <-sp.stop:
-			// Final flush: close the last partial interval so the series
-			// covers the whole measured window.
-			sp.point(&prev, &prevCounts)
 			return
 		case <-tick:
-			if sp.point(&prev, &prevCounts); sp.err != nil {
-				return
+			sp.mu.Lock()
+			if sp.err == nil {
+				sp.point()
 			}
+			sp.mu.Unlock()
 		}
 	}
 }
 
 // point reads the meter (and counters) once and appends the delta versus
-// *prev as a new series point, advancing prev. Readings that do not advance
-// the meter clock are skipped: a zero or negative window has no defined
-// power.
-func (sp *Sampling) point(prev *Reading, prevCounts *[]float64) {
+// the previous reading as a new series point, advancing it. Readings that
+// do not advance the meter clock are skipped: a zero or negative window
+// has no defined power. Callers hold sp.mu.
+func (sp *Sampling) point() {
 	m := sp.sampler.Meter
 	cur, err := m.Read()
 	if err != nil {
@@ -129,11 +181,11 @@ func (sp *Sampling) point(prev *Reading, prevCounts *[]float64) {
 		sp.err = err
 		return
 	}
-	dt := cur.At.Sub(prev.At).Seconds()
+	dt := cur.At.Sub(sp.prev.At).Seconds()
 	if dt <= 0 {
 		return
 	}
-	deltas, err := deltaMicroJ(m.Name(), m.Domains(), *prev, cur)
+	deltas, err := deltaMicroJ(m.Name(), m.Domains(), sp.prev, cur)
 	if err != nil {
 		sp.err = err
 		return
@@ -147,17 +199,17 @@ func (sp *Sampling) point(prev *Reading, prevCounts *[]float64) {
 		DomainUJ: deltas,
 		PowerW:   float64(sumUJ) / 1e6 / dt,
 	}
-	if counts != nil && len(counts) == len(*prevCounts) {
+	if counts != nil && len(counts) == len(sp.prevCounts) {
 		pt.Counts = make([]float64, len(counts))
 		for i := range counts {
-			if d := counts[i] - (*prevCounts)[i]; d > 0 {
+			if d := counts[i] - sp.prevCounts[i]; d > 0 {
 				pt.Counts[i] = d
 			}
 		}
 	}
 	sp.series.Points = append(sp.series.Points, pt)
-	*prev = cur
-	*prevCounts = counts
+	sp.prev = cur
+	sp.prevCounts = counts
 }
 
 func (sp *Sampling) pollCounts() ([]float64, error) {

@@ -72,15 +72,22 @@ func Create(path string) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	if strings.HasSuffix(path, ".jsonl") || strings.HasSuffix(path, ".json") {
-		// Created lazily on first append, exactly like the historical
-		// single-file behavior.
+		// Created empty now, as a sharded store's directory is, so a store
+		// that receives no records still opens.
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		if err := f.Close(); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
 		return &Store{path: path}, nil
 	}
 	return initSharded(path)
 }
 
 // Segments returns the number of live segment files (1 for a single-file
-// store, whether or not the file exists yet).
+// store).
 func (s *Store) Segments() int {
 	if !s.sharded {
 		return 1
