@@ -167,7 +167,7 @@ type worker struct {
 	run chan struct{}
 
 	pinErr, ctrErr error
-	elapsed        float64
+	begin, end     time.Time // the latest repetition's start and kernel end
 	counts         perf.Counts
 	sink           uint64
 }
@@ -233,9 +233,6 @@ func (e *InProcess) hire(units []workUnit, cpus []int, activity perf.ActivityMet
 			}
 		}()
 	}
-	if len(units) > 1 {
-		yieldToHelpers()
-	}
 	c.tearDown = e.setUp(c.workers[0], pinned, lock, activity)
 	ready.Wait()
 	if activity != nil {
@@ -294,10 +291,9 @@ func (e *InProcess) setUp(w *worker, pinned, lock bool, activity perf.ActivityMe
 }
 
 // rep runs one repetition of w's kernel between a Start and a Stop of its
-// counter session. The unit is timed from its own start, so a helper's
-// wake-up is not part of its co-run time.
+// counter session, stamping when it began and when its kernel ended.
 func (w *worker) rep() {
-	start := time.Now()
+	w.begin = time.Now()
 	counting := false
 	if w.sess != nil {
 		if err := w.sess.Start(); err != nil {
@@ -308,7 +304,7 @@ func (w *worker) rep() {
 		}
 	}
 	w.sink += w.unit.spec.Kernel(w.unit.ws, w.unit.iters)
-	w.elapsed = time.Since(start).Seconds()
+	w.end = time.Now()
 	if counting {
 		if c, err := w.sess.Stop(); err != nil {
 			w.ctrErr = err
@@ -337,7 +333,17 @@ func (c *crew) region(corun bool, repCounts *[][]perf.Counts) Region {
 			w.run <- struct{}{}
 		}
 		if len(helpers) > 0 {
-			yieldToHelpers()
+			// A woken goroutine waits in its waker's run-next slot, which
+			// another P steals only after a pause of tens of microseconds
+			// while the waker keeps running, so a helper would start that
+			// much after unit 0. Yielding once hands this P to the helper
+			// at once and puts the caller on the global run queue, which an
+			// idle P serves without that pause. A locked caller's thread
+			// hands its P off and sleeps until it is handed back, and that
+			// still beats leaving a locked helper to the stealing P
+			// (BenchmarkInProcessOverhead's pinned and counted two-unit
+			// cases).
+			runtime.Gosched()
 		}
 		c.workers[0].rep()
 		c.done.Wait()
@@ -361,25 +367,28 @@ func (c *crew) region(corun bool, repCounts *[][]perf.Counts) Region {
 		if !corun {
 			return
 		}
+		// Every unit is timed from the repetition's first start, so a unit
+		// that waits for a free CPU behind the others (an unpinned co-run
+		// with more units than Ps runs them in turns) counts that wait,
+		// while the harness's latency in waking the first unit does not, as
+		// a one-thread solo's time has none.
+		first := c.workers[0].begin
+		for _, w := range c.workers[1:] {
+			if w.begin.Before(first) {
+				first = w.begin
+			}
+		}
 		for _, w := range c.workers {
+			elapsed := w.end.Sub(first).Seconds()
 			if w.unit.group == 0 {
-				s.TimeAS = max(s.TimeAS, w.elapsed)
+				s.TimeAS = max(s.TimeAS, elapsed)
 			} else {
-				s.TimeBS = max(s.TimeBS, w.elapsed)
+				s.TimeBS = max(s.TimeBS, elapsed)
 			}
 		}
 	}
 	return r
 }
-
-// yieldToHelpers hands the calling goroutine's P to the helpers it just
-// started or woke. A woken goroutine waits in its waker's run-next slot, which
-// another P steals only after a pause of tens of microseconds while the
-// waker keeps running: a helper would start that much after unit 0, later
-// than a worker woken by a waker that blocks. Yielding once runs the
-// helper on this P at once and puts the caller on the global run queue,
-// which an idle P serves without that pause.
-func yieldToHelpers() { runtime.Gosched() }
 
 // dismiss ends the helpers and tears every worker down, returning once
 // every thread's mask is restored.

@@ -25,14 +25,15 @@ var overheadScales = func() []float64 {
 // overheadSpecs are the catalog kernels sweep-inproc times.
 var overheadSpecs = []string{"int-alu", "fp-mac", "chase-l1", "chase-l2", "mixed-50"}
 
-// BenchmarkInProcessOverhead times InProcess.Execute over whole unpinned
-// trials (one warm-up and three measured repetitions on the mock meter):
-// one and two worker units, each plain (the fleet-job shape) and with mock
-// counters and 1 ms sampling (the sweep-inproc shape), with kernels of one
-// iteration (pure harness cost) and as catalog specs at sweep-inproc's
-// iteration scales. Besides ns/op it reports window-us/op, the trial's
-// three meter windows summed: the part of the harness cost that lands
-// inside measured windows. Run it with `make bench-harness`.
+// BenchmarkInProcessOverhead times InProcess.Execute over whole trials (one
+// warm-up and three measured repetitions on the mock meter): one and two
+// worker units, each plain (unpinned and uncounted, the fleet-job shape),
+// pinned compact, and unpinned with mock counters and 1 ms sampling (the
+// sweep-inproc shape), with kernels of one iteration (pure harness cost)
+// and as catalog specs at sweep-inproc's iteration scales. Besides ns/op it
+// reports window-us/op, the trial's three meter windows summed: the part of
+// the harness cost that lands inside measured windows. Run it with
+// `make bench-harness`.
 func BenchmarkInProcessOverhead(b *testing.B) {
 	one := bench.Spec{Name: "iters-1", Component: bench.CompIntALU, Iters: 1, Kernel: bench.KernelIntALU}
 	var catalog []Trial
@@ -47,12 +48,8 @@ func BenchmarkInProcessOverhead(b *testing.B) {
 		}
 	}
 	for _, units := range []int{1, 2} {
-		for _, counted := range []bool{false, true} {
+		for _, shape := range []string{"plain", "pinned", "counted-sampled"} {
 			for _, kernels := range []string{"iters-1", "catalog"} {
-				shape := "plain"
-				if counted {
-					shape = "counted-sampled"
-				}
 				b.Run(fmt.Sprintf("units=%d/%s/%s", units, shape, kernels), func(b *testing.B) {
 					trials := []Trial{{Spec: one, Iters: 1}}
 					if kernels == "catalog" {
@@ -63,7 +60,10 @@ func BenchmarkInProcessOverhead(b *testing.B) {
 						tr.Threads, tr.Placement = units, PlaceNone
 						tr.Warmup, tr.MinReps, tr.MaxReps = 1, 3, 3
 						tr.Counters, tr.SampleInterval = nil, 0
-						if counted {
+						if shape == "pinned" {
+							tr.Placement = PlaceCompact
+						}
+						if shape == "counted-sampled" {
 							tr.Counters = &perf.Spec{Backend: perf.BackendMock, Events: perf.DefaultEvents()}
 							tr.SampleInterval = time.Millisecond
 						}

@@ -3,11 +3,13 @@ package harness
 import (
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"energybench/internal/bench"
 	"energybench/internal/meter"
 	"energybench/internal/perf"
 )
@@ -435,5 +437,41 @@ func TestZeroThreadTrialFails(t *testing.T) {
 	_, err := (&InProcess{Meter: meter.NewMock(42)}).Execute(context.Background(), tr)
 	if err == nil || !strings.Contains(err.Error(), "no worker threads") {
 		t.Fatalf("err = %v, want the zero-thread trial refused", err)
+	}
+}
+
+// TestOversubscribedCoRunCountsWaiting: an unpinned, uncounted co-run with
+// more units than Ps runs its units in turns, since a kernel of a few
+// milliseconds runs to completion once it has a P. Four units of equal
+// work on two Ps cannot all be done before twice one unit's time, so the
+// slower spec's time in a 2+2 co-run is at least the fastest 1+1 unit's
+// time × units/GOMAXPROCS (with a margin for noise). A clock that started
+// at each unit's own start would leave the wait out and read about half.
+func TestOversubscribedCoRunCountsWaiting(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	spec, err := bench.Lookup("int-alu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Iters /= 4
+	e := &InProcess{Meter: meter.NewMock(42)}
+	corun := func(threads int) Result {
+		tr := Trial{Spec: spec, SpecB: &spec, Threads: threads, Placement: PlaceNone,
+			Iters: spec.Iters, ItersB: spec.Iters, Warmup: 1, MinReps: 10, MaxReps: 10}
+		res, err := e.Execute(context.Background(), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	unit := math.Inf(1)
+	for _, s := range corun(1).Samples {
+		unit = min(unit, s.TimeAS, s.TimeBS)
+	}
+	want := 0.8 * unit * 4 / 2
+	for i, s := range corun(2).Samples {
+		if got := max(s.TimeAS, s.TimeBS); got < want {
+			t.Errorf("2+2 sample %d: slower spec's time %.3g s, want at least %.3g s (1+1 unit %.3g s × 4 units / 2 Ps × 0.8)", i, got, want, unit)
+		}
 	}
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // Sample is one measured repetition of one configuration. For co-runs,
-// TimeAS/TimeBS are the wall times of the slowest thread of each spec, each
-// timed from its own start, so per-spec slowdowns can be computed against
-// solo baselines; DomainJ breaks EnergyJ down per meter domain in
+// TimeAS/TimeBS are the wall times of the slowest thread of each spec,
+// timed from the repetition's first thread start (so a thread that waited
+// for a free CPU counts its wait), so per-spec slowdowns can be computed
+// against solo baselines; DomainJ breaks EnergyJ down per meter domain in
 // Result.Domains order.
 //
 // Two windows are recorded per repetition: TimeS is the wall time of the

@@ -95,11 +95,21 @@ func (s *Sampler) Start(anchor Reading) *Sampling {
 	}
 	if s.tick != nil {
 		sp.stop, sp.done = make(chan struct{}), make(chan struct{})
-		go sp.drain(s.tick)
+		go func() {
+			defer close(sp.done)
+			for {
+				select {
+				case <-sp.stop:
+					return
+				case <-s.tick:
+					sp.tick()
+				}
+			}
+		}()
 		return sp
 	}
 	sp.mu.Lock()
-	sp.timer = time.AfterFunc(s.Interval, sp.onTimer)
+	sp.timer = time.AfterFunc(s.Interval, sp.tick)
 	sp.mu.Unlock()
 	return sp
 }
@@ -132,36 +142,18 @@ func (sp *Sampling) Stop() (Series, error) {
 	return sp.series, sp.err
 }
 
-// onTimer takes one tick's point and arms the timer for the next whole
-// interval after Start.
-func (sp *Sampling) onTimer() {
+// tick takes one tick's point, unless sampling has stopped or failed, and
+// arms the timer for the next whole interval after Start.
+func (sp *Sampling) tick() {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if sp.stopped || sp.err != nil {
 		return
 	}
 	sp.point()
-	if sp.err == nil {
+	if sp.err == nil && sp.timer != nil {
 		iv := sp.sampler.Interval
 		sp.timer.Reset(iv - time.Since(sp.begin)%iv)
-	}
-}
-
-// drain takes a point for every tick the test's channel delivers until
-// Stop.
-func (sp *Sampling) drain(tick <-chan time.Time) {
-	defer close(sp.done)
-	for {
-		select {
-		case <-sp.stop:
-			return
-		case <-tick:
-			sp.mu.Lock()
-			if sp.err == nil {
-				sp.point()
-			}
-			sp.mu.Unlock()
-		}
 	}
 }
 
