@@ -3,7 +3,7 @@
 # smoke's asserts have one definition.
 
 GO ?= go
-COVER_PKGS := ./internal/stats/... ./internal/meter/... ./internal/perf/... ./internal/model/... ./internal/store/... ./internal/harness/... ./internal/campaign/... ./internal/par/...
+COVER_PKGS := ./internal/...
 COVER_FLOOR := 70
 
 # All transient outputs (coverage profiles, smoke stores, analysis JSON) land
@@ -70,16 +70,19 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSidecar -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzCampaignParse -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzParseKey -fuzztime=10s ./internal/harness
+	$(GO) test -run='^$$' -fuzz=FuzzWorkerEnvelope -fuzztime=10s ./internal/harness
 	$(GO) test -run='^$$' -fuzz=FuzzMockParams -fuzztime=10s ./internal/meter
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAddInput -fuzztime=10s ./cmd/energybench
 	$(GO) test -run='^$$' -fuzz=FuzzIngest -fuzztime=10s ./internal/fleet
 
 # Per-layer harness numbers, re-runnable without perfbench's traced re-drive:
-# a whole in-process trial's cost and meter windows, and one repetition's
-# sampler start and stop. A measurement, not a gate, so ci does not run it.
+# a whole in-process trial's cost and meter windows, one repetition's
+# sampler start and stop, and a fleet agent's consecutive batches through
+# its batch runner. A measurement, not a gate, so ci does not run it.
 bench-harness:
 	$(GO) test -run='^$$' -bench=BenchmarkInProcessOverhead -count=5 ./internal/harness
 	$(GO) test -run='^$$' -bench=BenchmarkSamplerStartStop -count=5 ./internal/meter
+	$(GO) test -run='^$$' -bench=BenchmarkAgentBatches -count=5 ./cmd/energybench
 
 # The CI campaign smoke: subprocess executor, core-leasing scheduler,
 # --parallel 4, store + resume, then the analysis pipeline over the store —

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"energybench/internal/campaign"
 	"energybench/internal/extwork"
@@ -35,33 +36,57 @@ func meterFlags(fs *flag.FlagSet) *execConfig {
 
 // newExecutor builds the meter and the executor stack over it. It is the
 // one constructor behind a local sweep, a fleet agent's batch, and a
-// worker child. Kernel trials run in this process (InProcess, which grafts
-// catalog kernels back onto trials that crossed a process boundary) or,
-// with the subprocess executor, in worker-trial children that receive the
-// meter configuration as flags. External workloads always run through the
-// extern executor, metered from this process with the same meter. The
-// meter is built even when only workers use it, so a systematically broken
-// backend (e.g. rapl without powercap read access) fails once here instead
-// of once per spawned worker.
+// worker child: the kernel stack (newKernelStack) topped with the extern
+// layer. External workloads always run through the extern executor,
+// metered from this process with the same meter.
 func newExecutor(ec execConfig, log func(format string, args ...any)) (harness.Executor, error) {
-	m, err := ec.newMeter()
+	ks, err := newKernelStack(ec)
 	if err != nil {
 		return nil, err
 	}
-	var kernels harness.Executor = &harness.InProcess{Meter: m}
+	return ks.executor(ec.TrialTimeout, log), nil
+}
+
+// kernelStack is the part of an executor stack that may serve more than
+// one batch: the meter and the kernel executor over it. Kernel trials run
+// in this process (InProcess, which grafts catalog kernels back onto
+// trials that crossed a process boundary and keeps the workspaces it
+// builds) or, with the subprocess executor, in worker-trial children that
+// receive the meter configuration as flags.
+type kernelStack struct {
+	meter   meter.EnergyMeter
+	kernels harness.Executor
+}
+
+// newKernelStack builds the meter and the kernel executor. The meter is
+// built even when only workers use it, so a systematically broken backend
+// (e.g. rapl without powercap read access) fails once here instead of once
+// per spawned worker.
+func newKernelStack(ec execConfig) (kernelStack, error) {
+	m, err := ec.newMeter()
+	if err != nil {
+		return kernelStack{}, err
+	}
+	ks := kernelStack{meter: m, kernels: &harness.InProcess{Meter: m}}
 	if ec.Executor == campaign.ExecutorSubprocess {
 		self, err := os.Executable()
 		if err != nil {
-			return nil, fmt.Errorf("locating own binary for worker re-exec: %w", err)
+			return kernelStack{}, fmt.Errorf("locating own binary for worker re-exec: %w", err)
 		}
-		kernels = &harness.Subprocess{
+		ks.kernels = &harness.Subprocess{
 			Binary:  self,
 			Args:    ec.workerArgs(),
 			Env:     []string{workerEnvMarker + "=1"},
 			Timeout: ec.TrialTimeout,
 		}
 	}
-	return &extwork.ExternExecutor{Meter: m, Fallback: kernels, Timeout: ec.TrialTimeout, Log: log}, nil
+	return ks, nil
+}
+
+// executor tops the kernel stack with a fresh extern layer, whose
+// build-step outcomes last as long as it does.
+func (ks kernelStack) executor(timeout time.Duration, log func(format string, args ...any)) harness.Executor {
+	return &extwork.ExternExecutor{Meter: ks.meter, Fallback: ks.kernels, Timeout: timeout, Log: log}
 }
 
 // workerArgs is the worker-trial command line that rebuilds this meter in

@@ -98,9 +98,9 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 }
 
 // cmdAgent runs a fleet agent daemon: it registers this machine with the
-// coordinator and loops leasing trial batches, executing them through the
-// same scheduler/executor stack a local sweep uses, and posting the results
-// back.
+// coordinator and loops executing trial batches through the same
+// scheduler/executor stack a local sweep uses and posting the results back,
+// each post asking for the next batch.
 func cmdAgent(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("agent", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -133,18 +133,41 @@ func cmdAgent(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	return a.Run(ctx)
 }
 
-// localBatchRunner executes leased batches through the same stack a local
-// sweep uses: newExecutor over the batch's execution environment, and the
-// Scheduler dispatching the batch's trials.
-func localBatchRunner(logf func(string, ...any)) fleet.BatchRunner {
-	return fleet.BatchRunnerFunc(func(ctx context.Context, b fleet.Batch, sink harness.ResultSink) error {
-		exec, err := newExecutor(execConfig{ExecConfig: b.Exec}, logf)
+// batchRunner executes leased batches through the same stack a local sweep
+// uses: the Scheduler dispatching the batch's trials over newExecutor's
+// stack for the batch's execution environment. It keeps the kernel stack
+// (meter, and InProcess with its workspaces or Subprocess) from one batch to
+// the next while the environment stays the same, so a job's batches build
+// each workspace once, as one local run does, and drops it when the agent
+// goes idle. The extern layer is new for every batch: its build-step
+// outcomes belong to one job's campaign, and job ids repeat after a
+// coordinator restarts on a fresh data directory.
+type batchRunner struct {
+	log func(string, ...any)
+	ec  fleet.ExecConfig // the environment ks was built for
+	ks  kernelStack      // zero while idle
+}
+
+func localBatchRunner(logf func(string, ...any)) *batchRunner {
+	return &batchRunner{log: logf}
+}
+
+func (r *batchRunner) RunBatch(ctx context.Context, b fleet.Batch, sink harness.ResultSink) error {
+	if r.ks.kernels == nil || r.ec != b.Exec {
+		r.Idle()
+		ks, err := newKernelStack(execConfig{ExecConfig: b.Exec})
 		if err != nil {
 			return err
 		}
-		sched := &harness.Scheduler{Executor: exec, Parallel: b.Exec.Parallel, Log: logf}
-		return sched.RunPlan(ctx, b.Trials, sink)
-	})
+		r.ec, r.ks = b.Exec, ks
+	}
+	sched := &harness.Scheduler{Executor: r.ks.executor(b.Exec.TrialTimeout, r.log), Parallel: b.Exec.Parallel, Log: r.log}
+	return sched.RunPlan(ctx, b.Trials, sink)
+}
+
+// Idle drops the kept kernel stack, so an idle agent holds no workspaces.
+func (r *batchRunner) Idle() {
+	r.ks = kernelStack{}
 }
 
 // cmdSubmit posts a campaign file to a coordinator and optionally waits for

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -18,10 +19,20 @@ import (
 // completed trial's result into the sink. Per-trial failures must surface as
 // *harness.TrialError values in the returned (possibly joined) error, with
 // the other trials still executed — exactly the contract harness.Scheduler
-// already provides. The CLI wires a scheduler over the real executors; fleet
+// already provides. The agent calls RunBatch one batch at a time, from one
+// goroutine, so a runner may keep state from one batch to the next without
+// locking it. The CLI wires a scheduler over the real executors; fleet
 // tests substitute deterministic fakes.
 type BatchRunner interface {
 	RunBatch(ctx context.Context, b Batch, sink harness.ResultSink) error
+}
+
+// Idler is implemented by a BatchRunner that keeps resources from one batch
+// to the next. The agent calls Idle, between batches, whenever the
+// coordinator has no batch for it and when it stops, so an idle agent holds
+// nothing.
+type Idler interface {
+	Idle()
 }
 
 // BatchRunnerFunc adapts a function to BatchRunner.
@@ -60,6 +71,7 @@ func (a *Agent) Run(ctx context.Context) error {
 	if a.Runner == nil {
 		return fmt.Errorf("fleet: agent has no batch runner")
 	}
+	defer a.idle()
 	if err := a.Host.Validate(); err != nil {
 		return err
 	}
@@ -118,14 +130,18 @@ func (a *Agent) register(ctx context.Context) (registerResponse, error) {
 }
 
 // session is one registration's lifetime: heartbeats in the background, the
-// lease/execute/post loop in the foreground. It returns ErrUnknownAgent when
-// the coordinator no longer knows the agent ID.
+// execute/post loop in the foreground. Each results post asks for the next
+// batch, so a busy agent makes one request per batch; it leases when a post
+// brought no answer (it failed, or the coordinator ignores the request).
+// It returns ErrUnknownAgent when the coordinator no longer knows the agent
+// ID.
 func (a *Agent) session(ctx context.Context, reg registerResponse) error {
 	hctx, stopHeartbeat := context.WithCancel(ctx)
 	defer stopHeartbeat()
 	lost := make(chan struct{}, 1)
 	go a.heartbeatLoop(hctx, reg, lost)
 
+	var next grant // the last results post's grant
 	for {
 		select {
 		case <-ctx.Done():
@@ -134,20 +150,26 @@ func (a *Agent) session(ctx context.Context, reg registerResponse) error {
 			return ErrUnknownAgent
 		default:
 		}
-		var resp leaseResponse
-		err := a.postJSON(ctx, "/agents/"+reg.AgentID+"/lease", leaseRequest{V: ProtocolVersion, Max: a.MaxBatch}, &resp)
-		switch {
-		case errors.Is(err, ErrUnknownAgent):
-			return err
-		case err != nil:
-			a.logf("fleet: lease request failed: %v", err)
-			if !sleepCtx(ctx, a.Poll) {
-				return ctx.Err()
+		g := next
+		next = grant{}
+		if g.Batch == nil && g.RetryAfter <= 0 {
+			var resp leaseResponse
+			err := a.postJSON(ctx, "/agents/"+reg.AgentID+"/lease", leaseRequest{V: ProtocolVersion, Max: a.MaxBatch}, &resp)
+			switch {
+			case errors.Is(err, ErrUnknownAgent):
+				return err
+			case err != nil:
+				a.logf("fleet: lease request failed: %v", err)
+				if !sleepCtx(ctx, a.Poll) {
+					return ctx.Err()
+				}
+				continue
 			}
-			continue
+			g = resp.grant
 		}
-		if resp.Batch == nil {
-			wait := resp.RetryAfter
+		if g.Batch == nil {
+			a.idle()
+			wait := g.RetryAfter
 			if wait <= 0 || wait > a.Poll {
 				wait = a.Poll
 			}
@@ -156,15 +178,24 @@ func (a *Agent) session(ctx context.Context, reg registerResponse) error {
 			}
 			continue
 		}
-		if resp.Batch.V > ProtocolVersion {
-			return fmt.Errorf("fleet: batch protocol v%d is newer than agent v%d", resp.Batch.V, ProtocolVersion)
+		if g.Batch.V > ProtocolVersion {
+			return fmt.Errorf("fleet: batch protocol v%d is newer than agent v%d", g.Batch.V, ProtocolVersion)
 		}
-		if err := a.runBatch(ctx, reg, *resp.Batch); err != nil {
+		var err error
+		if next, err = a.runBatch(ctx, reg, *g.Batch); err != nil {
 			if errors.Is(err, ErrUnknownAgent) || ctx.Err() != nil {
 				return err
 			}
-			a.logf("fleet: batch %s: %v", resp.Batch.BatchID, err)
+			a.logf("fleet: batch %s: %v", g.Batch.BatchID, err)
 		}
+	}
+}
+
+// idle tells the runner, when it keeps resources between batches, that no
+// batch is coming.
+func (a *Agent) idle() {
+	if r, ok := a.Runner.(Idler); ok {
+		r.Idle()
 	}
 }
 
@@ -193,10 +224,11 @@ func (a *Agent) heartbeatLoop(ctx context.Context, reg registerResponse, lost ch
 }
 
 // runBatch executes the batch and posts every trial's envelope — result or
-// structured error — in one NDJSON request. Trials the runner finished are
-// reported even when others failed; trials that produced neither a result
-// nor a *harness.TrialError (runner-level failure) get the batch error.
-func (a *Agent) runBatch(ctx context.Context, reg registerResponse, b Batch) error {
+// structured error — in one NDJSON request, which asks for the next batch.
+// Trials the runner finished are reported even when others failed; trials
+// that produced neither a result nor a *harness.TrialError (runner-level
+// failure) get the batch error. It returns the post's grant.
+func (a *Agent) runBatch(ctx context.Context, reg registerResponse, b Batch) (grant, error) {
 	a.logf("fleet: running batch %s: job %s, %d trials", b.BatchID, b.JobID, len(b.Trials))
 	seqByKey := make(map[string]int, len(b.Trials))
 	for _, t := range b.Trials {
@@ -220,7 +252,7 @@ func (a *Agent) runBatch(ctx context.Context, reg registerResponse, b Batch) err
 	})
 	runErr := a.Runner.RunBatch(ctx, b, sink)
 	if ctx.Err() != nil {
-		return ctx.Err() // interrupted mid-batch: report nothing, let the lease expire
+		return grant{}, ctx.Err() // interrupted mid-batch: report nothing, let the lease expire
 	}
 	for _, te := range trialErrors(runErr) {
 		if _, done := envBySeq[te.Trial.Seq]; done {
@@ -249,7 +281,7 @@ func (a *Agent) runBatch(ctx context.Context, reg registerResponse, b Batch) err
 	enc := json.NewEncoder(&buf)
 	for _, t := range b.Trials { // batch order, for readable coordinator logs
 		if err := enc.Encode(envBySeq[t.Seq]); err != nil {
-			return fmt.Errorf("fleet: encoding envelope: %w", err)
+			return grant{}, fmt.Errorf("fleet: encoding envelope: %w", err)
 		}
 	}
 	return a.postResults(ctx, reg, b, buf.Bytes())
@@ -257,26 +289,29 @@ func (a *Agent) runBatch(ctx context.Context, reg registerResponse, b Batch) err
 
 // postResults retries the results POST a few times: the envelopes are the
 // only copy of this batch's work, and ingestion is idempotent, so retrying
-// a possibly-delivered post is always safe.
-func (a *Agent) postResults(ctx context.Context, reg registerResponse, b Batch, body []byte) error {
+// a possibly-delivered post is always safe. A post whose response was lost
+// may have been granted a batch; like a lost lease response, that batch is
+// reclaimed when its lease expires.
+func (a *Agent) postResults(ctx context.Context, reg registerResponse, b Batch, body []byte) (grant, error) {
+	path := "/agents/" + reg.AgentID + "/results?next=" + strconv.Itoa(a.MaxBatch)
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 && !sleepCtx(ctx, time.Duration(attempt)*time.Second) {
-			return ctx.Err()
+			return grant{}, ctx.Err()
 		}
 		var resp ingestResponse
-		err = a.postRaw(ctx, "/agents/"+reg.AgentID+"/results", "application/x-ndjson", body, &resp)
+		err = a.postRaw(ctx, path, "application/x-ndjson", body, &resp)
 		if err == nil {
 			a.logf("fleet: batch %s posted: %d accepted, %d duplicate, %d stale",
 				b.BatchID, resp.Accepted, resp.Dups, resp.Stale)
-			return nil
+			return resp.grant, nil
 		}
 		if errors.Is(err, ErrUnknownAgent) || errors.Is(err, ErrBadRequest) {
-			return err // retrying an identical post cannot help
+			return grant{}, err // retrying an identical post cannot help
 		}
 		a.logf("fleet: posting batch %s results failed (attempt %d): %v", b.BatchID, attempt+1, err)
 	}
-	return err
+	return grant{}, err
 }
 
 // trialErrors walks a (possibly joined, possibly wrapped) error tree and

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"energybench/internal/harness"
@@ -34,6 +35,7 @@ const retryAfter = 500 * time.Millisecond
 //	POST /agents/{id}/heartbeat   agent liveness
 //	POST /agents/{id}/lease       request a trial batch
 //	POST /agents/{id}/results     post a batch's result envelopes as NDJSON
+//	                              (?next=MAX: and lease the next batch)
 //
 // Every error response is a JSON object {"error": "..."}; unknown agents get
 // 404 and must re-register (coordinator restarts forget agent IDs).
@@ -111,24 +113,40 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: agent protocol v%d is newer than coordinator v%d", ErrBadRequest, req.V, ProtocolVersion))
 		return
 	}
-	b, err := c.Lease(r.PathValue("id"), req.Max)
+	g, err := c.grant(r.PathValue("id"), req.Max)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	resp := leaseResponse{V: ProtocolVersion, Batch: b}
-	if b == nil {
-		resp.RetryAfter = retryAfter
+	writeJSON(w, http.StatusOK, leaseResponse{V: ProtocolVersion, grant: g})
+}
+
+// grant leases the agent up to max trials, as a lease request does.
+func (c *Coordinator) grant(agentID string, max int) (grant, error) {
+	b, err := c.Lease(agentID, max)
+	if err != nil || b != nil {
+		return grant{Batch: b}, err
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return grant{RetryAfter: retryAfter}, nil
 }
 
 // handleIngest processes one NDJSON stream of result envelopes. The whole
 // post is validated line by line; the first malformed or version-skewed
 // envelope aborts with a structured 400 (everything accepted before it
-// stays accepted — agents retry idempotently).
+// stays accepted — agents retry idempotently). A post with ?next=MAX asks
+// for the agent's next batch too: once the whole stream is ingested, the
+// response carries the grant a lease request for MAX trials would have,
+// so a busy agent makes one request per batch. Without it no batch is
+// granted, so an agent that does not read the grant never holds a lease
+// it does not know about.
 func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	agentID := r.PathValue("id")
+	q := r.URL.Query()
+	next, err := strconv.Atoi(q.Get("next"))
+	if q.Has("next") && err != nil {
+		writeError(w, fmt.Errorf("%w: next=%q is not a trial count", ErrBadRequest, q.Get("next")))
+		return
+	}
 	// A result post is proof of liveness: refresh the agent's heartbeat (and
 	// reject unknown agents before touching the stream).
 	if err := c.Heartbeat(agentID); err != nil {
@@ -166,6 +184,14 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err := sc.Err(); err != nil {
 		writeError(w, fmt.Errorf("%w: reading results stream: %v", ErrBadRequest, err))
 		return
+	}
+	if q.Has("next") {
+		g, err := c.grant(agentID, next)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		resp.grant = g
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -143,23 +143,33 @@ type leaseRequest struct {
 	Max int `json:"max"`
 }
 
-// leaseResponse carries at most one batch; a nil batch means no work is
-// currently assignable and the agent should poll again after RetryAfter.
-type leaseResponse struct {
-	V          int           `json:"v"`
+// grant is the coordinator's answer to a request for work: at most one
+// batch; a nil batch means no work is currently assignable and the agent
+// should ask again after RetryAfter, which is then always positive.
+type grant struct {
 	Batch      *Batch        `json:"batch,omitempty"`
 	RetryAfter time.Duration `json:"retry_after_ns,omitempty"`
+}
+
+// leaseResponse answers a lease request.
+type leaseResponse struct {
+	V int `json:"v"`
+	grant
 }
 
 // ingestResponse summarizes one result-stream POST: how many envelopes were
 // newly accepted, how many were idempotent duplicates of already-completed
 // trials (normal after a lease reclaim race), and how many were stale
-// (error envelopes for trials since re-dispatched to another agent).
+// (error envelopes for trials since re-dispatched to another agent). A post
+// that asked for its agent's next batch (?next=) also carries the grant a
+// lease request would have; otherwise the grant stays empty, as it does
+// from a coordinator that predates the request.
 type ingestResponse struct {
 	V        int `json:"v"`
 	Accepted int `json:"accepted"`
 	Dups     int `json:"duplicates"`
 	Stale    int `json:"stale"`
+	grant
 }
 
 // submitResponse acknowledges a job submission.

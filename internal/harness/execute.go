@@ -29,7 +29,9 @@ type Executor interface {
 // goroutine running unit 0. Its zero value (plus a Meter) is
 // ready to use; workspaces built for one trial are kept for later trials
 // of the same executor (see wsCache), so one executor should live as long
-// as the sweep it runs.
+// as the sweep it runs: a whole local run, or all of a fleet agent's
+// batches until the agent goes idle or their execution environment
+// changes.
 type InProcess struct {
 	Meter meter.EnergyMeter
 	// pin overrides the thread-pinning syscall in tests; nil means the

@@ -20,7 +20,8 @@ import (
 const WorkerProtocolVersion = 1
 
 // WorkerEnvelope is the worker child's entire stdout: either the measured
-// result or a structured execution error, never both. Keeping the protocol
+// result or a structured execution error, never both (the parent rejects
+// an envelope with both, or neither). Keeping the protocol
 // to one JSON document per process keeps crash detection trivial — anything
 // that does not parse as an envelope is a crashed or misbehaving child.
 type WorkerEnvelope struct {
@@ -110,24 +111,40 @@ func (e *Subprocess) Execute(ctx context.Context, t Trial) (Result, error) {
 	// Decode the envelope even when the child exited nonzero: a worker that
 	// failed cleanly (bad spec, meter error) reports through the envelope
 	// with a nonzero exit, and the structured message beats an exit status.
-	var env WorkerEnvelope
-	if decErr := json.Unmarshal(stdout.Bytes(), &env); decErr != nil {
-		if runErr != nil {
-			return Result{}, fmt.Errorf("harness: worker crashed: %v%s", runErr, stderr.Suffix())
-		}
-		return Result{}, fmt.Errorf("harness: worker wrote malformed envelope: %v%s", decErr, stderr.Suffix())
-	}
-	if env.V > WorkerProtocolVersion {
-		return Result{}, fmt.Errorf("harness: worker speaks protocol v%d, this build reads up to v%d (version-skewed binary?)",
-			env.V, WorkerProtocolVersion)
-	}
-	if env.Error != "" {
+	env, err := decodeWorkerEnvelope(stdout.Bytes())
+	switch {
+	case errors.Is(err, errMalformedEnvelope) && runErr != nil:
+		return Result{}, fmt.Errorf("harness: worker crashed: %v%s", runErr, stderr.Suffix())
+	case err != nil:
+		return Result{}, fmt.Errorf("%w%s", err, stderr.Suffix())
+	case env.Error != "":
 		return Result{}, fmt.Errorf("harness: worker: %s", env.Error)
 	}
-	if env.Result == nil {
-		return Result{}, fmt.Errorf("harness: worker envelope has neither result nor error%s", stderr.Suffix())
-	}
 	return *env.Result, nil
+}
+
+// errMalformedEnvelope marks worker output that is not one JSON envelope.
+var errMalformedEnvelope = errors.New("harness: worker wrote malformed envelope")
+
+// decodeWorkerEnvelope reads a worker child's whole stdout as one
+// WorkerEnvelope. It returns the envelope only when it is one this build
+// reads: a protocol no newer than WorkerProtocolVersion, carrying exactly
+// one of a result and an error.
+func decodeWorkerEnvelope(out []byte) (WorkerEnvelope, error) {
+	var env WorkerEnvelope
+	if err := json.Unmarshal(out, &env); err != nil {
+		return env, fmt.Errorf("%w: %v", errMalformedEnvelope, err)
+	}
+	switch {
+	case env.V > WorkerProtocolVersion:
+		return env, fmt.Errorf("harness: worker speaks protocol v%d, this build reads up to v%d (version-skewed binary?)",
+			env.V, WorkerProtocolVersion)
+	case env.Result == nil && env.Error == "":
+		return env, errors.New("harness: worker envelope has neither result nor error")
+	case env.Result != nil && env.Error != "":
+		return env, fmt.Errorf("harness: worker envelope has both a result and an error (%s)", env.Error)
+	}
+	return env, nil
 }
 
 // TailBuffer keeps the last 2 KiB written to it: a child's stderr, held

@@ -95,6 +95,14 @@ func TestSubprocessEmptyEnvelope(t *testing.T) {
 	}
 }
 
+func TestSubprocessRejectsResultAndError(t *testing.T) {
+	e := shWorker(t, `cat >/dev/null; echo '{"v":1,"result":{"spec":"x"},"error":"meter exploded"}'`)
+	_, err := e.Execute(context.Background(), fakeTrial("x"))
+	if err == nil || !strings.Contains(err.Error(), "both a result and an error") {
+		t.Errorf("err = %v, want a both-result-and-error protocol error", err)
+	}
+}
+
 func TestSubprocessRejectsNewerProtocol(t *testing.T) {
 	e := shWorker(t, `cat >/dev/null; echo '{"v":99,"result":{"spec":"x"}}'`)
 	_, err := e.Execute(context.Background(), fakeTrial("x"))

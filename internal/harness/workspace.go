@@ -23,7 +23,9 @@ type wsEntry struct {
 }
 
 // wsCache keeps the workspaces an InProcess executor built, for as long as
-// the executor lives: one run, one fleet batch or one worker child. Only
+// the executor lives: one run, one worker child, or a fleet agent's
+// consecutive batches under one execution environment, until the agent
+// goes idle. Only
 // chase workspaces are kept; a compute workspace has no buffer to save.
 // For each working-set size it holds at most as many workspaces as the
 // widest trial so far used at that size, and evicts the least recently
