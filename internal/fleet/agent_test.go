@@ -4,11 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"path"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -221,15 +219,15 @@ func TestResultsPostGrantsOnlyWhenAsked(t *testing.T) {
 	}
 	body := string(ndjson(envelopesFor(b)...))
 
-	code, raw := post(t, results+"?next=many", body)
-	if st, _ := c.Status(sub.JobID); code != http.StatusBadRequest || st.Done != 0 {
-		t.Fatalf("next=many: HTTP %d (%s) with %d trials done, want 400 and nothing ingested", code, raw, st.Done)
+	resp, raw := postNDJSON(t, results+"?next=many", body)
+	if st, _ := c.Status(sub.JobID); resp.StatusCode != http.StatusBadRequest || st.Done != 0 {
+		t.Fatalf("next=many: HTTP %d (%s) with %d trials done, want 400 and nothing ingested", resp.StatusCode, raw, st.Done)
 	}
 
-	code, raw = post(t, results, body)
+	resp, raw = postNDJSON(t, results, body)
 	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &fields); err != nil || code != http.StatusOK {
-		t.Fatalf("plain post: HTTP %d, body %s", code, raw)
+	if err := json.Unmarshal(raw, &fields); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("plain post: HTTP %d, body %s", resp.StatusCode, raw)
 	}
 	if _, ok := fields["batch"]; ok {
 		t.Fatalf("a post without next was granted a batch: %s", raw)
@@ -242,7 +240,7 @@ func TestResultsPostGrantsOnlyWhenAsked(t *testing.T) {
 	}
 
 	var ing ingestResponse
-	_, raw = post(t, results+"?next=0", body)
+	_, raw = postNDJSON(t, results+"?next=0", body)
 	if err := json.Unmarshal(raw, &ing); err != nil || ing.Dups != 2 || ing.Batch == nil || len(ing.Batch.Trials) != 2 {
 		t.Fatalf("repeated post with next: %s, want 2 duplicates and the next batch of 2", raw)
 	}
@@ -252,28 +250,13 @@ func TestResultsPostGrantsOnlyWhenAsked(t *testing.T) {
 
 	granted := ing.Batch
 	ing = ingestResponse{}
-	_, raw = post(t, results+"?next=0", string(ndjson(envelopesFor(granted)...)))
+	_, raw = postNDJSON(t, results+"?next=0", string(ndjson(envelopesFor(granted)...)))
 	if err := json.Unmarshal(raw, &ing); err != nil || ing.Accepted != 2 || ing.Batch != nil || ing.RetryAfter <= 0 {
 		t.Fatalf("last post with next: %s, want 2 accepted, no batch and a retry hint", raw)
 	}
 	if st, _ := c.Status(sub.JobID); !st.Finished || st.Done != 4 {
 		t.Fatalf("final status %+v, want finished with 4 done", st)
 	}
-}
-
-// post sends an NDJSON body and returns the status and the whole response.
-func post(t *testing.T, url, body string) (int, []byte) {
-	t.Helper()
-	resp, err := http.Post(url, "application/x-ndjson", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, raw
 }
 
 // dropFirstResults loses the response to the first results post after the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -540,9 +541,11 @@ func postNDJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var buf [4096]byte
-	n, _ := resp.Body.Read(buf[:])
-	return resp, buf[:n]
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, raw
 }
 
 func TestHTTPEndToEndWithAgentLoop(t *testing.T) {
