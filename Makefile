@@ -4,7 +4,7 @@
 
 GO ?= go
 COVER_PKGS := ./internal/...
-COVER_FLOOR := 70
+COVER_FLOOR := 80
 
 # All transient outputs (coverage profiles, smoke stores, analysis JSON) land
 # under this gitignored directory, so a full `make ci` leaves `git status`
@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCyclePermutation -fuzztime=10s ./internal/bench
 	$(GO) test -run='^$$' -fuzz=FuzzReadersAgreeWithWriter -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzSidecar -fuzztime=10s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzCampaignParse -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzParseKey -fuzztime=10s ./internal/harness
 	$(GO) test -run='^$$' -fuzz=FuzzWorkerEnvelope -fuzztime=10s ./internal/harness

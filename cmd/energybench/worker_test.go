@@ -62,6 +62,7 @@ func TestWorkerTrialErrorsThroughEnvelope(t *testing.T) {
 	}{
 		{"garbage stdin", "not json", "decoding trial"},
 		{"unknown spec", `{"spec":{"name":"no-such-kernel"},"threads":1,"placement":"none","min_reps":1,"max_reps":1}`, "no-such-kernel"},
+		{"no repetitions", `{"spec":{"name":"int-alu"},"threads":1,"placement":"none","iters":1000}`, "min reps must be positive, got 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -274,11 +274,11 @@ func validatePlanner(algo string, batch, budget *int, targetRSE *float64, seed *
 	return nil
 }
 
-// Validate fills in the defaults of omitted top-level fields, then checks
-// the campaign's cross-field invariants and that every space and workload
-// expands into trials (spec names resolve against the catalog, thread counts
-// are positive, and so on). It is the one validator behind campaign files
-// and the run/list flags, which describe a one-space campaign.
+// Validate fills in the defaults of omitted top-level fields, checks the
+// campaign's cross-field invariants, and then plans it (Plan), which checks
+// every space and workload as it expands them. It is the one validator
+// behind campaign files and the run/list flags, which describe a one-space
+// campaign.
 func (c *Campaign) Validate() error {
 	c.applyDefaults()
 	switch c.Meter {
@@ -317,19 +317,8 @@ func (c *Campaign) Validate() error {
 			return fmt.Errorf("campaign: host name %q must not contain '|' or '/' (they delimit store keys)", h)
 		}
 	}
-	if _, err := c.Sampling(); err != nil {
-		return err
-	}
-	if _, err := c.CounterSpec(); err != nil {
-		return err
-	}
 	if len(c.Spaces) == 0 && len(c.Workloads) == 0 {
 		return fmt.Errorf("campaign: no spaces or workloads declared")
-	}
-	for i := range c.Spaces {
-		if _, err := c.Spaces[i].Trials(); err != nil {
-			return fmt.Errorf("campaign: space %s: %w", c.Spaces[i].label(i), err)
-		}
 	}
 	if len(c.Workloads) > 0 && c.Algo != "" && c.Algo != adapt.AlgoAll {
 		// Adaptive planners search the kernel configuration space; external
@@ -338,17 +327,14 @@ func (c *Campaign) Validate() error {
 		return fmt.Errorf("campaign: workloads require algo all (adaptive planners search the kernel space only)")
 	}
 	seen := map[string]bool{}
-	for i := range c.Workloads {
-		w := &c.Workloads[i]
-		if _, err := w.Trials(); err != nil {
-			return fmt.Errorf("campaign: workload #%d: %w", i+1, err)
-		}
+	for _, w := range c.Workloads {
 		if seen[w.Name] {
 			return fmt.Errorf("campaign: duplicate workload name %q", w.Name)
 		}
 		seen[w.Name] = true
 	}
-	return nil
+	_, err = c.Plan()
+	return err
 }
 
 // AdaptConfig resolves the planner knobs into an adapt.Config; ok is false
@@ -425,55 +411,18 @@ func (sc *SpaceConfig) label(i int) string {
 	return fmt.Sprintf("#%d", i+1)
 }
 
-// Trials validates the space and expands it into its ordered trials: solo
-// specs first, then co-run pairs, each crossed with every thread count and
-// placement in order, Seq counted from 0 within the space. Spec names
-// resolve against the benchmark catalog, and omitted fields take the CLI
-// flag defaults: reps 3 (reps is the shorthand for min_reps = max_reps),
-// warmup 1, cv_target 0.05, max_cv 0.2, iter_scale 1, threads [1, 2],
-// placements [none]. Campaign.Plan stamps the counter spec and sampling
-// interval and drops repeated keys.
+// Trials validates the space and expands it into its ordered trials: each
+// solo spec, then each co-run pair, resolved against the benchmark catalog
+// and scaled by iter_scale (default 1), then crossed with the space's grid
+// with the CLI flag defaults (spaceDefaults). Campaign.Plan stamps the
+// counter spec and sampling interval and drops repeated keys.
 func (sc *SpaceConfig) Trials() ([]harness.Trial, error) {
-	minReps := cmp.Or(sc.MinReps, sc.Reps, 3)
-	maxReps := cmp.Or(sc.MaxReps, minReps)
-	cvTarget, warmup := valueOr(sc.CVTarget, 0.05), valueOr(sc.Warmup, 1)
-	iterScale, maxCV := valueOr(sc.IterScal, 1.0), valueOr(sc.MaxCV, 0.2)
+	iterScale := valueOr(sc.IterScal, 1.0)
 	switch {
 	case !(iterScale > 0 && iterScale <= math.MaxFloat64):
 		return nil, fmt.Errorf("iter_scale must be positive and finite, got %v", iterScale)
 	case len(sc.Specs) == 0 && len(sc.Corun) == 0:
 		return nil, fmt.Errorf("space declares neither specs nor corun pairs")
-	case minReps <= 0:
-		return nil, fmt.Errorf("min reps must be positive, got %d", minReps)
-	case maxReps < minReps:
-		return nil, fmt.Errorf("max reps %d below min reps %d", maxReps, minReps)
-	case !(cvTarget >= 0 && cvTarget <= math.MaxFloat64):
-		return nil, fmt.Errorf("cv target must be non-negative and finite, got %v", cvTarget)
-	case !(maxCV >= 0 && maxCV <= math.MaxFloat64):
-		return nil, fmt.Errorf("max cv must be non-negative and finite, got %v", maxCV)
-	case warmup < 0:
-		return nil, fmt.Errorf("warmup must be non-negative, got %d", warmup)
-	}
-	threads := sc.Threads
-	if len(threads) == 0 {
-		threads = []int{1, 2} // mirror the CLI --threads default
-	}
-	for _, n := range threads {
-		if n <= 0 {
-			return nil, fmt.Errorf("non-positive thread count %d", n)
-		}
-	}
-	names := sc.Placements
-	if len(names) == 0 {
-		names = []string{string(harness.PlaceNone)}
-	}
-	placements := make([]harness.Placement, len(names))
-	for i, name := range names {
-		p, err := harness.ParsePlacement(name)
-		if err != nil {
-			return nil, err
-		}
-		placements[i] = p
 	}
 	// lookup resolves a spec name and its scaled iteration count.
 	lookup := func(name string) (bench.Spec, int, error) {
@@ -487,41 +436,119 @@ func (sc *SpaceConfig) Trials() ([]harness.Trial, error) {
 		}
 		return s, iters, nil
 	}
-	trials := make([]harness.Trial, 0, (len(sc.Specs)+len(sc.Corun))*len(threads)*len(placements))
-	add := func(a bench.Spec, itersA int, b *bench.Spec, itersB int) {
-		for _, n := range threads {
-			for _, p := range placements {
-				trials = append(trials, harness.Trial{
-					Seq: len(trials), Spec: a, SpecB: b, Threads: n, Placement: p,
-					Iters: itersA, ItersB: itersB, Warmup: warmup, MinReps: minReps, MaxReps: maxReps,
-					CVTarget: cvTarget, MaxCV: maxCV,
-				})
-			}
-		}
-	}
+	bases := make([]harness.Trial, 0, len(sc.Specs)+len(sc.Corun))
 	for _, name := range sc.Specs {
 		s, iters, err := lookup(name)
 		if err != nil {
 			return nil, err
 		}
-		add(s, iters, nil, 0)
+		bases = append(bases, harness.Trial{Spec: s, Iters: iters})
 	}
 	for _, pair := range sc.Corun {
 		nameA, nameB, ok := strings.Cut(pair, "+")
 		if !ok {
 			return nil, fmt.Errorf("corun pair %q is not of the form specA+specB", pair)
 		}
-		a, itersA, err := lookup(nameA)
+		a, itersA, errA := lookup(nameA)
+		b, itersB, errB := lookup(nameB)
+		if err := cmp.Or(errA, errB); err != nil {
+			return nil, err
+		}
+		bases = append(bases, harness.Trial{Spec: a, Iters: itersA, SpecB: &b, ItersB: itersB})
+	}
+	g := grid{threads: sc.Threads, placements: sc.Placements, warmup: sc.Warmup, cvTarget: sc.CVTarget, maxCV: sc.MaxCV,
+		reps: nonZero(sc.Reps), minReps: nonZero(sc.MinReps), maxReps: nonZero(sc.MaxReps)}
+	return g.trials(spaceDefaults, bases...)
+}
+
+// workloadTrials crosses a workload's launch spec (Workload.Spec) with its
+// grid. Its trials' Spec carries only the workload's name, and Iters is a
+// fixed 1 so the key's i-field stays well-formed (the binary does the work).
+func workloadTrials(w extwork.Workload) ([]harness.Trial, error) {
+	spec, err := w.Spec()
+	if err != nil {
+		return nil, err
+	}
+	g := grid{threads: w.Threads, placements: w.Placements, warmup: w.Warmup, cvTarget: w.CVTarget, maxCV: w.MaxCV,
+		reps: w.Reps, minReps: w.MinReps, maxReps: w.MaxReps}
+	return g.trials(workloadDefaults, harness.Trial{Spec: bench.Spec{Name: w.Name, Iters: 1}, Iters: 1, Extern: &spec})
+}
+
+// grid is the part of a space or workload that every sweep entry shares:
+// the thread counts and placements its trials cross, and the repetition
+// budget they carry. Omitted fields are nil or empty.
+type grid struct {
+	threads                        []int
+	placements                     []string
+	reps, minReps, maxReps, warmup *int
+	cvTarget, maxCV                *float64
+}
+
+// gridDefaults are what an entry kind's omitted grid fields resolve to;
+// placements default to [none] for every kind.
+type gridDefaults struct {
+	threads         []int
+	reps, warmup    int
+	cvTarget, maxCV float64
+}
+
+var (
+	// spaceDefaults mirror the run flag defaults.
+	spaceDefaults = gridDefaults{threads: []int{1, 2}, reps: 3, warmup: 1, cvTarget: 0.05, maxCV: 0.2}
+	// workloadDefaults are one repetition and no warm-up: real
+	// applications are expensive, so campaigns opt in to more.
+	workloadDefaults = gridDefaults{threads: []int{1}, reps: 1}
+)
+
+// trials resolves the grid against def (reps is the shorthand for min_reps
+// = max_reps), checks the budget (harness.Trial.ValidateBudget), the thread
+// counts and the placements once, and crosses each base trial with every
+// thread count and then every placement, in order, Seq counted from 0.
+func (g grid) trials(def gridDefaults, bases ...harness.Trial) ([]harness.Trial, error) {
+	minReps := valueOr(g.minReps, valueOr(g.reps, def.reps))
+	budget := harness.Trial{Warmup: valueOr(g.warmup, def.warmup), MinReps: minReps, MaxReps: valueOr(g.maxReps, minReps),
+		CVTarget: valueOr(g.cvTarget, def.cvTarget), MaxCV: valueOr(g.maxCV, def.maxCV)}
+	if err := budget.ValidateBudget(); err != nil {
+		return nil, err
+	}
+	if len(g.threads) == 0 {
+		g.threads = def.threads
+	}
+	for _, n := range g.threads {
+		if n <= 0 {
+			return nil, fmt.Errorf("non-positive thread count %d", n)
+		}
+	}
+	if len(g.placements) == 0 {
+		g.placements = []string{string(harness.PlaceNone)}
+	}
+	placements := make([]harness.Placement, len(g.placements))
+	for i, name := range g.placements {
+		p, err := harness.ParsePlacement(name)
 		if err != nil {
 			return nil, err
 		}
-		b, itersB, err := lookup(nameB)
-		if err != nil {
-			return nil, err
+		placements[i] = p
+	}
+	trials := make([]harness.Trial, 0, len(bases)*len(g.threads)*len(placements))
+	for _, t := range bases {
+		t.Warmup, t.MinReps, t.MaxReps, t.CVTarget, t.MaxCV = budget.Warmup, budget.MinReps, budget.MaxReps, budget.CVTarget, budget.MaxCV
+		for _, n := range g.threads {
+			for _, p := range placements {
+				t.Seq, t.Threads, t.Placement = len(trials), n, p
+				trials = append(trials, t)
+			}
 		}
-		add(a, itersA, &b, itersB)
 	}
 	return trials, nil
+}
+
+// nonZero maps a space's zero rep count, which means "omitted", to nil.
+func nonZero(n int) *int {
+	if n == 0 {
+		return nil
+	}
+	return &n
 }
 
 // valueOr resolves a pointer-optional field.
@@ -578,8 +605,8 @@ func (c *Campaign) Plan() ([]harness.Trial, error) {
 		}
 		add(trials)
 	}
-	for i := range c.Workloads {
-		trials, err := c.Workloads[i].Trials()
+	for i, w := range c.Workloads {
+		trials, err := workloadTrials(w)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: workload #%d: %w", i+1, err)
 		}

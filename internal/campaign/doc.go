@@ -8,9 +8,10 @@
 //
 // A Campaign is the CLI's only sweep description: the run and list flags
 // fill in a one-space Campaign, so flags and files share one Validate and
-// one Plan. It is also the one planner: SpaceConfig.Trials and
-// extwork.Workload.Trials check each space and workload as they expand it
-// straight into harness trials, and Campaign.Plan stamps the counter spec
-// and sampling interval on them, keeps each configuration key's first
-// appearance and numbers the trials in order.
+// one Plan. It is also the one planner: a space's specs and co-run pairs
+// (SpaceConfig.Trials) and a workload's launch spec go through one threads
+// × placements grid with their kind's defaults, which checks the budget
+// with harness.Trial.ValidateBudget; Campaign.Plan stamps the counter spec
+// and sampling interval on the trials, keeps each configuration key's
+// first appearance and numbers the trials in order.
 package campaign

@@ -1,9 +1,15 @@
 package campaign
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"energybench/internal/extwork"
+	"energybench/internal/harness"
 )
 
 // externYAML mirrors testdata/extern-smoke.yaml: a kernel fit space plus one
@@ -153,5 +159,63 @@ func TestParseRejectsInvalidWorkloads(t *testing.T) {
 	trials, err := c.Plan()
 	if err != nil || len(trials) != 1 || trials[0].Extern == nil {
 		t.Errorf("workloads-only plan = %d trials, err %v", len(trials), err)
+	}
+}
+
+// TestWorkloadTrialsRejectBadThresholds: a workload's own cv_target and
+// max_cv must be non-negative and finite, as a kernel space's are; Go
+// callers can set values a campaign file cannot carry.
+func TestWorkloadTrialsRejectBadThresholds(t *testing.T) {
+	f := func(v float64) *float64 { return &v }
+	for _, tc := range []struct {
+		name            string
+		cvTarget, maxCV *float64
+		wantErr         string
+	}{
+		{"NaN cv target", f(math.NaN()), nil, "cv target must be non-negative and finite, got NaN"},
+		{"infinite cv target", f(math.Inf(1)), nil, "cv target must be non-negative and finite, got +Inf"},
+		{"negative cv target", f(-0.1), nil, "cv target must be non-negative and finite, got -0.1"},
+		{"NaN max cv", nil, f(math.NaN()), "max cv must be non-negative and finite, got NaN"},
+		{"infinite max cv", nil, f(math.Inf(1)), "max cv must be non-negative and finite, got +Inf"},
+		{"negative max cv", nil, f(-1), "max cv must be non-negative and finite, got -1"},
+	} {
+		w := extwork.Workload{Name: "app", Exec: []string{"./app"}, CVTarget: tc.cvTarget, MaxCV: tc.maxCV}
+		_, err := workloadTrials(w)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
+		}
+	}
+	w := extwork.Workload{Name: "app", Exec: []string{"./app"}, CVTarget: f(0), MaxCV: f(0)}
+	if trials, err := workloadTrials(w); err != nil || len(trials) != 1 {
+		t.Errorf("explicit zeros: %d trials, err %v; want one trial", len(trials), err)
+	}
+}
+
+// TestGridDefaultsPerKind: spaces and workloads expand through one grid but
+// keep their own defaults, and a space's reps: 0 means the default while a
+// workload's explicit reps: 0 is an error.
+func TestGridDefaultsPerKind(t *testing.T) {
+	grid := func(trials []harness.Trial, err error) (out []string) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range trials {
+			out = append(out, fmt.Sprintf("#%d t%d %s warmup %d reps %d/%d cv %v max %v",
+				tr.Seq, tr.Threads, tr.Placement, tr.Warmup, tr.MinReps, tr.MaxReps, tr.CVTarget, tr.MaxCV))
+		}
+		return out
+	}
+	space := grid((&SpaceConfig{Specs: []string{"int-alu"}, Reps: 0}).Trials())
+	if want := []string{"#0 t1 none warmup 1 reps 3/3 cv 0.05 max 0.2", "#1 t2 none warmup 1 reps 3/3 cv 0.05 max 0.2"}; !reflect.DeepEqual(space, want) {
+		t.Errorf("space defaults = %q, want %q", space, want)
+	}
+	work := grid(workloadTrials(extwork.Workload{Name: "app", Exec: []string{"./app"}}))
+	if want := []string{"#0 t1 none warmup 0 reps 1/1 cv 0 max 0"}; !reflect.DeepEqual(work, want) {
+		t.Errorf("workload defaults = %q, want %q", work, want)
+	}
+	zero := 0
+	_, err := workloadTrials(extwork.Workload{Name: "app", Exec: []string{"./app"}, Reps: &zero})
+	if err == nil || err.Error() != "min reps must be positive, got 0" {
+		t.Errorf("workload reps: 0: err = %v, want the budget error", err)
 	}
 }

@@ -3,8 +3,9 @@
 // validation loop by measuring *real* workloads under the same meters,
 // counters, placements, and store keys as the micro-benchmarks.
 //
-// A campaign's workloads: entries (extwork.Workload) expand into
-// harness.Trial values carrying an ExternSpec instead of a kernel; the
+// A campaign's workloads: entries (extwork.Workload) resolve their launch
+// spec (Workload.Spec), and the campaign's grid expands it into
+// harness.Trial values carrying that ExternSpec instead of a kernel; the
 // ExternExecutor builds the workload once, then per repetition launches the
 // child frozen (SIGSTOP), pins it to the trial's CPU assignment, and
 // attaches per-task perf counters (inherited by threads the child spawns

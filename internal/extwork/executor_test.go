@@ -29,7 +29,7 @@ func needCmd(t *testing.T, name string) {
 }
 
 // externTrial builds a minimal one-rep external-workload trial. The spec
-// name doubles as the workload name, exactly as Workload.Trials plans it.
+// name doubles as the workload name, exactly as a campaign plans it.
 func externTrial(name string, argv []string) harness.Trial {
 	return harness.Trial{
 		Spec:      bench.Spec{Name: name, Iters: 1},
@@ -98,6 +98,13 @@ func TestExecuteRejectsInvalidSpecAndMissingMeter(t *testing.T) {
 	if _, err := e.Execute(context.Background(), externTrial("w", []string{"true"})); err == nil ||
 		!strings.Contains(err.Error(), "no energy meter") {
 		t.Errorf("meterless executor: err = %v", err)
+	}
+
+	norep := externTrial("w", []string{"true"})
+	norep.MinReps, norep.MaxReps = 0, 0
+	if _, err := testExecutor().Execute(context.Background(), norep); err == nil ||
+		!strings.Contains(err.Error(), "min reps must be positive, got 0") {
+		t.Errorf("trial with no repetitions: err = %v", err)
 	}
 }
 

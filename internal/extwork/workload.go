@@ -2,7 +2,6 @@ package extwork
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"energybench/internal/bench"
@@ -42,8 +41,9 @@ type Workload struct {
 	// Swept axes; defaults: threads [1], placements [none].
 	Threads    []int    `json:"threads,omitempty"`
 	Placements []string `json:"placements,omitempty"`
-	// Repetition budget; defaults: 1 rep, no warmup — real applications
-	// are expensive, so campaigns opt in to more.
+	// Repetition budget, checked by harness.Trial.ValidateBudget; defaults:
+	// 1 rep, no warmup — real applications are expensive, so campaigns opt
+	// in to more. An explicit reps: 0 is an error, not the default.
 	Reps     *int     `json:"reps,omitempty"`
 	MinReps  *int     `json:"min_reps,omitempty"`
 	MaxReps  *int     `json:"max_reps,omitempty"`
@@ -52,31 +52,19 @@ type Workload struct {
 	MaxCV    *float64 `json:"max_cv,omitempty"`
 }
 
-// intOr resolves a pointer-optional int.
-func intOr(p *int, def int) int {
-	if p != nil {
-		return *p
-	}
-	return def
-}
-
-// floatOr resolves a pointer-optional float.
-func floatOr(p *float64, def float64) float64 {
-	if p != nil {
-		return *p
-	}
-	return def
-}
-
-// Spec resolves the workload into the serializable trial payload.
+// Spec resolves the workload into its launch spec, the serializable trial
+// payload every one of its trials carries; the campaign crosses it with the
+// workload's threads × placements grid and repetition budget.
 func (w Workload) Spec() (harness.ExternSpec, error) {
 	spec := harness.ExternSpec{
-		Workload:   w.Name,
-		Exec:       w.Exec,
-		Env:        w.Env,
-		Dir:        w.Dir,
-		Build:      w.Build,
-		ExpectExit: intOr(w.ExpectExit, 0),
+		Workload: w.Name,
+		Exec:     w.Exec,
+		Env:      w.Env,
+		Dir:      w.Dir,
+		Build:    w.Build,
+	}
+	if w.ExpectExit != nil {
+		spec.ExpectExit = *w.ExpectExit
 	}
 	if w.Timeout != "" {
 		d, err := time.ParseDuration(w.Timeout)
@@ -91,78 +79,5 @@ func (w Workload) Spec() (harness.ExternSpec, error) {
 			spec.Components[bench.Component(c)] = weight
 		}
 	}
-	if err := spec.Validate(); err != nil {
-		return spec, err
-	}
-	return spec, nil
-}
-
-// Trials validates the workload and expands its threads × placements grid
-// into extern trials, Seq numbered 0-based within the workload.
-// Campaign.Plan re-sequences them across the whole plan and stamps the
-// campaign's counter spec and sampling interval.
-func (w Workload) Trials() ([]harness.Trial, error) {
-	spec, err := w.Spec()
-	if err != nil {
-		return nil, err
-	}
-	threads := w.Threads
-	if len(threads) == 0 {
-		threads = []int{1}
-	}
-	for _, n := range threads {
-		if n <= 0 {
-			return nil, fmt.Errorf("extwork: workload %q has non-positive thread count %d", w.Name, n)
-		}
-	}
-	names := w.Placements
-	if len(names) == 0 {
-		names = []string{string(harness.PlaceNone)}
-	}
-	placements := make([]harness.Placement, len(names))
-	for i, name := range names {
-		p, err := harness.ParsePlacement(name)
-		if err != nil {
-			return nil, fmt.Errorf("extwork: workload %q: %w", w.Name, err)
-		}
-		placements[i] = p
-	}
-	minReps := intOr(w.MinReps, intOr(w.Reps, 1))
-	maxReps := intOr(w.MaxReps, minReps)
-	cvTarget, maxCV, warmup := floatOr(w.CVTarget, 0), floatOr(w.MaxCV, 0), intOr(w.Warmup, 0)
-	switch {
-	case minReps <= 0:
-		return nil, fmt.Errorf("extwork: workload %q min reps must be positive, got %d", w.Name, minReps)
-	case maxReps < minReps:
-		return nil, fmt.Errorf("extwork: workload %q max reps %d below min reps %d", w.Name, maxReps, minReps)
-	case !(cvTarget >= 0 && cvTarget <= math.MaxFloat64):
-		return nil, fmt.Errorf("extwork: workload %q cv target must be non-negative and finite, got %v", w.Name, cvTarget)
-	case !(maxCV >= 0 && maxCV <= math.MaxFloat64):
-		return nil, fmt.Errorf("extwork: workload %q max cv must be non-negative and finite, got %v", w.Name, maxCV)
-	case warmup < 0:
-		return nil, fmt.Errorf("extwork: workload %q warmup must be non-negative", w.Name)
-	}
-	trials := make([]harness.Trial, 0, len(threads)*len(placements))
-	for _, n := range threads {
-		for _, placement := range placements {
-			s := spec
-			trials = append(trials, harness.Trial{
-				Seq: len(trials),
-				// The trial's Spec carries only the workload's name; there
-				// is no kernel, and Iters is a fixed 1 so the key's i-field
-				// stays well-formed (work is whatever the binary does).
-				Spec:      bench.Spec{Name: w.Name, Iters: 1},
-				Threads:   n,
-				Placement: placement,
-				Iters:     1,
-				Warmup:    warmup,
-				MinReps:   minReps,
-				MaxReps:   maxReps,
-				CVTarget:  cvTarget,
-				MaxCV:     maxCV,
-				Extern:    &s,
-			})
-		}
-	}
-	return trials, nil
+	return spec, spec.Validate()
 }

@@ -43,13 +43,11 @@ type Options struct {
 	// is what makes a restart resumable. Required.
 	DataDir string
 	// LeaseTTL is how long an agent holds a batch before the coordinator
-	// may reclaim and re-dispatch it (default 30s).
+	// may reclaim and re-dispatch it (default 30s). Registering agents are
+	// told to check in every LeaseTTL/3 (heartbeatEvery); an agent silent
+	// for three periods is considered lost and its leases are reclaimed
+	// immediately rather than at lease expiry.
 	LeaseTTL time.Duration
-	// HeartbeatEvery is the check-in period handed to registering agents;
-	// an agent silent for three periods is considered lost and its leases
-	// are reclaimed immediately rather than at lease expiry
-	// (default LeaseTTL/3).
-	HeartbeatEvery time.Duration
 	// BatchSize caps the trials granted per lease (default 4).
 	BatchSize int
 	// Resume replays DataDir's existing jobs on startup: finished trials
@@ -156,9 +154,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	}
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 30 * time.Second
-	}
-	if opts.HeartbeatEvery <= 0 {
-		opts.HeartbeatEvery = opts.LeaseTTL / 3
 	}
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = 4
@@ -468,7 +463,9 @@ func repRan(rep *adapt.Report) int {
 
 // fleetDispatcher adapts the coordinator's lease table to adapt.Dispatcher:
 // RunPlan queues the round's trials and blocks until agents have drained
-// every one (done or failed), feeding results to the planner's sink.
+// every one (done or failed), feeding results to the planner's sink. The
+// planner runs under the coordinator's own context (runPlanner), so that
+// one context both cancels a round and ends it when the coordinator closes.
 type fleetDispatcher struct {
 	c *Coordinator
 	j *job
@@ -482,12 +479,6 @@ func (d *fleetDispatcher) RunPlan(ctx context.Context, trials []harness.Trial, s
 		c.mu.Unlock()
 	})
 	defer stop()
-	stopC := context.AfterFunc(c.ctx, func() {
-		c.mu.Lock()
-		j.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	defer stopC()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -515,9 +506,6 @@ func (d *fleetDispatcher) RunPlan(ctx context.Context, trials []harness.Trial, s
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()
-		}
-		if c.ctx.Err() != nil {
-			return c.ctx.Err()
 		}
 		j.cond.Wait()
 	}
@@ -551,10 +539,13 @@ func (c *Coordinator) Register(h HostInfo) (registerResponse, error) {
 	return registerResponse{
 		V:              ProtocolVersion,
 		AgentID:        id,
-		HeartbeatEvery: c.opts.HeartbeatEvery,
+		HeartbeatEvery: c.heartbeatEvery(),
 		LeaseTTL:       c.opts.LeaseTTL,
 	}, nil
 }
+
+// heartbeatEvery is the check-in period handed to registering agents.
+func (c *Coordinator) heartbeatEvery() time.Duration { return c.opts.LeaseTTL / 3 }
 
 // Heartbeat refreshes an agent's liveness.
 func (c *Coordinator) Heartbeat(agentID string) error {
@@ -773,7 +764,7 @@ func (c *Coordinator) Ingest(agentID string, env ResultEnvelope) (ingestStatus, 
 // requeueing their outstanding trials (or failing them once re-dispatch
 // attempts are exhausted). Caller holds c.mu.
 func (c *Coordinator) reapLocked(now time.Time) {
-	lostAfter := 3 * c.opts.HeartbeatEvery
+	lostAfter := 3 * c.heartbeatEvery()
 	for _, a := range c.agents {
 		if !a.lost && now.Sub(a.lastSeen) > lostAfter {
 			a.lost = true

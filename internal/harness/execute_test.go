@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -437,6 +438,40 @@ func TestZeroThreadTrialFails(t *testing.T) {
 	_, err := (&InProcess{Meter: meter.NewMock(42)}).Execute(context.Background(), tr)
 	if err == nil || !strings.Contains(err.Error(), "no worker threads") {
 		t.Fatalf("err = %v, want the zero-thread trial refused", err)
+	}
+}
+
+// TestMeasureRefusesBadBudget: a trial whose repetition budget cannot
+// produce a measurement (a hand-written worker-trial or fleet input can
+// carry one) fails before its first repetition, and the in-process sweep
+// records it as a *TrialError, instead of storing zero joules.
+func TestMeasureRefusesBadBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mut     func(*Trial)
+		wantErr string
+	}{
+		{"no reps", func(tr *Trial) { tr.MinReps, tr.MaxReps = 0, 0 }, "min reps must be positive, got 0"},
+		{"max below min", func(tr *Trial) { tr.MaxReps = 2 }, "max reps 2 below min reps 3"},
+		{"negative warmup", func(tr *Trial) { tr.Warmup = -1 }, "warmup must be non-negative, got -1"},
+		{"NaN cv target", func(tr *Trial) { tr.CVTarget = math.NaN() }, "cv target must be non-negative and finite, got NaN"},
+		{"infinite max cv", func(tr *Trial) { tr.MaxCV = math.Inf(1) }, "max cv must be non-negative and finite, got +Inf"},
+	} {
+		tr := tinyTrial(1)
+		tc.mut(&tr)
+		prepared := 0
+		_, err := Measure(context.Background(), meter.NewMock(42), tr, func() (Region, error) {
+			prepared++
+			return Region{Release: func() error { return nil }}, nil
+		})
+		if err == nil || err.Error() != "harness: "+tc.wantErr || prepared != 0 {
+			t.Errorf("%s: Measure err = %v after %d repetitions, want %q before the first", tc.name, err, prepared, tc.wantErr)
+		}
+		results, err := sweep(context.Background(), inProcess(meter.NewMock(42)), tr)
+		var te *TrialError
+		if len(results) != 0 || !errors.As(err, &te) || !strings.Contains(te.Error(), tc.wantErr) {
+			t.Errorf("%s: in-process sweep stored %d results, err = %v; want one *TrialError naming %q", tc.name, len(results), err, tc.wantErr)
+		}
 	}
 }
 

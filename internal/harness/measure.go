@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"energybench/internal/meter"
@@ -44,8 +45,12 @@ type Region struct {
 // energy samples reaches CVTarget after MinReps (the paper's
 // repeat-until-stable criterion). The returned Result carries the trial's
 // identity, the samples, their summaries, and EDP/EDDP; executors add only
-// their counter aggregates.
+// their counter aggregates. A trial whose budget fails ValidateBudget is
+// refused before its first repetition.
 func Measure(ctx context.Context, m meter.EnergyMeter, t Trial, prepare func() (Region, error)) (Result, error) {
+	if err := t.ValidateBudget(); err != nil {
+		return Result{}, fmt.Errorf("harness: %w", err)
+	}
 	res := t.result(m.Name())
 	for _, d := range m.Domains() {
 		res.Domains = append(res.Domains, d.Name)

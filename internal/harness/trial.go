@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -63,6 +65,26 @@ type Trial struct {
 	// the configuration key grows a "|w:workload" dimension. Only an
 	// extern-aware executor (internal/extwork) can run such trials.
 	Extern *ExternSpec `json:"extern,omitempty"`
+}
+
+// ValidateBudget is the one repetition-budget rule: at least one measured
+// rep, a cap no lower than the minimum, a non-negative warm-up, and a
+// finite, non-negative CV target and outlier threshold. Campaigns check
+// every budget with it as they plan, and Measure refuses a trial failing it.
+func (t Trial) ValidateBudget() error {
+	switch {
+	case t.MinReps <= 0:
+		return fmt.Errorf("min reps must be positive, got %d", t.MinReps)
+	case t.MaxReps < t.MinReps:
+		return fmt.Errorf("max reps %d below min reps %d", t.MaxReps, t.MinReps)
+	case !(t.CVTarget >= 0 && t.CVTarget <= math.MaxFloat64):
+		return fmt.Errorf("cv target must be non-negative and finite, got %v", t.CVTarget)
+	case !(t.MaxCV >= 0 && t.MaxCV <= math.MaxFloat64):
+		return fmt.Errorf("max cv must be non-negative and finite, got %v", t.MaxCV)
+	case t.Warmup < 0:
+		return fmt.Errorf("warmup must be non-negative, got %d", t.Warmup)
+	}
+	return nil
 }
 
 // Name labels the trial for logs and errors: "specA" or "specA+specB",

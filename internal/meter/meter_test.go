@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -312,5 +313,72 @@ func TestRAPLMalformedMaxRangeFallsBack(t *testing.T) {
 	}
 	if got := r.Domains()[0].MaxRangeMicroJ; got != 0 {
 		t.Errorf("range = %d, want 0 fallback", got)
+	}
+}
+
+// TestRAPLSumsPackagesAndDRAM: the meter sums exactly each package plus its
+// dram subzone. A client's core and uncore are inside its package and psys
+// contains the package, so neither is added; a server's dram is outside
+// its package, so each socket's is added, named after its package.
+func TestRAPLSumsPackagesAndDRAM(t *testing.T) {
+	type zone struct {
+		dir, name      string
+		before, after  uint64
+		wantDomainName string // empty when the zone must not be summed
+	}
+	for _, tc := range []struct {
+		machine string
+		zones   []zone
+		wantJ   float64
+	}{
+		{"client", []zone{
+			{"intel-rapl:0", "package-0", 10_000_000, 11_000_000, "package-0"},
+			{"intel-rapl:0:0", "core", 4_000_000, 4_600_000, ""},
+			{"intel-rapl:0:1", "uncore", 1_000_000, 1_200_000, ""},
+			{"intel-rapl:1", "psys", 30_000_000, 31_500_000, ""},
+			{"intel-rapl-mmio:0", "package-0", 10_000_000, 11_000_000, ""},
+		}, 1.0},
+		{"two-socket server", []zone{
+			{"intel-rapl:0", "package-0", 10_000_000, 12_000_000, "package-0"},
+			{"intel-rapl:0:0", "dram", 5_000_000, 5_500_000, "dram-0"},
+			{"intel-rapl:1", "package-1", 20_000_000, 23_000_000, "package-1"},
+			{"intel-rapl:1:0", "dram", 7_000_000, 7_250_000, "dram-1"},
+		}, 5.75},
+	} {
+		t.Run(tc.machine, func(t *testing.T) {
+			root := t.TempDir()
+			var wantNames []string
+			for _, z := range tc.zones {
+				writeRAPLDomain(t, root, z.dir, z.name, z.before, 262_143_328_850)
+				if z.wantDomainName != "" {
+					wantNames = append(wantNames, z.wantDomainName)
+				}
+			}
+			r, err := NewRAPL(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, d := range r.Domains() {
+				names = append(names, d.Name)
+			}
+			if !reflect.DeepEqual(names, wantNames) {
+				t.Errorf("domains %q, want %q", names, wantNames)
+			}
+			r0, err := r.Read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, z := range tc.zones {
+				writeRAPLDomain(t, root, z.dir, z.name, z.after, 262_143_328_850)
+			}
+			r1, err := r.Read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j, err := Delta(r, r0, r1); err != nil || math.Abs(j-tc.wantJ) > 1e-9 {
+				t.Errorf("Delta = %v J, %v; want %v J", j, err, tc.wantJ)
+			}
+		})
 	}
 }

@@ -14,41 +14,53 @@ import (
 // DefaultPowercapRoot is the Linux powercap sysfs mount point.
 const DefaultPowercapRoot = "/sys/class/powercap"
 
-// RAPL reads Intel RAPL package-level energy counters from the powercap
-// sysfs tree. Reading energy_uj requires root or read permission on the
-// powercap files (kernels ≥5.10 restrict it to root by default).
+// RAPL reads Intel RAPL energy counters from the powercap sysfs tree: each
+// package's energy plus the DRAM energy its package reports beside it.
+// Reading energy_uj requires root or read permission on the powercap files
+// (kernels ≥5.10 restrict it to root by default).
 type RAPL struct {
 	root    string
 	domains []Domain
 	paths   []string // energy_uj file per domain, parallel to domains
 }
 
-// NewRAPL discovers top-level RAPL package domains under root (pass
-// DefaultPowercapRoot on real systems; tests point it at a fake tree).
-// Subdomains such as intel-rapl:0:0 (core/uncore/dram) are skipped: package
-// counters already include them, and summing both would double-count.
+// NewRAPL discovers the RAPL zones to sum under root (pass
+// DefaultPowercapRoot on real systems; tests point it at a fake tree),
+// picking them by name so every joule counts once: each top-level
+// package-N zone, plus its dram subzone, which package energy leaves out
+// (domain dram-N after its package, so names stay unique). Never core or
+// uncore (inside their package) or psys (a platform zone containing the
+// packages); the intel-rapl-mmio:* mirror zones are skipped too.
 func NewRAPL(root string) (*RAPL, error) {
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		return nil, fmt.Errorf("rapl: reading %s: %w", root, err)
 	}
-	r := &RAPL{root: root}
-	var names []string
+	var zones []string
 	for _, e := range entries {
-		n := e.Name()
-		// Top-level packages look like "intel-rapl:0"; subdomains have a
-		// second colon ("intel-rapl:0:0").
-		if !strings.HasPrefix(n, "intel-rapl:") || strings.Count(n, ":") != 1 {
-			continue
+		if strings.HasPrefix(e.Name(), "intel-rapl:") {
+			zones = append(zones, e.Name())
 		}
-		names = append(names, n)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		dir := filepath.Join(root, n)
+	sort.Strings(zones) // each package before its subzones
+	r := &RAPL{root: root}
+	packages := map[string]string{} // zone index → package number
+	for _, z := range zones {
+		dir := filepath.Join(root, z)
 		label, err := os.ReadFile(filepath.Join(dir, "name"))
 		if err != nil {
-			return nil, fmt.Errorf("rapl: %s has no name file: %w", n, err)
+			return nil, fmt.Errorf("rapl: %s has no name file: %w", z, err)
+		}
+		name := string(bytes.TrimSpace(label))
+		pkg, sub, isSub := strings.Cut(strings.TrimPrefix(z, "intel-rapl:"), ":")
+		num, isPkg := strings.CutPrefix(name, "package-")
+		switch {
+		case isPkg && !isSub:
+			packages[pkg] = num
+		case name == "dram" && isSub && !strings.Contains(sub, ":") && packages[pkg] != "":
+			name = "dram-" + packages[pkg]
+		default:
+			continue // core, uncore, psys, or a zone this build does not sum
 		}
 		// The wrap modulus comes from sysfs rather than a hard-coded
 		// constant: real parts differ (~262 kJ packages, smaller
@@ -64,10 +76,7 @@ func NewRAPL(root string) (*RAPL, error) {
 		if _, err := readCounterFile(energyPath); err != nil {
 			return nil, fmt.Errorf("rapl: %s unreadable (need root or powercap read permission): %w", energyPath, err)
 		}
-		r.domains = append(r.domains, Domain{
-			Name:           string(bytes.TrimSpace(label)),
-			MaxRangeMicroJ: maxRange,
-		})
+		r.domains = append(r.domains, Domain{Name: name, MaxRangeMicroJ: maxRange})
 		r.paths = append(r.paths, energyPath)
 	}
 	if len(r.domains) == 0 {

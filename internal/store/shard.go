@@ -109,17 +109,37 @@ func openSharded(path string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var man manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("store: %s: decoding manifest: %w", path, err)
-	}
-	if man.Format > manifestFormat {
-		return nil, fmt.Errorf("store: %s: manifest format %d not supported (this build reads up to %d)", path, man.Format, manifestFormat)
-	}
-	if man.Schema > SchemaVersion {
-		return nil, fmt.Errorf("store: %s: store schema v%d not supported (this build reads up to v%d)", path, man.Schema, SchemaVersion)
+	man, err := decodeManifest(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
 	return &Store{path: path, sharded: true, segTarget: defaultSegTarget, man: man}, nil
+}
+
+// decodeManifest decodes MANIFEST.json, refusing a format or schema newer
+// than this build and any segment name the writer would not make (seg-,
+// decimal digits, .jsonl): queries read the listed segments, appends
+// truncate the last and compaction deletes them all, so a name such as
+// ../victim.jsonl must refuse the store, not reach a file outside it.
+func decodeManifest(data []byte) (manifest, error) {
+	var man manifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		return manifest{}, fmt.Errorf("decoding manifest: %w", err)
+	}
+	if man.Format > manifestFormat {
+		return manifest{}, fmt.Errorf("manifest format %d not supported (this build reads up to %d)", man.Format, manifestFormat)
+	}
+	if man.Schema > SchemaVersion {
+		return manifest{}, fmt.Errorf("store schema v%d not supported (this build reads up to v%d)", man.Schema, SchemaVersion)
+	}
+	for _, seg := range man.Segments {
+		digits, pre := strings.CutPrefix(seg.Name, segPrefix)
+		digits, suf := strings.CutSuffix(digits, segSuffix)
+		if !pre || !suf || digits == "" || strings.Trim(digits, "0123456789") != "" {
+			return manifest{}, fmt.Errorf("manifest lists %q, which is not a segment name (%sN%s)", seg.Name, segPrefix, segSuffix)
+		}
+	}
+	return man, nil
 }
 
 // segPath is segment i's file: the store file itself in the single-file

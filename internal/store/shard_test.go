@@ -603,3 +603,77 @@ func FuzzSidecar(f *testing.F) {
 		}
 	})
 }
+
+// TestOpenRefusesManifestOutsideStore: a manifest that names anything but a
+// segment file of the store (../victim.jsonl) refuses the store, so no query
+// reads the named file and no append or compaction truncates or deletes it.
+func TestOpenRefusesManifestOutsideStore(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db-store")
+	st, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append([]harness.Result{mkResult("int-alu", 1, "none")}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	victim := map[string]string{"victim.jsonl": "outside the store\n", "victim.keys": "0 17 k\n"}
+	for name, body := range victim {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"../victim.jsonl", "seg-1.jsonl/../../victim.jsonl", dir + "/victim.jsonl",
+		"seg-.jsonl", "seg-1.keys", "seg-+1.jsonl", "SEG-1.jsonl"} {
+		man := fmt.Sprintf(`{"format":1,"schema":%d,"segments":[{"name":%q}]}`, SchemaVersion, name)
+		if err := os.WriteFile(filepath.Join(path, manifestName), []byte(man), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(path)
+		if err == nil {
+			st.Compact()
+			st.Close()
+			t.Errorf("manifest listing %q opened", name)
+		} else if !strings.Contains(err.Error(), "not a segment name") {
+			t.Errorf("manifest listing %q: err = %v, want it refused as not a segment name", name, err)
+		}
+	}
+	for name, body := range victim {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != body {
+			t.Errorf("%s next to the store = %q, %v; want it untouched", name, got, err)
+		}
+	}
+}
+
+// FuzzManifest: the manifest decoder never panics, and whatever it accepts
+// has a format and schema this build reads and names only plain segment
+// files (seg-, decimal digits, .jsonl) that resolve inside the store.
+func FuzzManifest(f *testing.F) {
+	f.Add([]byte(`{"format":1,"schema":5,"segments":[{"name":"seg-00000001.jsonl","records":3},{"name":"seg-00000002.jsonl"}]}`))
+	f.Add([]byte(`{"format":1,"schema":5,"segments":[{"name":"../victim.jsonl"}]}`))
+	f.Add([]byte(`{"format":1,"schema":5,"segments":[{"name":"seg-1.jsonl/../../x.jsonl"}]}`))
+	f.Add([]byte(`{"format":99,"schema":2,"segments":[]}`))
+	f.Add([]byte(`{"format":1,"schema":999}`))
+	f.Add([]byte(`{"segments":null}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		man, err := decodeManifest(data)
+		if err != nil {
+			return
+		}
+		if man.Format > manifestFormat || man.Schema > SchemaVersion {
+			t.Fatalf("accepted format %d, schema %d; this build reads up to %d, %d", man.Format, man.Schema, manifestFormat, SchemaVersion)
+		}
+		const root = "/store"
+		for _, seg := range man.Segments {
+			digits := strings.TrimSuffix(strings.TrimPrefix(seg.Name, "seg-"), ".jsonl")
+			if seg.Name != "seg-"+digits+".jsonl" || digits == "" || strings.Trim(digits, "0123456789") != "" {
+				t.Fatalf("accepted segment name %q", seg.Name)
+			}
+			if p := filepath.Join(root, seg.Name); filepath.Dir(p) != root || filepath.Base(p) != seg.Name {
+				t.Fatalf("segment %q resolves to %s, outside %s", seg.Name, p, root)
+			}
+		}
+	})
+}
