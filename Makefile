@@ -73,6 +73,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseKey -fuzztime=10s ./internal/harness
 	$(GO) test -run='^$$' -fuzz=FuzzWorkerEnvelope -fuzztime=10s ./internal/harness
 	$(GO) test -run='^$$' -fuzz=FuzzMockParams -fuzztime=10s ./internal/meter
+	$(GO) test -run='^$$' -fuzz=FuzzPhases -fuzztime=10s ./internal/model
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAddInput -fuzztime=10s ./cmd/energybench
 	$(GO) test -run='^$$' -fuzz=FuzzIngest -fuzztime=10s ./internal/fleet
 

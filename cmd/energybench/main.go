@@ -915,8 +915,8 @@ func analyzePhases(results []harness.Result, stdout, stderr io.Writer) error {
 				IntervalS:  s.Series.IntervalS,
 				Points:     len(times),
 				MeanPowerW: sum / float64(len(powers)),
-				Phases:     model.SegmentPhases(times, powers, model.PhaseConfig{}),
-				Throttles:  model.DetectThrottles(times, powers, model.ThrottleConfig{}),
+				Phases:     model.SegmentPhases(times, powers),
+				Throttles:  model.DetectThrottles(times, powers),
 			})
 		}
 		if !hasSeries {

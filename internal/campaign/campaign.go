@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -105,6 +106,10 @@ type Campaign struct {
 	// (validation-only runs against an existing fitted store) or alongside
 	// spaces (fit and validate in one sweep).
 	Workloads []extwork.Workload `json:"workloads,omitempty"`
+
+	// plan is the trial list Validate planned, which Plan hands back so a
+	// validated campaign is expanded and keyed once.
+	plan []harness.Trial
 }
 
 // SpaceConfig is one exploration space: the cartesian product of (Specs ∪
@@ -276,10 +281,12 @@ func validatePlanner(algo string, batch, budget *int, targetRSE *float64, seed *
 
 // Validate fills in the defaults of omitted top-level fields, checks the
 // campaign's cross-field invariants, and then plans it (Plan), which checks
-// every space and workload as it expands them. It is the one validator
-// behind campaign files and the run/list flags, which describe a one-space
-// campaign.
+// every space and workload as it expands them; Plan hands that plan back
+// until the next Validate, so a campaign edited after Validate must be
+// validated again. It is the one validator behind campaign files and the
+// run/list flags, which describe a one-space campaign.
 func (c *Campaign) Validate() error {
+	c.plan = nil
 	c.applyDefaults()
 	switch c.Meter {
 	case "mock", "rapl":
@@ -333,7 +340,7 @@ func (c *Campaign) Validate() error {
 		}
 		seen[w.Name] = true
 	}
-	_, err = c.Plan()
+	c.plan, err = c.Plan()
 	return err
 }
 
@@ -577,8 +584,12 @@ func scaleIters(iters int, scale float64) (n int, ok bool) {
 // first appearance: spaces may overlap, and a space or workload may repeat
 // an entry. (Executors and fleet agents match results to trials by key.)
 // The campaign's counter spec, normalized once by CounterSpec, and its
-// sampling interval (when any) are stamped on every trial.
+// sampling interval (when any) are stamped on every trial. A validated
+// campaign returns a copy of the plan Validate made.
 func (c *Campaign) Plan() ([]harness.Trial, error) {
+	if c.plan != nil {
+		return slices.Clone(c.plan), nil
+	}
 	counters, err := c.CounterSpec()
 	if err != nil {
 		return nil, err

@@ -13,5 +13,6 @@
 // × placements grid with their kind's defaults, which checks the budget
 // with harness.Trial.ValidateBudget; Campaign.Plan stamps the counter spec
 // and sampling interval on the trials, keeps each configuration key's
-// first appearance and numbers the trials in order.
+// first appearance and numbers the trials in order. Validate keeps the plan
+// it makes, and Plan hands back a copy of it.
 package campaign

@@ -127,7 +127,7 @@ func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {
 	}
 	cpus := t.CPUs
 	if cpus == nil {
-		cpus = cpuAssignment(t.Placement, len(units))
+		cpus = CPUAssignment(t.Placement, len(units))
 	} else if len(cpus) != len(units) {
 		return Result{}, fmt.Errorf("harness: trial has %d explicit CPUs for %d worker threads", len(cpus), len(units))
 	}
@@ -185,11 +185,10 @@ type liveSession struct {
 }
 
 func (s *liveSession) Poll() (perf.Counts, error) {
-	p, ok := s.Session.(perf.Poller)
-	if !ok || !s.live.Load() {
+	if !s.live.Load() {
 		return perf.Counts{}, nil
 	}
-	return p.Poll()
+	return s.Session.Poll()
 }
 
 // crew is one trial's workers: workers[0] runs on the goroutine that

@@ -13,6 +13,7 @@ import (
 	"energybench/internal/bench"
 	"energybench/internal/meter"
 	"energybench/internal/perf"
+	"energybench/internal/stats"
 )
 
 // scriptedMeter returns counter values from a caller-provided function of
@@ -322,8 +323,7 @@ func TestSeriesCountsSumToCountedTotals(t *testing.T) {
 }
 
 // countingActivity wraps an ActivityMeter, counting session opens and,
-// per session, every Start, Stop and Close. Its sessions forward
-// perf.Poller, so the sampler still polls them.
+// per session, every Start, Stop and Close.
 type countingActivity struct {
 	perf.ActivityMeter
 	mu       sync.Mutex
@@ -364,8 +364,6 @@ func (s *countingSession) Stop() (perf.Counts, error) {
 }
 
 func (s *countingSession) Close() error { s.count(&s.closes); return s.Session.Close() }
-
-func (s *countingSession) Poll() (perf.Counts, error) { return s.Session.(perf.Poller).Poll() }
 
 // TestWorkersSetUpOncePerTrial: through the pin and activity seams, a
 // trial's workers pin their threads and open their counter sessions once
@@ -471,6 +469,59 @@ func TestMeasureRefusesBadBudget(t *testing.T) {
 		var te *TrialError
 		if len(results) != 0 || !errors.As(err, &te) || !strings.Contains(te.Error(), tc.wantErr) {
 			t.Errorf("%s: in-process sweep stored %d results, err = %v; want one *TrialError naming %q", tc.name, len(results), err, tc.wantErr)
+		}
+	}
+}
+
+// TestMeasureKeepsOneRepetitionSet: max_cv rejection decides once, on
+// energy, which repetitions count, so the energy, time, power and co-run
+// time summaries cover the same repetitions and EDP/EDDP multiply their
+// means. Energies 1, 1 and 1.2 J keep all three repetitions (CV 0.11 under
+// 0.2) although the third one's time, power and spec-A time would each be
+// dropped on their own; energies 1, 1 and 5 J drop the third one from
+// every summary although its spec-A and spec-B times alone would stay.
+func TestMeasureKeepsOneRepetitionSet(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		energiesUJ   []uint64
+		sleeps       []time.Duration
+		timeAS       []float64
+		kept, reject int
+	}{
+		{"energy keeps what time drops", []uint64{1e6, 1e6, 1.2e6},
+			[]time.Duration{time.Millisecond, time.Millisecond, 20 * time.Millisecond}, []float64{1e-3, 1e-3, 5e-3}, 3, 0},
+		{"energy drops what time keeps", []uint64{1e6, 1e6, 5e6},
+			[]time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}, []float64{1e-3, 1e-3, 1e-3}, 2, 1},
+	} {
+		m := &scriptedMeter{counter: sampleSequenceCounter(tc.energiesUJ)}
+		tr := Trial{Spec: tinyInt, SpecB: &tinyChase, Threads: 1, Placement: PlaceNone,
+			Iters: 1, ItersB: 1, MinReps: 3, MaxReps: 3, MaxCV: 0.2}
+		rep := 0
+		res, err := Measure(context.Background(), m, tr, func() (Region, error) {
+			i := rep
+			rep++
+			return Region{
+				Release:  func() error { time.Sleep(tc.sleeps[i]); return nil },
+				Measured: func(s *Sample) { s.TimeAS, s.TimeBS = tc.timeAS[i], 2e-3 },
+			}, nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(res.Samples) != 3 {
+			t.Errorf("%s: %d samples stored, want every measured repetition", tc.name, len(res.Samples))
+		}
+		for _, s := range []struct {
+			metric string
+			sum    stats.Summary
+		}{{"energy", res.EnergyJ}, {"time", res.TimeS}, {"power", res.PowerW}, {"time_a", *res.TimeA}, {"time_b", *res.TimeB}} {
+			if s.sum.N != tc.kept || s.sum.Rejected != tc.reject {
+				t.Errorf("%s: %s summary has N %d, rejected %d; want %d, %d", tc.name, s.metric, s.sum.N, s.sum.Rejected, tc.kept, tc.reject)
+			}
+		}
+		if res.EDP != res.EnergyJ.Mean*res.TimeS.Mean || res.EDDP != res.EDP*res.TimeS.Mean {
+			t.Errorf("%s: EDP %v, EDDP %v; want mean energy × mean time %v and that × mean time",
+				tc.name, res.EDP, res.EDDP, res.EnergyJ.Mean*res.TimeS.Mean)
 		}
 	}
 }

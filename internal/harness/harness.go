@@ -37,9 +37,10 @@ type Sample struct {
 
 // Result aggregates all repetitions of one configuration: a solo
 // (spec, threads, placement) run, or a co-run where ThreadsB threads of
-// SpecB share the machine. EDP is the energy-delay product mean(E)·mean(T);
-// EDDP (energy·delay²) weights delay harder, as the paper's Pareto analyses
-// do.
+// SpecB share the machine. Samples holds every measured repetition; the
+// summaries, EDP and EDDP cover the ones outlier rejection kept (Measure).
+// EDP is the energy-delay product mean(E)·mean(T); EDDP (energy·delay²)
+// weights delay harder, as the paper's Pareto analyses do.
 type Result struct {
 	Spec      string          `json:"spec"`
 	Component bench.Component `json:"component"`

@@ -317,11 +317,11 @@ func TestParseCPUList(t *testing.T) {
 }
 
 func TestCPUAssignmentPolicies(t *testing.T) {
-	if got := cpuAssignment(PlaceNone, 4); got != nil {
+	if got := CPUAssignment(PlaceNone, 4); got != nil {
 		t.Errorf("PlaceNone assignment = %v, want nil", got)
 	}
 	for _, p := range []Placement{PlaceCompact, PlaceScatter} {
-		got := cpuAssignment(p, 3)
+		got := CPUAssignment(p, 3)
 		if len(got) != 3 {
 			t.Errorf("%s: assignment length = %d, want 3", p, len(got))
 		}

@@ -26,10 +26,10 @@ type Region struct {
 	// fails.
 	Abort func()
 	// Sessions are the region's counter sessions and Events their event
-	// names. With sampling on, the sampler polls every session that can be
-	// read without stopping (perf.Poller); nil entries are skipped. The
-	// sampler's first poll, before Release, is the series' counter
-	// baseline, so a session must report only this repetition's counts.
+	// names. With sampling on, the sampler polls every session
+	// (perf.Session.Poll). The sampler's first poll, before Release, is the
+	// series' counter baseline, so a session must report only this
+	// repetition's counts.
 	Sessions []perf.Session
 	Events   []string
 	// Measured, when non-nil, sees each measured (non-warm-up) sample
@@ -41,12 +41,16 @@ type Region struct {
 // Measure is the measured-region core every executor shares. It hands a
 // load-aware meter the trial's nominal activity (Trial.Activity), then runs
 // Warmup discarded and up to MaxReps measured repetitions, each around a
-// fresh Region from prepare, stopping early once the running CV of the
-// energy samples reaches CVTarget after MinReps (the paper's
-// repeat-until-stable criterion). The returned Result carries the trial's
-// identity, the samples, their summaries, and EDP/EDDP; executors add only
-// their counter aggregates. A trial whose budget fails ValidateBudget is
-// refused before its first repetition.
+// fresh Region from prepare, stopping early once the energy samples' CV
+// reaches CVTarget after MinReps (the paper's repeat-until-stable
+// criterion, stats.Converged). It then decides once, on energy, which
+// repetitions count (stats.RejectOutliers with MaxCV): a dropped
+// repetition leaves every summary, so the energy, time, power and co-run
+// time summaries and EDP/EDDP all cover the same kept repetitions, and
+// Samples still holds every measured one. The returned Result carries the
+// trial's identity, the samples, their summaries, and EDP/EDDP; executors
+// add only their counter aggregates. A trial whose budget fails
+// ValidateBudget is refused before its first repetition.
 func Measure(ctx context.Context, m meter.EnergyMeter, t Trial, prepare func() (Region, error)) (Result, error) {
 	if err := t.ValidateBudget(); err != nil {
 		return Result{}, fmt.Errorf("harness: %w", err)
@@ -63,7 +67,7 @@ func Measure(ctx context.Context, m meter.EnergyMeter, t Trial, prepare func() (
 		la.SetLoad(load)
 	}
 
-	var conv stats.Accumulator
+	var energies []float64
 	for rep := 0; rep < t.Warmup+t.MaxReps; rep++ {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -83,25 +87,25 @@ func Measure(ctx context.Context, m meter.EnergyMeter, t Trial, prepare func() (
 			r.Measured(&sample)
 		}
 		res.Samples = append(res.Samples, sample)
-		conv.Push(sample.EnergyJ)
+		energies = append(energies, sample.EnergyJ)
 		// Converged means the CV target genuinely cut reps short: at the
 		// cap (which includes every fixed-rep run, where min == max) the
 		// loop is ending anyway and the label would be noise.
-		if len(res.Samples) < t.MaxReps && conv.Converged(t.CVTarget, t.MinReps) {
+		if len(energies) < t.MaxReps && stats.Converged(energies, t.CVTarget, t.MinReps) {
 			res.Converged = true
 			break
 		}
 	}
 
+	kept := stats.RejectOutliers(energies, t.MaxCV)
 	summarize := func(pick func(Sample) float64) stats.Summary {
-		xs := make([]float64, len(res.Samples))
-		for i, s := range res.Samples {
-			xs[i] = pick(s)
+		xs := make([]float64, len(kept))
+		for i, k := range kept {
+			xs[i] = pick(res.Samples[k])
 		}
-		if t.MaxCV > 0 {
-			return stats.SummarizeRobust(xs, t.MaxCV, 2)
-		}
-		return stats.Summarize(xs)
+		s := stats.Summarize(xs)
+		s.Rejected = len(res.Samples) - len(kept)
+		return s
 	}
 	res.EnergyJ = summarize(func(s Sample) float64 { return s.EnergyJ })
 	res.TimeS = summarize(func(s Sample) float64 { return s.TimeS })
@@ -182,19 +186,14 @@ func measureOnce(m meter.EnergyMeter, every time.Duration, r Region) (Sample, er
 }
 
 // pollSessions builds the sampler's cumulative-counts source: each poll sums
-// the scaled per-event counts across every session that supports
-// non-destructive reads (perf.Poller). Sessions that failed to open, or
-// backends without Poll, simply contribute nothing — counter sampling
-// degrades instead of failing the trial.
+// the scaled per-event counts across the region's sessions. Sessions that
+// failed to open are not in the list and contribute nothing — counter
+// sampling degrades instead of failing the trial.
 func pollSessions(sessions []perf.Session, events int) func() ([]float64, error) {
 	return func() ([]float64, error) {
 		out := make([]float64, events)
 		for _, s := range sessions {
-			p, ok := s.(perf.Poller)
-			if !ok {
-				continue
-			}
-			c, err := p.Poll()
+			c, err := s.Poll()
 			if err != nil {
 				return nil, err
 			}

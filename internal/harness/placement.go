@@ -37,22 +37,16 @@ func ParsePlacement(s string) (Placement, error) {
 	return "", fmt.Errorf("harness: unknown placement %q (want none|compact|scatter)", s)
 }
 
-// cpuAssignment returns the logical-CPU id each of n threads should pin to,
-// or nil when the policy is PlaceNone. Topology is read from sysfs when
-// available; otherwise CPUs are assumed to be enumerated core-major.
-func cpuAssignment(p Placement, n int) []int {
+// CPUAssignment returns the logical-CPU id each of n threads should pin to
+// under the placement policy, or nil for PlaceNone (leave scheduling to the
+// OS). Topology is read from sysfs when available; otherwise CPUs are
+// assumed to be enumerated core-major. The external-workload executor pins
+// child processes to the same CPUs a kernel trial's worker threads get.
+func CPUAssignment(p Placement, n int) []int {
 	if p == PlaceNone || n <= 0 {
 		return nil
 	}
 	return assignFromGroups(p, n, coreGroups())
-}
-
-// CPUAssignment exposes the placement policy's topology walk to executors
-// outside this package: the external-workload executor pins child processes
-// to the same CPUs a kernel trial's worker threads would get. Nil for
-// PlaceNone (leave scheduling to the OS).
-func CPUAssignment(p Placement, n int) []int {
-	return cpuAssignment(p, n)
 }
 
 // assignFromGroups orders logical CPUs per the placement policy over the

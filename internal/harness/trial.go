@@ -40,8 +40,10 @@ type Trial struct {
 	MinReps  int     `json:"min_reps"`
 	MaxReps  int     `json:"max_reps"`
 	CVTarget float64 `json:"cv_target,omitempty"`
-	// MaxCV is the outlier-rejection threshold applied when summarizing
-	// samples; 0 disables rejection.
+	// MaxCV is the outlier-rejection threshold: while the kept energies'
+	// CV exceeds it, the repetition farthest from their mean is dropped
+	// whole (at least two stay), and every summary and EDP/EDDP use the
+	// kept repetitions. 0 disables rejection.
 	MaxCV float64 `json:"max_cv,omitempty"`
 	// CPUs, when set, is the explicit per-unit CPU assignment (one entry
 	// per worker thread, co-run units interleaved A,B,A,B…), overriding

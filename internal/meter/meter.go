@@ -71,17 +71,3 @@ func DeltaPerDomain(m EnergyMeter, start, end Reading) ([]float64, error) {
 	}
 	return joules, nil
 }
-
-// Delta returns the total energy in joules consumed between two readings of
-// the same meter, summing all domains.
-func Delta(m EnergyMeter, start, end Reading) (float64, error) {
-	per, err := DeltaPerDomain(m, start, end)
-	if err != nil {
-		return 0, err
-	}
-	var total float64
-	for _, j := range per {
-		total += j
-	}
-	return total, nil
-}

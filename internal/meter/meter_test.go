@@ -19,6 +19,16 @@ func newFakeClock() *fakeClock {
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
+// deltaJ sums DeltaPerDomain over every domain, as a sample's energy does.
+func deltaJ(m EnergyMeter, start, end Reading) (float64, error) {
+	per, err := DeltaPerDomain(m, start, end)
+	var total float64
+	for _, j := range per {
+		total += j
+	}
+	return total, err
+}
+
 func TestMockAccumulatesPowerOverTime(t *testing.T) {
 	clk := newFakeClock()
 	m := NewMockWithClock(50, 0, clk.now) // 50 W, no wrap
@@ -32,7 +42,7 @@ func TestMockAccumulatesPowerOverTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := Delta(m, r0, r1)
+	j, err := deltaJ(m, r0, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +75,7 @@ func TestDeltaWraparound(t *testing.T) {
 	if r1.Counters[0] >= r0.Counters[0] {
 		t.Fatalf("test setup broken: counter did not wrap (%d -> %d)", r0.Counters[0], r1.Counters[0])
 	}
-	j, err := Delta(m, r0, r1)
+	j, err := deltaJ(m, r0, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +106,7 @@ func TestDeltaWraparoundArithmetic(t *testing.T) {
 			m := &Mock{PowerWatts: 1, MaxRangeMicroJ: tc.maxRange}
 			r0 := Reading{Counters: []uint64{tc.start}}
 			r1 := Reading{Counters: []uint64{tc.end}}
-			j, err := Delta(m, r0, r1)
+			j, err := deltaJ(m, r0, r1)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("want error, got nil")
@@ -107,7 +117,7 @@ func TestDeltaWraparoundArithmetic(t *testing.T) {
 				t.Fatal(err)
 			}
 			if math.Abs(j-tc.wantJ) > 1e-15 {
-				t.Errorf("Delta(%d -> %d, range %d) = %v J, want %v",
+				t.Errorf("deltaJ(%d -> %d, range %d) = %v J, want %v",
 					tc.start, tc.end, tc.maxRange, j, tc.wantJ)
 			}
 		})
@@ -137,7 +147,7 @@ func TestDeltaPerDomain(t *testing.T) {
 	if math.Abs(per[0]-600e-6) > 1e-15 || math.Abs(per[1]-200e-6) > 1e-15 {
 		t.Errorf("per-domain deltas = %v, want [600e-6 200e-6]", per)
 	}
-	total, err := Delta(m, start, end)
+	total, err := deltaJ(m, start, end)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +160,7 @@ func TestDeltaCounterCountMismatch(t *testing.T) {
 	m := NewMock(1)
 	good, _ := m.Read()
 	bad := Reading{Counters: []uint64{1, 2}}
-	if _, err := Delta(m, good, bad); err == nil {
+	if _, err := deltaJ(m, good, bad); err == nil {
 		t.Error("want error for mismatched counter count, got nil")
 	}
 }
@@ -220,7 +230,7 @@ func TestRAPLDeltaAcrossRewrittenCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := Delta(r, r0, r1)
+	j, err := deltaJ(r, r0, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +287,7 @@ func TestRAPLMissingMaxRangeFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := Delta(r, r0, r1)
+	j, err := deltaJ(r, r0, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +303,7 @@ func TestRAPLMissingMaxRangeFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Delta(r, r1, r2); err == nil {
+	if _, err := deltaJ(r, r1, r2); err == nil {
 		t.Error("backwards counter with no wrap range must error")
 	}
 }
@@ -376,8 +386,8 @@ func TestRAPLSumsPackagesAndDRAM(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if j, err := Delta(r, r0, r1); err != nil || math.Abs(j-tc.wantJ) > 1e-9 {
-				t.Errorf("Delta = %v J, %v; want %v J", j, err, tc.wantJ)
+			if j, err := deltaJ(r, r0, r1); err != nil || math.Abs(j-tc.wantJ) > 1e-9 {
+				t.Errorf("deltaJ = %v J, %v; want %v J", j, err, tc.wantJ)
 			}
 		})
 	}

@@ -35,7 +35,7 @@ type MockStep struct {
 // draw at fixed offsets from the epoch, planting multi-phase workloads for
 // time-resolved sampling tests. The clock is injectable for fully
 // deterministic tests, and MaxRangeMicroJ can be set low to exercise the
-// wraparound path in Delta.
+// wraparound path in DeltaPerDomain.
 type Mock struct {
 	PowerWatts     float64
 	MaxRangeMicroJ uint64

@@ -66,7 +66,7 @@ func NewRAPL(root string) (*RAPL, error) {
 		// constant: real parts differ (~262 kJ packages, smaller
 		// subdomains). Some kernels/hypervisors omit the file entirely, so
 		// a missing or malformed max_energy_range_uj degrades to 0 ("never
-		// wraps") instead of failing discovery — Delta then reports an
+		// wraps") instead of failing discovery — DeltaPerDomain then reports an
 		// explicit error only if a counter actually rolls over.
 		maxRange, err := readCounterFile(filepath.Join(dir, "max_energy_range_uj"))
 		if err != nil {

@@ -16,7 +16,8 @@ import (
 // which silently biases the whole-rep mean)? Segmentation is recursive binary
 // change-point detection on the power signal — split where the split most
 // reduces the sum of squared errors, accept only splits whose SSE gain and
-// mean jump are material — and throttling is a sliding-window OLS slope test.
+// mean jump are material — and throttling is a sliding-window OLS slope test
+// whose episodes must also lose a material amount of power.
 
 // Phase is one detected power regime: a contiguous run of series points with
 // a stable mean. Error bars are per-phase, so a two-regime kernel reports two
@@ -31,7 +32,8 @@ type Phase struct {
 }
 
 // Throttle is one detected sustained power decline: a window run where the
-// fitted power slope stays materially negative.
+// fitted power slope stays materially negative and across which power falls
+// by a material amount.
 type Throttle struct {
 	StartS     float64 `json:"start_s"`
 	EndS       float64 `json:"end_s"`
@@ -39,38 +41,34 @@ type Throttle struct {
 	SlopeWPerS float64 `json:"slope_w_per_s"` // steepest fitted slope seen
 }
 
-// PhaseConfig tunes segmentation. The zero value selects the defaults.
-type PhaseConfig struct {
-	// MinSegment is the minimum points per phase; splits that would create a
-	// shorter segment are rejected. Default 3 — below that a per-phase
-	// standard error is meaningless.
-	MinSegment int
-	// MinJumpFrac is the minimum step between adjacent phase means, as a
-	// fraction of the series' overall mean power, for a split to count as a
-	// real regime change rather than noise. Default 0.05 (5%).
-	MinJumpFrac float64
-	// MaxPhases caps recursion; default 8.
-	MaxPhases int
-}
-
-func (c PhaseConfig) withDefaults() PhaseConfig {
-	if c.MinSegment <= 0 {
-		c.MinSegment = 3
-	}
-	if c.MinJumpFrac <= 0 {
-		c.MinJumpFrac = 0.05
-	}
-	if c.MaxPhases <= 0 {
-		c.MaxPhases = 8
-	}
-	return c
-}
+// The segmentation and throttle thresholds.
+const (
+	// minSegment is the fewest points a phase keeps: below three, a
+	// per-phase standard error is meaningless.
+	minSegment = 3
+	// materialFrac is the smallest power change, as a fraction of the
+	// series' mean power, that counts as real rather than noise. A split
+	// must move the phase mean by this much, and a throttle must lose this
+	// much power across its episode: a throttle is a sustained move to a
+	// materially lower level, so it clears the same bar as a phase change.
+	materialFrac = 0.05
+	// maxPhases caps the recursion.
+	maxPhases = 8
+	// throttleWindow is the sliding-window width, in points, of the slope
+	// fit.
+	throttleWindow = 5
+	// minSlopeFrac is how steep (negative) a window's fitted slope must be
+	// to flag it, in fractions of the series' mean power per second: power
+	// falling at least 10% of its mean per second.
+	minSlopeFrac = 0.10
+	// minRun is how many consecutive flagged windows make an episode.
+	minRun = 2
+)
 
 // SegmentPhases partitions a power series into phases by recursive binary
 // change-point detection. times and powers are parallel (point offsets in
 // seconds and power in watts); short series collapse to a single phase.
-func SegmentPhases(times, powers []float64, cfg PhaseConfig) []Phase {
-	cfg = cfg.withDefaults()
+func SegmentPhases(times, powers []float64) []Phase {
 	n := len(powers)
 	if n == 0 || len(times) != n {
 		return nil
@@ -78,14 +76,14 @@ func SegmentPhases(times, powers []float64, cfg PhaseConfig) []Phase {
 	refMean := stats.Mean(powers)
 	// A zero-mean series has no scale to judge jumps against; report it as a
 	// single phase rather than chasing noise.
-	minJump := cfg.MinJumpFrac * math.Abs(refMean)
+	minJump := materialFrac * math.Abs(refMean)
 	var bounds []int // split indices, each the start of a new phase
 	var split func(lo, hi int, budget int)
 	split = func(lo, hi, budget int) {
-		if budget <= 0 || hi-lo < 2*cfg.MinSegment {
+		if budget <= 0 || hi-lo < 2*minSegment {
 			return
 		}
-		cut, gain := bestSplit(powers[lo:hi], cfg.MinSegment)
+		cut, gain := bestSplit(powers[lo:hi], minSegment)
 		if cut < 0 || gain <= 0 {
 			return
 		}
@@ -97,7 +95,7 @@ func SegmentPhases(times, powers []float64, cfg PhaseConfig) []Phase {
 		split(lo, cut, budget-1)
 		split(cut, hi, budget-1)
 	}
-	split(0, n, cfg.MaxPhases-1)
+	split(0, n, maxPhases-1)
 	sort.Ints(bounds)
 	var phases []Phase
 	lo := 0
@@ -146,67 +144,38 @@ func bestSplit(xs []float64, minSeg int) (cut int, gain float64) {
 	return cut, gain
 }
 
-// ThrottleConfig tunes throttle detection. The zero value selects defaults.
-type ThrottleConfig struct {
-	// Window is the sliding-window width in points for the slope fit.
-	// Default 5.
-	Window int
-	// MinSlopeFrac is how steep (negative) the fitted slope must be, in
-	// fractions of the series mean power per second, to flag a window.
-	// Default 0.10 — power falling ≥10% of its mean per second.
-	MinSlopeFrac float64
-	// MinRun is how many consecutive flagged windows make an episode.
-	// Default 2, so one noisy window never reports a throttle.
-	MinRun int
-}
-
-func (c ThrottleConfig) withDefaults() ThrottleConfig {
-	if c.Window <= 0 {
-		c.Window = 5
-	}
-	if c.MinSlopeFrac <= 0 {
-		c.MinSlopeFrac = 0.10
-	}
-	if c.MinRun <= 0 {
-		c.MinRun = 2
-	}
-	return c
-}
-
 // DetectThrottles scans a power series for sustained declines: windows whose
-// OLS-fitted slope is steeper than -MinSlopeFrac × mean power per second, in
-// runs of at least MinRun consecutive windows. Adjacent flagged windows merge
-// into one episode spanning first window start to last window end.
-func DetectThrottles(times, powers []float64, cfg ThrottleConfig) []Throttle {
-	cfg = cfg.withDefaults()
+// OLS-fitted slope is steeper than -minSlopeFrac × mean power per second, in
+// runs of at least minRun consecutive windows. Adjacent flagged windows merge
+// into one episode spanning first window start to last window end, and an
+// episode counts only if power fell by at least materialFrac of the mean
+// across it. A one-point dip (on RAPL, a tick whose counter did not advance)
+// flags the windows on its leading flank, but power ends where it began, so
+// it is no throttle.
+func DetectThrottles(times, powers []float64) []Throttle {
 	n := len(powers)
-	if n < cfg.Window || len(times) != n {
+	if n < throttleWindow || len(times) != n {
 		return nil
 	}
 	meanW := math.Abs(stats.Mean(powers))
 	if meanW == 0 {
 		return nil
 	}
-	threshold := -cfg.MinSlopeFrac * meanW
+	threshold := -minSlopeFrac * meanW
 	var episodes []Throttle
 	run, runStart := 0, -1
 	var steepest float64
 	flush := func(endWin int) {
-		if run < cfg.MinRun {
-			run, runStart = 0, -1
-			return
+		if run >= minRun {
+			first, last := runStart, endWin+throttleWindow-1
+			if drop := powers[first] - powers[last]; drop >= materialFrac*meanW {
+				episodes = append(episodes, Throttle{StartS: times[first], EndS: times[last], DropW: drop, SlopeWPerS: steepest})
+			}
 		}
-		first, last := runStart, endWin
-		episodes = append(episodes, Throttle{
-			StartS:     times[first],
-			EndS:       times[last+cfg.Window-1],
-			DropW:      powers[first] - powers[last+cfg.Window-1],
-			SlopeWPerS: steepest,
-		})
 		run, runStart = 0, -1
 	}
-	for w := 0; w+cfg.Window <= n; w++ {
-		slope := olsSlope(times[w:w+cfg.Window], powers[w:w+cfg.Window])
+	for w := 0; w+throttleWindow <= n; w++ {
+		slope := olsSlope(times[w:w+throttleWindow], powers[w:w+throttleWindow])
 		if slope < threshold {
 			if run == 0 {
 				runStart = w
@@ -219,7 +188,7 @@ func DetectThrottles(times, powers []float64, cfg ThrottleConfig) []Throttle {
 		}
 		flush(w - 1)
 	}
-	flush(n - cfg.Window)
+	flush(n - throttleWindow)
 	return episodes
 }
 

@@ -28,7 +28,7 @@ func TestSegmentPhasesTwoPhase(t *testing.T) {
 		}
 		return 20
 	})
-	phases := SegmentPhases(times, powers, PhaseConfig{})
+	phases := SegmentPhases(times, powers)
 	if len(phases) != 2 {
 		t.Fatalf("segmented into %d phases, want 2: %+v", len(phases), phases)
 	}
@@ -63,7 +63,7 @@ func TestSegmentPhasesNoisyBoundary(t *testing.T) {
 		}
 		return base + ripple[i%len(ripple)]
 	})
-	phases := SegmentPhases(times, powers, PhaseConfig{})
+	phases := SegmentPhases(times, powers)
 	if len(phases) != 2 {
 		t.Fatalf("segmented into %d phases, want 2: %+v", len(phases), phases)
 	}
@@ -76,10 +76,10 @@ func TestSegmentPhasesNoisyBoundary(t *testing.T) {
 }
 
 // TestSegmentPhasesFlatSeriesSinglePhase: a constant series must never be
-// split, and tiny ripples below MinJumpFrac must not create phantom phases.
+// split, and tiny ripples below materialFrac must not create phantom phases.
 func TestSegmentPhasesFlatSeriesSinglePhase(t *testing.T) {
 	times, powers := seriesAt(20, 0.01, func(i int) float64 { return 35 })
-	if phases := SegmentPhases(times, powers, PhaseConfig{}); len(phases) != 1 {
+	if phases := SegmentPhases(times, powers); len(phases) != 1 {
 		t.Errorf("constant series segmented into %d phases, want 1", len(phases))
 	}
 	// 1% ripple is under the 5% default jump threshold.
@@ -89,7 +89,7 @@ func TestSegmentPhasesFlatSeriesSinglePhase(t *testing.T) {
 		}
 		return 34.8
 	})
-	if phases := SegmentPhases(times, powers, PhaseConfig{}); len(phases) != 1 {
+	if phases := SegmentPhases(times, powers); len(phases) != 1 {
 		t.Errorf("sub-threshold ripple segmented into %d phases, want 1", len(phases))
 	}
 }
@@ -106,7 +106,7 @@ func TestSegmentPhasesThreePhase(t *testing.T) {
 			return 25
 		}
 	})
-	phases := SegmentPhases(times, powers, PhaseConfig{})
+	phases := SegmentPhases(times, powers)
 	if len(phases) != 3 {
 		t.Fatalf("segmented into %d phases, want 3: %+v", len(phases), phases)
 	}
@@ -120,27 +120,27 @@ func TestSegmentPhasesThreePhase(t *testing.T) {
 // TestSegmentPhasesDegenerate: empty, single-point, and too-short series all
 // stay in one piece (or none) without panicking.
 func TestSegmentPhasesDegenerate(t *testing.T) {
-	if phases := SegmentPhases(nil, nil, PhaseConfig{}); phases != nil {
+	if phases := SegmentPhases(nil, nil); phases != nil {
 		t.Errorf("empty series produced phases: %+v", phases)
 	}
 	times, powers := seriesAt(1, 0.01, func(i int) float64 { return 10 })
-	phases := SegmentPhases(times, powers, PhaseConfig{})
+	phases := SegmentPhases(times, powers)
 	if len(phases) != 1 || phases[0].N != 1 {
 		t.Errorf("single-point series = %+v, want one single-point phase", phases)
 	}
-	// 5 points cannot hold two MinSegment=3 phases.
+	// 5 points cannot hold two minSegment=3 phases.
 	times, powers = seriesAt(5, 0.01, func(i int) float64 {
 		if i < 2 {
 			return 100
 		}
 		return 10
 	})
-	if phases := SegmentPhases(times, powers, PhaseConfig{}); len(phases) != 1 {
-		t.Errorf("5-point series segmented into %d phases, want 1 (MinSegment=3)", len(phases))
+	if phases := SegmentPhases(times, powers); len(phases) != 1 {
+		t.Errorf("5-point series segmented into %d phases, want 1 (minSegment=3)", len(phases))
 	}
 	// Zero-mean series: no scale for the jump test, must stay single-phase.
 	times, powers = seriesAt(20, 0.01, func(i int) float64 { return 0 })
-	if phases := SegmentPhases(times, powers, PhaseConfig{}); len(phases) != 1 {
+	if phases := SegmentPhases(times, powers); len(phases) != 1 {
 		t.Errorf("zero series segmented into %d phases, want 1", len(phases))
 	}
 }
@@ -155,7 +155,7 @@ func TestDetectThrottlesRamp(t *testing.T) {
 		}
 		return 50 - 2*float64(i-14)
 	})
-	episodes := DetectThrottles(times, powers, ThrottleConfig{})
+	episodes := DetectThrottles(times, powers)
 	if len(episodes) != 1 {
 		t.Fatalf("detected %d throttle episodes, want 1: %+v", len(episodes), episodes)
 	}
@@ -180,17 +180,20 @@ func TestDetectThrottlesRamp(t *testing.T) {
 // reported as throttling.
 func TestDetectThrottlesFlatAndRising(t *testing.T) {
 	times, powers := seriesAt(30, 0.01, func(i int) float64 { return 40 })
-	if eps := DetectThrottles(times, powers, ThrottleConfig{}); len(eps) != 0 {
+	if eps := DetectThrottles(times, powers); len(eps) != 0 {
 		t.Errorf("flat series flagged as throttling: %+v", eps)
 	}
 	times, powers = seriesAt(30, 0.01, func(i int) float64 { return 20 + float64(i) })
-	if eps := DetectThrottles(times, powers, ThrottleConfig{}); len(eps) != 0 {
+	if eps := DetectThrottles(times, powers); len(eps) != 0 {
 		t.Errorf("rising series flagged as throttling: %+v", eps)
 	}
 }
 
-// TestDetectThrottlesIgnoresSingleNoisyWindow: one steep window among flat
-// ones is noise, not an episode (MinRun=2).
+// TestDetectThrottlesIgnoresSingleNoisyWindow: a one-point glitch in a flat
+// series is noise, not an episode. Its leading flank puts it last and
+// second-to-last in two consecutive windows, both steep (-400 and -200 W/s
+// against a -3.9 W/s threshold), which is minRun; but power ends the run
+// where it began, a drop of 0 W.
 func TestDetectThrottlesIgnoresSingleNoisyWindow(t *testing.T) {
 	times, powers := seriesAt(30, 0.01, func(i int) float64 {
 		if i == 15 {
@@ -198,17 +201,14 @@ func TestDetectThrottlesIgnoresSingleNoisyWindow(t *testing.T) {
 		}
 		return 40
 	})
-	// A single down-up glitch produces at most isolated steep windows on its
-	// flanks, never MinRun consecutive declining fits.
-	eps := DetectThrottles(times, powers, ThrottleConfig{Window: 5, MinRun: 3})
-	if len(eps) != 0 {
+	if eps := DetectThrottles(times, powers); len(eps) != 0 {
 		t.Errorf("single glitch flagged as throttle: %+v", eps)
 	}
 }
 
 func TestDetectThrottlesShortSeries(t *testing.T) {
 	times, powers := seriesAt(3, 0.01, func(i int) float64 { return 40 - 10*float64(i) })
-	if eps := DetectThrottles(times, powers, ThrottleConfig{}); eps != nil {
+	if eps := DetectThrottles(times, powers); eps != nil {
 		t.Errorf("series shorter than window produced episodes: %+v", eps)
 	}
 }

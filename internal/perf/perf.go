@@ -196,21 +196,16 @@ type TaskMeter interface {
 // Session counts events around one measured region. Start resets and
 // enables the counters; Stop disables them and reads the scaled counts.
 // Start/Stop may be called repeatedly (one pair per repetition); Close
-// releases the underlying resources.
+// releases the underlying resources. Poll reads the current repetition's
+// cumulative counts without disabling the counters, so an in-trial sampler
+// can observe event deltas while the measured region runs; after Stop (or
+// Close) it returns the repetition's final counts, making it safe to race a
+// trailing sampler tick against the worker's own Stop.
 type Session interface {
 	Start() error
 	Stop() (Counts, error)
-	Close() error
-}
-
-// Poller is an optional Session extension: Poll reads the session's
-// cumulative counts for the current repetition without disabling the
-// counters, so an in-trial sampler can observe event deltas while the
-// measured region runs. After Stop (or Close) Poll returns the repetition's
-// final counts, making it safe to race a trailing sampler tick against the
-// worker's own Stop. Both shipped backends implement it.
-type Poller interface {
 	Poll() (Counts, error)
+	Close() error
 }
 
 // NewMeter constructs the backend a normalized Spec names. The perf backend

@@ -2,10 +2,12 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
-// Summary describes a sample set after (optional) outlier rejection.
+// Summary describes a sample set. In a result it covers the repetitions
+// outlier rejection kept, and Rejected counts the ones it dropped.
 type Summary struct {
 	N        int     `json:"n"`
 	Rejected int     `json:"rejected,omitempty"`
@@ -72,31 +74,41 @@ func CV(xs []float64) float64 {
 	return StdDev(xs) / math.Abs(m)
 }
 
-// RejectOutliers iteratively removes the sample farthest from the mean while
-// the set's CV exceeds maxCV, keeping at least minKeep samples. It returns
-// the surviving samples (in original order) and the number rejected. This
-// discards repetitions perturbed by OS noise (interrupts, migrations)
-// without assuming a distribution.
-func RejectOutliers(xs []float64, maxCV float64, minKeep int) (kept []float64, rejected int) {
-	if minKeep < 2 {
-		minKeep = 2
+// Converged reports whether xs satisfy the repeat-until-stable stopping
+// rule: at least minN samples (never fewer than two, since the CV of a
+// single sample is trivially zero) with CV at or below cvTarget. A
+// non-positive cvTarget disables the rule, so fixed-rep sweeps never stop
+// early.
+func Converged(xs []float64, cvTarget float64, minN int) bool {
+	return cvTarget > 0 && len(xs) >= max(minN, 2) && CV(xs) <= cvTarget
+}
+
+// RejectOutliers iteratively drops the sample farthest from the mean while
+// the kept samples' CV exceeds maxCV, keeping at least two, and returns the
+// indices of the kept samples in ascending order. A non-positive maxCV keeps
+// every sample. This discards repetitions perturbed by OS noise
+// (interrupts, migrations) without assuming a distribution.
+func RejectOutliers(xs []float64, maxCV float64) []int {
+	kept := make([]int, len(xs))
+	vals := make([]float64, len(xs))
+	for i, x := range xs {
+		kept[i], vals[i] = i, x
 	}
-	kept = append([]float64(nil), xs...)
-	for len(kept) > minKeep && CV(kept) > maxCV {
-		m := Mean(kept)
+	for maxCV > 0 && len(vals) > 2 && CV(vals) > maxCV {
+		m := Mean(vals)
 		worst, dist := 0, -1.0
-		for i, x := range kept {
+		for i, x := range vals {
 			if d := math.Abs(x - m); d > dist {
 				worst, dist = i, d
 			}
 		}
-		kept = append(kept[:worst], kept[worst+1:]...)
-		rejected++
+		kept = slices.Delete(kept, worst, worst+1)
+		vals = slices.Delete(vals, worst, worst+1)
 	}
-	return kept, rejected
+	return kept
 }
 
-// Summarize aggregates xs without outlier rejection.
+// Summarize aggregates xs as given; Rejected stays zero.
 func Summarize(xs []float64) Summary {
 	s := Summary{N: len(xs), Mean: Mean(xs), Median: Median(xs), StdDev: StdDev(xs)}
 	if s.Mean != 0 {
@@ -109,15 +121,5 @@ func Summarize(xs []float64) Summary {
 			s.Max = math.Max(s.Max, x)
 		}
 	}
-	return s
-}
-
-// SummarizeRobust rejects outliers (CV threshold maxCV, keeping at least
-// minKeep samples) and then summarizes the survivors, recording how many
-// samples were dropped.
-func SummarizeRobust(xs []float64, maxCV float64, minKeep int) Summary {
-	kept, rejected := RejectOutliers(xs, maxCV, minKeep)
-	s := Summarize(kept)
-	s.Rejected = rejected
 	return s
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -114,61 +115,63 @@ func TestSummarizeNegativeMeanCV(t *testing.T) {
 
 func TestRejectOutliers(t *testing.T) {
 	tests := []struct {
-		name         string
-		in           []float64
-		maxCV        float64
-		minKeep      int
-		wantKept     []float64
-		wantRejected int
+		name     string
+		in       []float64
+		maxCV    float64
+		wantKept []int
 	}{
-		{
-			name:         "no-rejection-needed",
-			in:           []float64{10, 10.1, 9.9},
-			maxCV:        0.05,
-			minKeep:      2,
-			wantKept:     []float64{10, 10.1, 9.9},
-			wantRejected: 0,
-		},
-		{
-			name:         "single-spike-removed",
-			in:           []float64{10, 10.2, 9.8, 100},
-			maxCV:        0.05,
-			minKeep:      2,
-			wantKept:     []float64{10, 10.2, 9.8},
-			wantRejected: 1,
-		},
-		{
-			name:         "min-keep-floor",
-			in:           []float64{1, 100, 10000},
-			maxCV:        0.001,
-			minKeep:      2,
-			wantKept:     []float64{1, 100},
-			wantRejected: 1,
-		},
-		{
-			name:         "preserves-order",
-			in:           []float64{9.9, 50, 10.1, 10},
-			maxCV:        0.05,
-			minKeep:      2,
-			wantKept:     []float64{9.9, 10.1, 10},
-			wantRejected: 1,
-		},
+		{"no-rejection-needed", []float64{10, 10.1, 9.9}, 0.05, []int{0, 1, 2}},
+		{"single-spike-removed", []float64{10, 10.2, 9.8, 100}, 0.05, []int{0, 1, 2}},
+		// Still over maxCV at two samples, but two is the floor.
+		{"min-keep-floor", []float64{1, 100, 10000}, 0.001, []int{0, 1}},
+		{"preserves-order", []float64{9.9, 50, 10.1, 10}, 0.05, []int{0, 2, 3}},
+		{"non-positive-max-cv-keeps-all", []float64{1, 100, 10000}, 0, []int{0, 1, 2}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			kept, rejected := RejectOutliers(tc.in, tc.maxCV, tc.minKeep)
-			if rejected != tc.wantRejected {
-				t.Errorf("rejected = %d, want %d", rejected, tc.wantRejected)
-			}
-			if len(kept) != len(tc.wantKept) {
-				t.Fatalf("kept = %v, want %v", kept, tc.wantKept)
-			}
-			for i := range kept {
-				if !almostEq(kept[i], tc.wantKept[i]) {
-					t.Errorf("kept[%d] = %v, want %v", i, kept[i], tc.wantKept[i])
-				}
+			if kept := RejectOutliers(tc.in, tc.maxCV); !slices.Equal(kept, tc.wantKept) {
+				t.Errorf("kept = %v, want %v", kept, tc.wantKept)
 			}
 		})
+	}
+}
+
+// TestConverged pins the stopping rule's floor of two samples, its minN and
+// its off switch.
+func TestConverged(t *testing.T) {
+	tests := []struct {
+		name   string
+		xs     []float64
+		target float64
+		minN   int
+		want   bool
+	}{
+		// A single sample has CV 0 but must never count as converged.
+		{"single-sample", []float64{100}, 0.1, 1, false},
+		{"two-identical", []float64{100, 100}, 0.1, 2, true},
+		{"below-min-n", []float64{100, 100}, 0.1, 3, false},
+		// A non-positive target disables convergence even for identical samples.
+		{"target-zero-disables", []float64{100, 100}, 0, 2, false},
+		{"huge-cv", []float64{100, 100, 100000}, 0.1, 2, false},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := Converged(tc.xs, tc.target, tc.minN); got != tc.want {
+				t.Errorf("Converged(%v, %v, %d) = %v, want %v", tc.xs, tc.target, tc.minN, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestConvergedNegativeMean: noisy negative samples must not satisfy the
+// stopping rule just because the mean's sign flipped the CV, and tight ones
+// still do.
+func TestConvergedNegativeMean(t *testing.T) {
+	if Converged([]float64{-100, -1, -50}, 0.05, 2) {
+		t.Error("noisy negative-mean samples reported as converged")
+	}
+	if !Converged([]float64{-100, -101}, 0.05, 2) {
+		t.Error("tight negative-mean samples did not converge")
 	}
 }
 
@@ -189,18 +192,5 @@ func TestSummarize(t *testing.T) {
 	empty := Summarize(nil)
 	if empty.N != 0 || empty.Mean != 0 || empty.Min != 0 || empty.Max != 0 {
 		t.Errorf("Summarize(nil) = %+v, want zero value", empty)
-	}
-}
-
-func TestSummarizeRobust(t *testing.T) {
-	s := SummarizeRobust([]float64{10, 10.2, 9.8, 100}, 0.05, 2)
-	if s.Rejected != 1 {
-		t.Errorf("Rejected = %d, want 1", s.Rejected)
-	}
-	if s.N != 3 {
-		t.Errorf("N = %d, want 3", s.N)
-	}
-	if s.Max > 11 {
-		t.Errorf("Max = %v, outlier survived", s.Max)
 	}
 }
