@@ -37,6 +37,9 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if *dataDir == "" {
 		return fmt.Errorf("--data is required")
 	}
+	if *leaseTTL <= 0 {
+		return fmt.Errorf("--lease-ttl must be positive, got %v", *leaseTTL)
+	}
 	logf := func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) }
 	coord, err := fleet.NewCoordinator(fleet.Options{
 		DataDir:   *dataDir,
@@ -64,11 +67,12 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	}
 
 	// Reclaim expired leases on a timer, so a dead agent's work is
-	// re-dispatched even when no other agent traffic triggers a reap.
+	// re-dispatched even when no other agent traffic triggers a reap; the
+	// floor keeps a TTL of nanoseconds from a zero or spinning ticker.
 	reapCtx, stopReap := context.WithCancel(ctx)
 	defer stopReap()
 	go func() {
-		t := time.NewTicker(*leaseTTL / 4)
+		t := time.NewTicker(max(*leaseTTL/4, time.Millisecond))
 		defer t.Stop()
 		for {
 			select {

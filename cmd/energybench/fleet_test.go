@@ -3,12 +3,16 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"energybench/internal/campaign"
 	"energybench/internal/extwork"
@@ -29,6 +33,58 @@ func allocatedBy(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&m)
 	return m.TotalAlloc - before
+}
+
+// listening is serve's stderr in the test below: it hands over the base
+// URL from the coordinator's listening line.
+type listening struct {
+	once sync.Once
+	url  chan string
+}
+
+func (l *listening) Write(p []byte) (int, error) {
+	if _, after, ok := strings.Cut(string(p), "listening on "); ok {
+		l.once.Do(func() { l.url <- strings.Fields(after)[0] })
+	}
+	return len(p), nil
+}
+
+// TestServeLeaseTTL: serve refuses a non-positive --lease-ttl before it
+// listens, with an error naming the flag, and serves with any positive
+// one, however short (a TTL under 4 ns once made the lease reaper's ticker
+// panic).
+func TestServeLeaseTTL(t *testing.T) {
+	for _, ttl := range []string{"0", "-1s"} {
+		var stderr strings.Builder
+		err := cmdServe(context.Background(), []string{"--data=" + t.TempDir(), "--listen=127.0.0.1:0", "--lease-ttl=" + ttl}, io.Discard, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "--lease-ttl") || stderr.Len() != 0 {
+			t.Errorf("--lease-ttl=%s: err %v, stderr %q; want a --lease-ttl error before listening", ttl, err, stderr.String())
+		}
+	}
+	for _, ttl := range []string{"1ns", "3ns", "1ms"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		stderr := &listening{url: make(chan string, 1)}
+		done := make(chan error, 1)
+		go func() {
+			done <- cmdServe(ctx, []string{"--data=" + t.TempDir(), "--listen=127.0.0.1:0", "--lease-ttl=" + ttl}, io.Discard, stderr)
+		}()
+		select {
+		case url := <-stderr.url:
+			if resp, err := http.Get(url + "/agents"); err != nil {
+				t.Errorf("--lease-ttl=%s: %v", ttl, err)
+			} else if resp.Body.Close(); resp.StatusCode != http.StatusOK {
+				t.Errorf("--lease-ttl=%s: GET /agents: %s", ttl, resp.Status)
+			}
+		case err := <-done:
+			t.Fatalf("--lease-ttl=%s: serve returned before listening: %v", ttl, err)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("--lease-ttl=%s: serve did not listen", ttl)
+		}
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("--lease-ttl=%s: serve: %v", ttl, err)
+		}
+	}
 }
 
 // TestBatchRunnerKeepsKernelStack: the agent's batch runner keeps its meter

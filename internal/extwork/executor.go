@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 	"os/exec"
 	"sort"
@@ -130,17 +132,9 @@ func (e *ExternExecutor) Execute(ctx context.Context, t harness.Trial) (harness.
 
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
-	var repCounts [][]perf.Counts
-	res, err := harness.Measure(ctx, e.Meter, t, func() (harness.Region, error) {
-		return e.launch(ctx, t, cpus, activity, &repCounts)
+	return harness.Measure(ctx, e.Meter, t, func() (harness.Region, error) {
+		return e.launch(ctx, t, cpus, activity)
 	})
-	if err != nil {
-		return res, err
-	}
-	if activity != nil {
-		res.Counters = buildExternCounters(activity.Name(), activity.Events(), repCounts, res.Samples)
-	}
-	return res, nil
 }
 
 // buildOnce runs the workload's build step the first time any trial of the
@@ -178,9 +172,9 @@ func (e *ExternExecutor) buildOnce(ctx context.Context, spec *harness.ExternSpec
 // (SIGSTOP before the shell-less child leaves the exec stub), pinned, and
 // with its counters attached and started. Releasing the region resumes the
 // child (SIGCONT), waits for it to exit, stops its counters, and classifies
-// its fate; the core's meter reads bracket exactly that. A measured
-// repetition's per-session counts are appended to repCounts.
-func (e *ExternExecutor) launch(ctx context.Context, t harness.Trial, cpus []int, activity perf.ActivityMeter, repCounts *[][]perf.Counts) (harness.Region, error) {
+// its fate; the core's meter reads bracket exactly that. A counted child
+// is one thread (CPU -1), its counts those of wallClock.
+func (e *ExternExecutor) launch(ctx context.Context, t harness.Trial, cpus []int, activity perf.ActivityMeter) (harness.Region, error) {
 	spec := t.Extern
 	timeout := spec.Timeout
 	if timeout == 0 {
@@ -240,8 +234,11 @@ func (e *ExternExecutor) launch(ctx context.Context, t harness.Trial, cpus []int
 				return fail(fmt.Errorf("extwork: starting counters for workload %q: %w", spec.Workload, err))
 			}
 		}
-		r.Sessions, r.Events = sessions, activity.Events()
-		r.Measured = func(*harness.Sample) { *repCounts = append(*repCounts, counts) }
+		r.Sessions, r.Backend, r.Events = sessions, activity.Name(), activity.Events()
+		r.Threads = []harness.CounterThread{{CPU: -1}}
+		r.Measured = func(s *harness.Sample) []perf.Counts {
+			return []perf.Counts{wallClock(counts, s.TimeS)}
+		}
 	}
 	r.Release = func() error {
 		if err := e.cont(pid); err != nil {
@@ -347,50 +344,29 @@ func dominantComponent(spec *harness.ExternSpec) string {
 	return best
 }
 
-// buildExternCounters folds per-repetition, per-session counts into the
-// stored aggregate: one synthetic "thread" holding the child's process-wide
-// totals, one repetition per measured sample. Rates divide the summed
-// scaled counts by the repetition's child wall clock (the sample's TimeS) —
-// not by time_enabled, which under inherited counters is the
-// *sum* over the child's tasks and would understate the process-aggregate
-// rate by the thread count.
-func buildExternCounters(backend string, events []string, reps [][]perf.Counts, samples []harness.Sample) *harness.Counters {
-	if len(reps) == 0 || len(events) == 0 {
-		return nil
-	}
-	out := &harness.Counters{Backend: backend, Reps: len(reps)}
-	out.Events = make([]harness.CounterEvent, len(events))
-	for i, name := range events {
-		out.Events[i].Event = name
-	}
-	th := harness.CounterThread{
-		CPU:        -1,
-		TotalMean:  make([]float64, len(events)),
-		RateHzMean: make([]float64, len(events)),
-	}
-	n := float64(len(reps))
-	for r, rep := range reps {
-		for _, counts := range rep {
-			for i, v := range counts.Values {
-				if i >= len(events) {
-					break
-				}
-				th.TotalMean[i] += v.Scaled / n
-				if wall := samples[r].TimeS; wall > 0 {
-					th.RateHzMean[i] += v.Scaled / wall / n
-				}
-				if v.Multiplexed() {
-					out.Events[i].Multiplexed = true
-				}
-			}
+// wallClock sums one repetition's task sessions into the child's counts,
+// timed by its wall clock: an inherited counter's enabled time sums over
+// every task it counted. Running time keeps the sessions' share, so the sum
+// is multiplexed when any session was.
+func wallClock(sessions []perf.Counts, wallS float64) perf.Counts {
+	wall := uint64(math.Round(wallS * 1e9))
+	sum := perf.Counts{Values: make([]perf.EventCount, len(sessions[0].Values))}
+	for i := range sum.Values {
+		var enabled, running uint64
+		v := &sum.Values[i]
+		for _, c := range sessions {
+			v.Raw += c.Values[i].Raw
+			v.Scaled += c.Values[i].Scaled
+			enabled += c.Values[i].TimeEnabledNS
+			running += c.Values[i].TimeRunningNS
+		}
+		v.TimeEnabledNS, v.TimeRunningNS = wall, wall
+		if running < enabled {
+			hi, lo := bits.Mul64(wall, running)
+			v.TimeRunningNS, _ = bits.Div64(hi, lo, enabled)
 		}
 	}
-	for i := range out.Events {
-		out.Events[i].TotalMean = th.TotalMean[i]
-		out.Events[i].RateHzMean = th.RateHzMean[i]
-	}
-	out.Threads = []harness.CounterThread{th}
-	return out
+	return sum
 }
 
 // expandArgv substitutes ${THREADS}/${CPUS} in every argv element.

@@ -281,6 +281,115 @@ func TestExecuteSuccessMetersChildAndCounters(t *testing.T) {
 	}
 }
 
+// scriptedEnergy is a meter whose repetition r draws uJ[r] microjoules:
+// Measure reads it once before and once after every repetition.
+type scriptedEnergy struct {
+	reads int
+	total uint64
+	uJ    []uint64
+}
+
+func (m *scriptedEnergy) Name() string            { return "scripted" }
+func (m *scriptedEnergy) Domains() []meter.Domain { return []meter.Domain{{Name: "scripted-0"}} }
+func (m *scriptedEnergy) Read() (meter.Reading, error) {
+	if m.reads%2 == 1 {
+		m.total += m.uJ[m.reads/2]
+	}
+	m.reads++
+	return meter.Reading{Counters: []uint64{m.total}}, nil
+}
+
+// scriptedTasks is a TaskMeter whose k-th opened session reads counts(k)
+// at its Stop.
+type scriptedTasks struct {
+	opened int
+	counts func(session int) perf.Counts
+}
+
+func (*scriptedTasks) Name() string     { return "scripted" }
+func (*scriptedTasks) Events() []string { return []string{"instructions", "llc-misses"} }
+func (*scriptedTasks) OpenThread(int, string) (perf.Session, error) {
+	return nil, fmt.Errorf("unused")
+}
+func (m *scriptedTasks) OpenTask(int, int, string) (perf.Session, error) {
+	m.opened++
+	return &scriptedTaskSession{counts: m.counts(m.opened - 1)}, nil
+}
+
+type scriptedTaskSession struct{ counts perf.Counts }
+
+func (s *scriptedTaskSession) Start() error               { return nil }
+func (s *scriptedTaskSession) Stop() (perf.Counts, error) { return s.counts, nil }
+func (s *scriptedTaskSession) Poll() (perf.Counts, error) { return s.counts, nil }
+func (s *scriptedTaskSession) Close() error               { return nil }
+
+// TestExternCountersCoverKeptReps: an external child's counters cover the
+// repetitions Measure kept. The child is one thread (CPU -1) whose counts
+// are its two task sessions' summed, and whose rates divide that sum by
+// the sample's wall time, not by the sessions' inherited enabled times.
+// Energies 1, 1 and 5 J drop the third repetition, whose counts dwarf the
+// others'; a multiplexed session marks its event multiplexed.
+func TestExternCountersCoverKeptReps(t *testing.T) {
+	needCmd(t, "sh")
+	scaled := func(rep, task, event int) float64 {
+		if rep == 2 {
+			return 5e9
+		}
+		return float64((rep+1)*(task+2)*(event+1)) * 1e6
+	}
+	const tasks = 2
+	activity := &scriptedTasks{counts: func(k int) perf.Counts {
+		rep, task := k/tasks, k%tasks
+		var c perf.Counts
+		for i := range 2 {
+			v := perf.EventCount{Scaled: scaled(rep, task, i), TimeEnabledNS: 7e6, TimeRunningNS: 7e6}
+			if rep == 0 && task == 1 && i == 1 {
+				v.TimeRunningNS = 3e6
+			}
+			c.Values = append(c.Values, v)
+		}
+		return c
+	}}
+	e := &ExternExecutor{
+		Meter:       &scriptedEnergy{uJ: []uint64{1e6, 1e6, 5e6}},
+		newActivity: func(perf.Spec) (perf.ActivityMeter, error) { return activity, nil },
+		tasks:       func(pid int) ([]int, error) { return []int{pid, pid + 1}, nil },
+	}
+	tr := externTrial("counted", []string{"sh", "-c", "exit 0"})
+	tr.MinReps, tr.MaxReps, tr.MaxCV = 3, 3, 0.2
+	tr.Counters = &perf.Spec{Backend: "scripted"}
+	res, err := e.Execute(context.Background(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Counters
+	if c == nil || res.EnergyJ.N != 2 || c.Reps != res.EnergyJ.N {
+		t.Fatalf("energy N %d, counters %+v; want counters over the 2 kept repetitions", res.EnergyJ.N, c)
+	}
+	if len(c.Threads) != 1 || c.Threads[0].CPU != -1 {
+		t.Fatalf("threads %+v, want the child as one thread on CPU -1", c.Threads)
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }
+	for i, ev := range c.Events {
+		var total, rate float64
+		for rep := range 2 {
+			var sum float64
+			for task := range tasks {
+				sum += scaled(rep, task, i)
+			}
+			total += sum / 2
+			rate += sum / res.Samples[rep].TimeS / 2
+		}
+		th := c.Threads[0]
+		if !near(ev.TotalMean, total) || !near(th.TotalMean[i], total) || !near(ev.RateHzMean, rate) || !near(th.RateHzMean[i], rate) {
+			t.Errorf("%s: totals %v, %v, rates %v, %v; want %v, %v", ev.Event, ev.TotalMean, th.TotalMean[i], ev.RateHzMean, th.RateHzMean[i], total, rate)
+		}
+		if want := i == 1; ev.Multiplexed != want {
+			t.Errorf("%s: multiplexed %v, want %v", ev.Event, ev.Multiplexed, want)
+		}
+	}
+}
+
 // TestSchedulerExternFailuresDoNotWedge runs a mixed plan through the
 // parallel Scheduler with a failing extern trial first: the failure must
 // surface as one *TrialError while every later trial — extern and kernel —

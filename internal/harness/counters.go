@@ -2,10 +2,10 @@ package harness
 
 import "energybench/internal/perf"
 
-// CounterEvent aggregates one hardware event over a trial's measured
-// repetitions. TotalMean is the mean over repetitions of the scaled count
-// summed across worker threads; RateHzMean is the mean over repetitions of
-// the summed per-thread rates (each thread's scaled count divided by its own
+// CounterEvent aggregates one hardware event over the repetitions a trial
+// kept (Measure). TotalMean is the mean over those repetitions of the scaled
+// count summed across counted threads; RateHzMean is their mean of the
+// summed per-thread rates (each thread's scaled count divided by its own
 // enabled time), the activity-factor form the power model consumes.
 type CounterEvent struct {
 	Event       string  `json:"event"`
@@ -14,10 +14,10 @@ type CounterEvent struct {
 	Multiplexed bool    `json:"multiplexed,omitempty"`
 }
 
-// CounterThread is one worker thread's per-event means, aligned with
+// CounterThread is one counted thread's per-event means, aligned with
 // Counters.Events. CPU is the pinned logical CPU (-1 when the trial ran
 // unpinned); Group attributes the thread to a co-run side (0 = spec A,
-// 1 = spec B).
+// 1 = spec B). An external workload's child is one thread (CPU -1).
 type CounterThread struct {
 	CPU        int       `json:"cpu"`
 	Group      int       `json:"group,omitempty"`
@@ -26,14 +26,14 @@ type CounterThread struct {
 }
 
 // Counters is the measured activity vector of one trial: scaled event
-// counts from every worker thread's counter group, aggregated over the
-// measured repetitions. It rides on Result (and through the worker-trial
-// envelope and the store) next to the energy summaries it explains.
+// counts from every counted thread, aggregated over the same repetitions
+// as the energy summaries it explains (the ones Measure kept). It rides on
+// Result (and through the worker-trial envelope and the store).
 type Counters struct {
 	Backend string          `json:"backend"`
 	Events  []CounterEvent  `json:"events"`
 	Threads []CounterThread `json:"threads"`
-	// Reps is how many measured repetitions the means aggregate.
+	// Reps is how many kept repetitions the means aggregate (EnergyJ.N).
 	Reps int `json:"reps"`
 }
 
@@ -79,43 +79,35 @@ func (c *Counters) TotalRateHz(name string, group int) (float64, bool) {
 	return sum, true
 }
 
-// buildCounters folds per-repetition, per-thread counts into the stored
-// aggregate. reps[r][t] is worker thread t's counts in measured repetition
-// r; every inner slice is parallel to units/cpus.
-func buildCounters(backend string, events []string, units []workUnit, cpus []int, reps [][]perf.Counts) *Counters {
-	if len(reps) == 0 || len(events) == 0 {
+// foldCounters is the one counter aggregate: over the kept repetitions of
+// a region laid out like r, each thread's mean scaled counts and rates, and
+// each event's sums of those over threads. A rate is a scaled count over its
+// own enabled time. counts[k][t] is thread t's counts in repetition k.
+func foldCounters(r Region, counts [][]perf.Counts, kept []int) *Counters {
+	if len(r.Events) == 0 {
 		return nil
 	}
-	threads := len(units)
-	out := &Counters{Backend: backend, Reps: len(reps)}
-	perThread := make([]CounterThread, threads)
-	for t := range perThread {
-		cpu := -1
-		if cpus != nil {
-			cpu = cpus[t]
-		}
-		perThread[t] = CounterThread{
-			CPU:        cpu,
-			Group:      units[t].group,
-			TotalMean:  make([]float64, len(events)),
-			RateHzMean: make([]float64, len(events)),
-		}
-	}
-	out.Events = make([]CounterEvent, len(events))
-	for i, name := range events {
+	out := &Counters{Backend: r.Backend, Reps: len(kept), Events: make([]CounterEvent, len(r.Events))}
+	for i, name := range r.Events {
 		out.Events[i].Event = name
 	}
-	n := float64(len(reps))
-	for _, rep := range reps {
-		for t, counts := range rep {
-			for i, v := range counts.Values {
-				if i >= len(events) {
+	for _, th := range r.Threads {
+		th.TotalMean = make([]float64, len(r.Events))
+		th.RateHzMean = make([]float64, len(r.Events))
+		out.Threads = append(out.Threads, th)
+	}
+	n := float64(len(kept))
+	for _, k := range kept {
+		for t, c := range counts[k] {
+			th := out.Threads[t]
+			for i, v := range c.Values {
+				if i >= len(r.Events) {
 					break
 				}
-				perThread[t].TotalMean[i] += v.Scaled / n
+				th.TotalMean[i] += v.Scaled / n
 				if v.TimeEnabledNS > 0 {
 					rate := v.Scaled / (float64(v.TimeEnabledNS) / 1e9)
-					perThread[t].RateHzMean[i] += rate / n
+					th.RateHzMean[i] += rate / n
 				}
 				if v.Multiplexed() {
 					out.Events[i].Multiplexed = true
@@ -123,12 +115,11 @@ func buildCounters(backend string, events []string, units []workUnit, cpus []int
 			}
 		}
 	}
-	for _, th := range perThread {
+	for _, th := range out.Threads {
 		for i := range out.Events {
 			out.Events[i].TotalMean += th.TotalMean[i]
 			out.Events[i].RateHzMean += th.RateHzMean[i]
 		}
 	}
-	out.Threads = perThread
 	return out
 }

@@ -121,6 +121,100 @@ func TestInProcessCoRunCounterGroups(t *testing.T) {
 	}
 }
 
+// scriptedActivity is an ActivityMeter whose sessions report scripted
+// counts: the session a unit opens under workload hint h reads
+// counts(h, r) at the Stop of its repetition r.
+type scriptedActivity struct {
+	counts func(hint string, rep int) perf.Counts
+}
+
+func (scriptedActivity) Name() string     { return "scripted" }
+func (scriptedActivity) Events() []string { return []string{"instructions", "llc-misses"} }
+func (m scriptedActivity) OpenThread(_ int, hint string) (perf.Session, error) {
+	return &scriptedSession{hint: hint, counts: m.counts}, nil
+}
+
+type scriptedSession struct {
+	hint   string
+	rep    int
+	counts func(string, int) perf.Counts
+}
+
+func (s *scriptedSession) Start() error { return nil }
+func (s *scriptedSession) Stop() (perf.Counts, error) {
+	s.rep++
+	return s.counts(s.hint, s.rep-1), nil
+}
+func (s *scriptedSession) Poll() (perf.Counts, error) { return s.counts(s.hint, s.rep), nil }
+func (s *scriptedSession) Close() error               { return nil }
+
+// TestInProcessCountersCoverKeptReps: counters aggregate the repetitions
+// Measure kept, like every other summary. Energies 1, 1 and 5 J make
+// max_cv drop the third repetition, whose scripted counts dwarf the
+// others'; each thread's and event's means must be the first two
+// repetitions' means, a rate being each count over its own enabled time.
+func TestInProcessCountersCoverKeptReps(t *testing.T) {
+	base := map[string]float64{string(tinyInt.Component): 1e6, string(tinyChase.Component): 3e4}
+	scaled := func(hint string, event, rep int) float64 {
+		mult := float64(rep + 1)
+		if rep == 2 {
+			mult = 50
+		}
+		return base[hint] * float64(event+1) * mult
+	}
+	enabledNS := func(rep int) uint64 { return uint64(rep+2) * 1e6 }
+	e := &InProcess{
+		Meter: &scriptedMeter{counter: sampleSequenceCounter([]uint64{1e6, 1e6, 5e6})},
+		newActivity: func(perf.Spec) (perf.ActivityMeter, error) {
+			return scriptedActivity{counts: func(hint string, rep int) perf.Counts {
+				var c perf.Counts
+				for i := range 2 {
+					c.Values = append(c.Values, perf.EventCount{Scaled: scaled(hint, i, rep),
+						TimeEnabledNS: enabledNS(rep), TimeRunningNS: enabledNS(rep)})
+				}
+				return c
+			}}, nil
+		},
+	}
+	trial := Trial{Spec: tinyInt, SpecB: &tinyChase, Threads: 1, Placement: PlaceNone,
+		Iters: 1, ItersB: 1, MinReps: 3, MaxReps: 3, MaxCV: 0.2,
+		Counters: &perf.Spec{Backend: "scripted"}}
+	res, err := e.Execute(context.Background(), trial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Counters
+	if c == nil || res.EnergyJ.N != 2 || c.Reps != res.EnergyJ.N {
+		t.Fatalf("energy N %d, counters %+v; want counters over the 2 kept repetitions", res.EnergyJ.N, c)
+	}
+	if len(c.Threads) != 2 {
+		t.Fatalf("got %d threads, want one per co-run unit", len(c.Threads))
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
+	for i, ev := range c.Events {
+		var total, rate float64
+		for _, th := range c.Threads {
+			hint := string(tinyInt.Component)
+			if th.Group == 1 {
+				hint = string(tinyChase.Component)
+			}
+			var wantTotal, wantRate float64
+			for rep := range 2 {
+				wantTotal += scaled(hint, i, rep) / 2
+				wantRate += scaled(hint, i, rep) / (float64(enabledNS(rep)) / 1e9) / 2
+			}
+			if !near(th.TotalMean[i], wantTotal) || !near(th.RateHzMean[i], wantRate) {
+				t.Errorf("group %d %s: total %v, rate %v; want %v, %v", th.Group, ev.Event, th.TotalMean[i], th.RateHzMean[i], wantTotal, wantRate)
+			}
+			total += wantTotal
+			rate += wantRate
+		}
+		if !near(ev.TotalMean, total) || !near(ev.RateHzMean, rate) {
+			t.Errorf("%s: total %v, rate %v; want %v, %v", ev.Event, ev.TotalMean, ev.RateHzMean, total, rate)
+		}
+	}
+}
+
 // TestInProcessCounterOpenFailureFailsTrial: a counter session that cannot
 // open must fail the repetition (the activity vector would be a lie), and
 // the error must surface through Execute.

@@ -144,17 +144,9 @@ func (e *InProcess) Execute(ctx context.Context, t Trial) (Result, error) {
 
 	c := e.hire(units, cpus, activity)
 	defer c.dismiss()
-	var repCounts [][]perf.Counts
-	res, err := Measure(ctx, e.Meter, t, func() (Region, error) {
-		return c.region(t.SpecB != nil, &repCounts), nil
+	return Measure(ctx, e.Meter, t, func() (Region, error) {
+		return c.region(t.SpecB != nil), nil
 	})
-	if err != nil {
-		return res, err
-	}
-	if activity != nil {
-		res.Counters = buildCounters(activity.Name(), activity.Events(), units, cpus, repCounts)
-	}
-	return res, nil
 }
 
 // worker is one unit's state for a trial: its workspace and counter
@@ -195,8 +187,7 @@ func (s *liveSession) Poll() (perf.Counts, error) {
 // called Execute, every other on a helper goroutine of its own.
 type crew struct {
 	workers  []*worker
-	sessions []perf.Session // the opened sessions, for the sampler
-	events   []string       // the counted events; nil when uncounted
+	counted  Region         // the opened sessions and counter layout; zero when uncounted
 	done     sync.WaitGroup // the helpers' current repetition
 	exited   sync.WaitGroup // the helpers' teardown
 	tearDown func()         // the caller's own teardown
@@ -237,10 +228,11 @@ func (e *InProcess) hire(units []workUnit, cpus []int, activity perf.ActivityMet
 	c.tearDown = e.setUp(c.workers[0], pinned, lock, activity)
 	ready.Wait()
 	if activity != nil {
-		c.events = activity.Events()
+		c.counted.Backend, c.counted.Events = activity.Name(), activity.Events()
 		for _, w := range c.workers {
+			c.counted.Threads = append(c.counted.Threads, CounterThread{CPU: w.cpu, Group: w.unit.group})
 			if w.sess != nil {
-				c.sessions = append(c.sessions, w.sess)
+				c.counted.Sessions = append(c.counted.Sessions, w.sess)
 			}
 		}
 	}
@@ -317,16 +309,15 @@ func (w *worker) rep() {
 
 // region prepares one repetition. Release wakes the helpers, runs unit 0
 // on the calling goroutine and waits for the helpers; with an activity
-// meter every unit counts exactly its own kernel call, and a measured
-// repetition's per-unit counts are appended to repCounts, parallel to
-// units.
-func (c *crew) region(corun bool, repCounts *[][]perf.Counts) Region {
+// meter every unit counts exactly its own kernel call, and Measured hands
+// back each unit's counts.
+func (c *crew) region(corun bool) Region {
 	for _, w := range c.workers {
 		if w.sess != nil {
 			w.sess.live.Store(false)
 		}
 	}
-	r := Region{Sessions: c.sessions, Events: c.events}
+	r := c.counted
 	r.Release = func() error {
 		helpers := c.workers[1:]
 		c.done.Add(len(helpers))
@@ -357,16 +348,15 @@ func (c *crew) region(corun bool, repCounts *[][]perf.Counts) Region {
 		}
 		return errors.Join(pinErr, ctrErr)
 	}
-	r.Measured = func(s *Sample) {
-		if c.events != nil {
-			counts := make([]perf.Counts, len(c.workers))
+	r.Measured = func(s *Sample) (counts []perf.Counts) {
+		if c.counted.Events != nil {
+			counts = make([]perf.Counts, len(c.workers))
 			for i, w := range c.workers {
 				counts[i] = w.counts
 			}
-			*repCounts = append(*repCounts, counts)
 		}
 		if !corun {
-			return
+			return counts
 		}
 		// Every unit is timed from the repetition's first start, so a unit
 		// that waits for a free CPU behind the others (an unpinned co-run
@@ -387,6 +377,7 @@ func (c *crew) region(corun bool, repCounts *[][]perf.Counts) Region {
 				s.TimeBS = max(s.TimeBS, elapsed)
 			}
 		}
+		return counts
 	}
 	return r
 }

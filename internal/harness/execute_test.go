@@ -502,7 +502,7 @@ func TestMeasureKeepsOneRepetitionSet(t *testing.T) {
 			rep++
 			return Region{
 				Release:  func() error { time.Sleep(tc.sleeps[i]); return nil },
-				Measured: func(s *Sample) { s.TimeAS, s.TimeBS = tc.timeAS[i], 2e-3 },
+				Measured: func(s *Sample) []perf.Counts { s.TimeAS, s.TimeBS = tc.timeAS[i], 2e-3; return nil },
 			}, nil
 		})
 		if err != nil {

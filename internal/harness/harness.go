@@ -67,8 +67,9 @@ type Result struct {
 	EDP   float64        `json:"edp_js"`
 	EDDP  float64        `json:"eddp_js2"`
 	// Counters is the measured activity vector (scaled hardware event
-	// counts, aggregated over measured repetitions); set when the trial
-	// carried a counter spec. Store schema v2.
+	// counts, aggregated over the repetitions the summaries cover); set
+	// when the trial carried a counter spec and was measured. Store
+	// schema v2.
 	Counters *Counters `json:"counters,omitempty"`
 	// SampleInterval is the in-trial sampling period the trial ran with;
 	// 0 when sampling was off. The per-rep series live on the samples.

@@ -25,17 +25,22 @@ type Region struct {
 	// Measure calls it instead of Release when the opening meter read
 	// fails.
 	Abort func()
-	// Sessions are the region's counter sessions and Events their event
-	// names. With sampling on, the sampler polls every session
-	// (perf.Session.Poll). The sampler's first poll, before Release, is the
-	// series' counter baseline, so a session must report only this
-	// repetition's counts.
+	// Sessions are the region's counter sessions. With sampling on, the
+	// sampler polls every session (perf.Session.Poll). The sampler's first
+	// poll, before Release, is the series' counter baseline, so a session
+	// must report only this repetition's counts.
 	Sessions []perf.Session
-	Events   []string
+	// Backend, Events and Threads lay out the counts Measured returns: the
+	// backend that counted them, the events in perf.Counts order, and one
+	// CounterThread (CPU and co-run group) per counted thread. A region
+	// without Events is not counted; one with Events must set Measured.
+	Backend string
+	Events  []string
+	Threads []CounterThread
 	// Measured, when non-nil, sees each measured (non-warm-up) sample
-	// before it is kept: executors fold their per-repetition counter
-	// counts and co-run wall times in here.
-	Measured func(*Sample)
+	// before it is kept and returns its counts, one per Threads entry; the
+	// in-process executor also stamps co-run wall times here.
+	Measured func(*Sample) []perf.Counts
 }
 
 // Measure is the measured-region core every executor shares. It hands a
@@ -45,11 +50,11 @@ type Region struct {
 // reaches CVTarget after MinReps (the paper's repeat-until-stable
 // criterion, stats.Converged). It then decides once, on energy, which
 // repetitions count (stats.RejectOutliers with MaxCV): a dropped
-// repetition leaves every summary, so the energy, time, power and co-run
-// time summaries and EDP/EDDP all cover the same kept repetitions, and
-// Samples still holds every measured one. The returned Result carries the
-// trial's identity, the samples, their summaries, and EDP/EDDP; executors
-// add only their counter aggregates. A trial whose budget fails
+// repetition leaves every aggregate, so the energy, time, power and co-run
+// time summaries, EDP/EDDP and the counters all cover the same kept
+// repetitions, and Samples still holds every measured one. The returned
+// Result carries the trial's identity, the samples and those aggregates;
+// one returned with an error has no counters. A trial whose budget fails
 // ValidateBudget is refused before its first repetition.
 func Measure(ctx context.Context, m meter.EnergyMeter, t Trial, prepare func() (Region, error)) (Result, error) {
 	if err := t.ValidateBudget(); err != nil {
@@ -68,6 +73,8 @@ func Measure(ctx context.Context, m meter.EnergyMeter, t Trial, prepare func() (
 	}
 
 	var energies []float64
+	var counted Region         // the last measured region, for its counter layout
+	var counts [][]perf.Counts // Measured's, per measured sample
 	for rep := 0; rep < t.Warmup+t.MaxReps; rep++ {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -84,8 +91,9 @@ func Measure(ctx context.Context, m meter.EnergyMeter, t Trial, prepare func() (
 			continue
 		}
 		if r.Measured != nil {
-			r.Measured(&sample)
+			counts = append(counts, r.Measured(&sample))
 		}
+		counted = r
 		res.Samples = append(res.Samples, sample)
 		energies = append(energies, sample.EnergyJ)
 		// Converged means the CV target genuinely cut reps short: at the
@@ -117,6 +125,7 @@ func Measure(ctx context.Context, m meter.EnergyMeter, t Trial, prepare func() (
 	}
 	res.EDP = res.EnergyJ.Mean * res.TimeS.Mean
 	res.EDDP = res.EDP * res.TimeS.Mean
+	res.Counters = foldCounters(counted, counts, kept)
 	return res, nil
 }
 

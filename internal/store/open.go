@@ -44,8 +44,12 @@ type Store struct {
 // Open opens an existing store at path, auto-detecting the layout: a
 // directory is a sharded segment store, a plain file is a single-file JSONL
 // store. A missing path is an fs.ErrNotExist error — use Create when the
-// store may not exist yet.
+// store may not exist yet. A Shard cut between its renames is rolled back
+// first (rollBackShard).
 func Open(path string) (*Store, error) {
+	if err := rollBackShard(path); err != nil {
+		return nil, err
+	}
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -59,17 +63,11 @@ func Open(path string) (*Store, error) {
 // Create opens the store at path, creating it if missing: paths ending in
 // .jsonl or .json become single-file stores (the original format, so
 // existing flag usage keeps producing plain files), anything else becomes a
-// sharded segment store directory.
+// sharded segment store directory. A store that exists opens as with Open.
 func Create(path string) (*Store, error) {
-	fi, err := os.Stat(path)
-	if err == nil {
-		if fi.IsDir() {
-			return openSharded(path)
-		}
-		return &Store{path: path}, nil
-	}
+	st, err := Open(path)
 	if !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("store: %w", err)
+		return st, err
 	}
 	if strings.HasSuffix(path, ".jsonl") || strings.HasSuffix(path, ".json") {
 		// Created empty now, as a sharded store's directory is, so a store
@@ -395,8 +393,9 @@ func (s *Store) Compact() (kept int, err error) {
 // that is already sharded is just compacted. The migration builds the new
 // store in a sibling temp directory and swaps it in with renames (the old
 // file briefly persists as path.pre-shard), so a crash leaves a recoverable
-// state at every step; configuration keys and record bytes are preserved
-// exactly, so resume key sets are identical before and after.
+// state at every step (between the renames, Open rolls it back);
+// configuration keys and record bytes are preserved exactly, so resume key
+// sets are identical before and after.
 func Shard(path string) (kept int, err error) {
 	src, err := Open(path)
 	if err != nil {
@@ -411,7 +410,7 @@ func Shard(path string) (kept int, err error) {
 		return 0, err
 	}
 
-	tmp := path + ".shard-tmp"
+	tmp := path + shardTmp
 	if err := os.RemoveAll(tmp); err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
@@ -429,21 +428,45 @@ func Shard(path string) (kept int, err error) {
 		return 0, err
 	}
 
-	backup := path + ".pre-shard"
+	backup := path + preShard
 	if err := os.Rename(path, backup); err != nil {
 		os.RemoveAll(tmp)
 		return 0, fmt.Errorf("store: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		// Roll the original back so the store is never left missing.
-		os.Rename(backup, path)
-		os.RemoveAll(tmp)
-		return 0, fmt.Errorf("store: %w", err)
+		return 0, errors.Join(fmt.Errorf("store: %w", err), rollBackShard(path))
 	}
 	if err := os.Remove(backup); err != nil {
 		return 0, fmt.Errorf("store: removing pre-shard backup: %w", err)
 	}
 	return len(ix.order), nil
+}
+
+// Shard builds the new store at path.shard-tmp and keeps the old one at
+// path.pre-shard while the new one moves into place.
+const shardTmp, preShard = ".shard-tmp", ".pre-shard"
+
+// rollBackShard undoes a Shard cut between its renames, which leaves
+// nothing at path, the old store at path.pre-shard and the new one at
+// path.shard-tmp: the old store moves back as it was, and the migration can
+// run again. A path.pre-shard alone was left after the second rename and
+// is not the store.
+func rollBackShard(path string) error {
+	if _, err := os.Lstat(path); !errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if _, err := os.Lstat(path + shardTmp); err != nil {
+		return nil
+	}
+	err := os.Rename(path+preShard, path)
+	if err == nil {
+		syncDir(filepath.Dir(path))
+		err = os.RemoveAll(path + shardTmp)
+	}
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("store: rolling back an interrupted shard migration: %w", err)
+	}
+	return nil
 }
 
 // copyRaw streams every winning record of ix, in order, into dst as raw
