@@ -11,13 +11,13 @@ COVER_FLOOR := 80
 # clean.
 SCRATCH := .scratch
 
-.PHONY: all ci build test lint fmt-check vet vet-perfbench staticcheck cover fuzz bench-harness smoke smoke-sampling smoke-planner smoke-fleet smoke-extern docs-check clean
+.PHONY: all ci build test lint fmt-check vet vet-perfbench cross staticcheck cover fuzz bench-harness smoke smoke-sampling smoke-planner smoke-fleet smoke-extern docs-check clean
 
 all: lint build test
 
 # ci runs the same gates as the GitHub workflow; it must finish with a clean
 # working tree (all droppings confined to $(SCRATCH)/ and other ignored paths).
-ci: lint vet-perfbench staticcheck docs-check build test fuzz cover smoke smoke-sampling smoke-planner smoke-fleet smoke-extern
+ci: lint vet-perfbench cross staticcheck docs-check build test fuzz cover smoke smoke-sampling smoke-planner smoke-fleet smoke-extern
 	@dirty=$$(git status --porcelain); if [ -n "$$dirty" ]; then \
 		echo "make ci left the tree dirty:" >&2; echo "$$dirty" >&2; exit 1; fi
 	@echo "ci OK (tree clean)"
@@ -44,6 +44,13 @@ vet:
 # benchmark.
 vet-perfbench:
 	cd perfbench && $(GO) vet ./...
+
+# The non-Linux stubs (*_other.go) compile only for another GOOS, so vet the
+# module for macOS and Windows too: a name they share with the Linux files
+# cannot then change on Linux alone.
+cross:
+	GOOS=darwin $(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 
 # staticcheck is optional locally (CI installs it); skip with a notice when
 # the binary isn't on PATH.

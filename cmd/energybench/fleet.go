@@ -28,7 +28,6 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		dataDir  = fs.String("data", "", "coordinator data directory: campaigns, job metadata, and merged stores live here (required)")
 		leaseTTL = fs.Duration("lease-ttl", 30*time.Second, "how long an agent holds a trial batch before it is reclaimed and re-dispatched")
 		batch    = fs.Int("batch", 4, "maximum trials granted per agent lease")
-		resume   = fs.Bool("resume", true, "replay existing jobs under --data on startup, resuming unfinished ones from their stores")
 		addrFile = fs.String("addr-file", "", "write the bound base URL to this file once listening (for scripts using --listen=:0)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -45,7 +44,6 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		DataDir:   *dataDir,
 		LeaseTTL:  *leaseTTL,
 		BatchSize: *batch,
-		Resume:    *resume,
 		Log:       logf,
 	})
 	if err != nil {
@@ -111,7 +109,6 @@ func cmdAgent(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	var (
 		coordURL = fs.String("coordinator", "", "coordinator base URL, e.g. http://host:7979 (required)")
 		name     = fs.String("name", "", "host name to register as (default: the machine hostname); must be unique across the fleet")
-		maxBatch = fs.Int("max-batch", 0, "maximum trials to request per lease (0: coordinator's default)")
 		poll     = fs.Duration("poll", 2*time.Second, "idle poll interval when no work is assignable")
 		cpus     = fs.Int("cpus", 0, "CPU count to advertise to the coordinator (0: detected); trials wider than this are never routed here, so raising it opportunistically oversubscribes")
 	)
@@ -130,7 +127,6 @@ func cmdAgent(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		Coordinator: strings.TrimRight(*coordURL, "/"),
 		Host:        host,
 		Runner:      localBatchRunner(logf),
-		MaxBatch:    *maxBatch,
 		Poll:        *poll,
 		Log:         logf,
 	}

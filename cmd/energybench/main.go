@@ -207,13 +207,11 @@ fleet flags (see docs/ARCHITECTURE.md and docs/WIRE.md):
                       metadata, and each job's merged store (required)
   --lease-ttl=D       batch lease duration before reclaim + re-dispatch (default 30s)
   --batch=N           max trials per agent lease (default 4)
-  --resume            replay existing jobs under --data on startup (default true)
   --addr-file=FILE    write the bound base URL to FILE (for --listen=:0 scripts)
   agent:
   --coordinator=URL   coordinator base URL (required)
   --name=NAME         host name to register as (default: hostname; must be
                       unique across the fleet)
-  --max-batch=N       max trials requested per lease (0: coordinator's default)
   --poll=D            idle poll interval when no work is assignable (default 2s)
   --cpus=N            CPU count to advertise (default: detected); trials wider
                       than this are never routed here
@@ -351,8 +349,8 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	fs.DurationVar(&ec.TrialTimeout, "trial-timeout", 0, "kill a subprocess worker running longer than this (0: no limit)")
 	fs.StringVar(&c.Algo, "algo", adapt.AlgoAll, "campaign planning algorithm: all (exhaustive) | active (D-optimal model convergence) | bo (expected-improvement EDP search)")
 	fs.StringVar(&c.CounterBackend, "counter-backend", "", "activity backend: perf (default) or mock (requires --counters)")
-	fs.StringVar(&c.Store, "store", "", "append results to the JSONL store at this path, flushed per configuration")
-	fs.BoolVar(&c.Resume, "resume", false, "skip trials already present in the --store file")
+	fs.StringVar(&c.Store, "store", "", "append results to the store file or directory at this path, flushed per configuration")
+	fs.BoolVar(&c.Resume, "resume", false, "skip trials already present in the --store")
 	var (
 		campaignPath = fs.String("campaign", "", "run a declarative campaign file (YAML or JSON)")
 		batch        = fs.Int("batch", 0, "adaptive planner: trials dispatched per round (default 8; requires --algo=active|bo)")
@@ -824,7 +822,7 @@ func decodeResultOrRecord(raw json.RawMessage) (harness.Result, error) {
 func cmdAnalyze(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	db := fs.String("db", "", "store file")
+	db := fs.String("db", "", "store file or directory")
 	activity := fs.String("activity", model.ActivityNominal,
 		"activity source for the fit: nominal (thread counts) or counters (measured event rates)")
 	phases := fs.Bool("phases", false,
@@ -935,7 +933,7 @@ func analyzePhases(results []harness.Result, stdout, stderr io.Writer) error {
 func cmdCompare(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	db := fs.String("db", "", "store file")
+	db := fs.String("db", "", "store file or directory")
 	filter := filterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err

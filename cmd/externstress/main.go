@@ -39,8 +39,9 @@ func main() {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			// Lock each spinner to its own OS thread so per-TID counter
-			// sessions attached by the harness see sustained work.
+			// Lock each spinner to its own OS thread, so THREADS spinners
+			// are THREADS busy threads, each counted by the inherited
+			// counter session the harness opens on the process.
 			runtime.LockOSThread()
 			acc := seed + 1
 			for time.Now().Before(deadline) {

@@ -44,12 +44,9 @@ type ExternExecutor struct {
 	// Log, when non-nil, receives build-step progress lines.
 	Log func(format string, args ...any)
 
-	// Test seams; nil means the platform implementation.
+	// newActivity overrides ActivityMeter construction in tests; nil means
+	// perf.NewMeter.
 	newActivity func(perf.Spec) (perf.ActivityMeter, error)
-	stopProc    func(pid int) error
-	contProc    func(pid int) error
-	tasks       func(pid int) ([]int, error)
-	affinity    func(pid int, cpus []int) error
 
 	// runMu serializes the metered sections (see type comment).
 	runMu sync.Mutex
@@ -65,34 +62,6 @@ func (e *ExternExecutor) activityMeter(spec perf.Spec) (perf.ActivityMeter, erro
 		return e.newActivity(spec)
 	}
 	return perf.NewMeter(spec)
-}
-
-func (e *ExternExecutor) stop(pid int) error {
-	if e.stopProc != nil {
-		return e.stopProc(pid)
-	}
-	return stopProcess(pid)
-}
-
-func (e *ExternExecutor) cont(pid int) error {
-	if e.contProc != nil {
-		return e.contProc(pid)
-	}
-	return contProcess(pid)
-}
-
-func (e *ExternExecutor) taskList(pid int) ([]int, error) {
-	if e.tasks != nil {
-		return e.tasks(pid)
-	}
-	return listTasks(pid)
-}
-
-func (e *ExternExecutor) setAffinity(pid int, cpus []int) error {
-	if e.affinity != nil {
-		return e.affinity(pid, cpus)
-	}
-	return harness.SetAffinity(pid, cpus)
 }
 
 // Execute runs one trial. Extern trials go through the same measurement
@@ -168,12 +137,13 @@ func (e *ExternExecutor) buildOnce(ctx context.Context, spec *harness.ExternSpec
 	return err
 }
 
-// launch prepares one repetition's region: the child started frozen
-// (SIGSTOP before the shell-less child leaves the exec stub), pinned, and
-// with its counters attached and started. Releasing the region resumes the
-// child (SIGCONT), waits for it to exit, stops its counters, and classifies
-// its fate; the core's meter reads bracket exactly that. A counted child
-// is one thread (CPU -1), its counts those of wallClock.
+// launch prepares one repetition's region: the child started frozen at its
+// exec (startFrozen), pinned, and with one inherited counter session opened
+// and started on it, which counts every thread and process the child goes
+// on to create. Releasing the region resumes the child (SIGCONT), waits for
+// it to exit, stops its counters, and classifies its fate; the core's meter
+// reads bracket exactly that. A counted child is one thread (CPU -1), its
+// counts those of wallClock.
 func (e *ExternExecutor) launch(ctx context.Context, t harness.Trial, cpus []int, activity perf.ActivityMeter) (harness.Region, error) {
 	spec := t.Extern
 	timeout := spec.Timeout
@@ -191,21 +161,17 @@ func (e *ExternExecutor) launch(ctx context.Context, t harness.Trial, cpus []int
 	cmd.Stdout = io.Discard
 	var stderr harness.TailBuffer
 	cmd.Stderr = &stderr
-	// A child that ignores the kill (stopped, or reparenting games) must
-	// not wedge the sweep: Wait gives up on its pipes after this delay.
+	// A descendant that left the child's process group escapes the kill
+	// and may hold the stderr pipe: Wait gives up on it after this delay.
 	cmd.WaitDelay = 3 * time.Second
-	if err := cmd.Start(); err != nil {
-		cancel()
-		return harness.Region{}, fmt.Errorf("extwork: launching workload %q: %w", spec.Workload, err)
-	}
-	pid := cmd.Process.Pid
-	var sessions []perf.Session
-	// abort tears down a half-launched or unreleased child.
+	var session perf.Session
+	// abort tears down a half-launched or unreleased child with the same
+	// kill a timeout sends.
 	abort := func() {
-		_ = cmd.Process.Kill()
+		_ = cmd.Cancel()
 		_ = cmd.Wait()
-		for _, s := range sessions {
-			s.Close()
+		if session != nil {
+			session.Close()
 		}
 		cancel()
 	}
@@ -213,50 +179,48 @@ func (e *ExternExecutor) launch(ctx context.Context, t harness.Trial, cpus []int
 		abort()
 		return harness.Region{}, err
 	}
-	if err := e.stop(pid); err != nil {
-		return fail(fmt.Errorf("extwork: freezing workload %q: %w", spec.Workload, err))
+	if err := startFrozen(cmd); err != nil {
+		err = fmt.Errorf("extwork: launching workload %q: %w", spec.Workload, err)
+		if cmd.Process != nil {
+			return fail(err)
+		}
+		cancel()
+		return harness.Region{}, err
 	}
+	pid := cmd.Process.Pid
 	if len(cpus) > 0 {
-		if err := e.setAffinity(pid, harness.UniqueCPUs(cpus)); err != nil {
+		if err := harness.SetAffinity(pid, harness.UniqueCPUs(cpus)); err != nil {
 			return fail(fmt.Errorf("extwork: pinning workload %q to CPUs %v: %w", spec.Workload, harness.UniqueCPUs(cpus), err))
 		}
 	}
 	r := harness.Region{Abort: abort}
-	var counts []perf.Counts
+	var counts perf.Counts
 	if activity != nil {
-		ss, err := e.attach(activity, pid, spec)
+		s, err := activity.OpenTask(pid, -1, dominantComponent(spec))
 		if err != nil {
 			return fail(fmt.Errorf("extwork: attaching counters to workload %q: %w", spec.Workload, err))
 		}
-		sessions = ss
-		for _, s := range sessions {
-			if err := s.Start(); err != nil {
-				return fail(fmt.Errorf("extwork: starting counters for workload %q: %w", spec.Workload, err))
-			}
+		session = s
+		if err := s.Start(); err != nil {
+			return fail(fmt.Errorf("extwork: starting counters for workload %q: %w", spec.Workload, err))
 		}
-		r.Sessions, r.Backend, r.Events = sessions, activity.Name(), activity.Events()
+		r.Sessions, r.Backend, r.Events = []perf.Session{s}, activity.Name(), activity.Events()
 		r.Threads = []harness.CounterThread{{CPU: -1}}
 		r.Measured = func(s *harness.Sample) []perf.Counts {
 			return []perf.Counts{wallClock(counts, s.TimeS)}
 		}
 	}
 	r.Release = func() error {
-		if err := e.cont(pid); err != nil {
+		if err := resume(pid); err != nil {
 			abort()
 			return fmt.Errorf("extwork: resuming workload %q: %w", spec.Workload, err)
 		}
 		defer cancel()
 		werr := cmd.Wait()
 		var ctrErr error
-		for _, s := range sessions {
-			if c, err := s.Stop(); err != nil {
-				if ctrErr == nil {
-					ctrErr = err
-				}
-			} else {
-				counts = append(counts, c)
-			}
-			s.Close()
+		if session != nil {
+			counts, ctrErr = session.Stop()
+			session.Close()
 		}
 
 		// Classify the child's fate. A sweep-level cancellation is reported
@@ -289,44 +253,6 @@ func (e *ExternExecutor) launch(ctx context.Context, t harness.Trial, cpus []int
 	return r, nil
 }
 
-// attach opens counter sessions on the frozen child. The preferred shape is
-// one session per existing task (TID) — with the inherit bit, threads the
-// child spawns after resume are counted by their spawning task's session —
-// falling back to a single process-wide session when any per-task open
-// fails, and erroring only when even that is impossible.
-func (e *ExternExecutor) attach(activity perf.ActivityMeter, pid int, spec *harness.ExternSpec) ([]perf.Session, error) {
-	tm, ok := activity.(perf.TaskMeter)
-	if !ok {
-		return nil, fmt.Errorf("counter backend %q cannot attach to another process", activity.Name())
-	}
-	hint := dominantComponent(spec)
-	tids, err := e.taskList(pid)
-	if err != nil || len(tids) == 0 {
-		tids = []int{pid}
-	}
-	var sessions []perf.Session
-	var openErr error
-	for _, tid := range tids {
-		s, err := tm.OpenTask(tid, -1, hint)
-		if err != nil {
-			openErr = err
-			break
-		}
-		sessions = append(sessions, s)
-	}
-	if openErr == nil {
-		return sessions, nil
-	}
-	for _, s := range sessions {
-		s.Close()
-	}
-	s, err := tm.OpenTask(pid, -1, hint)
-	if err != nil {
-		return nil, errors.Join(openErr, err)
-	}
-	return []perf.Session{s}, nil
-}
-
 // dominantComponent picks the workload's highest-weight declared component
 // as the mock backend's planted-rate hint (ties break lexicographically for
 // determinism); the workload name stands in when no mix is declared.
@@ -344,29 +270,22 @@ func dominantComponent(spec *harness.ExternSpec) string {
 	return best
 }
 
-// wallClock sums one repetition's task sessions into the child's counts,
-// timed by its wall clock: an inherited counter's enabled time sums over
-// every task it counted. Running time keeps the sessions' share, so the sum
-// is multiplexed when any session was.
-func wallClock(sessions []perf.Counts, wallS float64) perf.Counts {
+// wallClock re-times the child's counts by its wall clock: an inherited
+// counter's enabled time sums over every task it counted. Running time
+// keeps its share of enabled time, so a multiplexed event stays marked.
+func wallClock(c perf.Counts, wallS float64) perf.Counts {
 	wall := uint64(math.Round(wallS * 1e9))
-	sum := perf.Counts{Values: make([]perf.EventCount, len(sessions[0].Values))}
-	for i := range sum.Values {
-		var enabled, running uint64
-		v := &sum.Values[i]
-		for _, c := range sessions {
-			v.Raw += c.Values[i].Raw
-			v.Scaled += c.Values[i].Scaled
-			enabled += c.Values[i].TimeEnabledNS
-			running += c.Values[i].TimeRunningNS
-		}
+	out := perf.Counts{Values: make([]perf.EventCount, len(c.Values))}
+	for i, v := range c.Values {
+		enabled, running := v.TimeEnabledNS, v.TimeRunningNS
 		v.TimeEnabledNS, v.TimeRunningNS = wall, wall
 		if running < enabled {
 			hi, lo := bits.Mul64(wall, running)
 			v.TimeRunningNS, _ = bits.Div64(hi, lo, enabled)
 		}
+		out.Values[i] = v
 	}
-	return sum
+	return out
 }
 
 // expandArgv substitutes ${THREADS}/${CPUS} in every argv element.

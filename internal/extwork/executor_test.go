@@ -183,16 +183,6 @@ func TestExecuteTimeoutKillsChild(t *testing.T) {
 	}
 }
 
-// noTaskMeter is an ActivityMeter without the TaskMeter extension: it can
-// count the calling thread but cannot attach to another process.
-type noTaskMeter struct{}
-
-func (noTaskMeter) Name() string     { return "no-task" }
-func (noTaskMeter) Events() []string { return []string{"instructions"} }
-func (noTaskMeter) OpenThread(int, string) (perf.Session, error) {
-	return nil, fmt.Errorf("unused")
-}
-
 func TestExecuteCounterFailures(t *testing.T) {
 	needCmd(t, "sh")
 	spec, err := perf.Spec{Backend: perf.BackendMock, Events: []string{"instructions"}}.Normalize()
@@ -213,13 +203,16 @@ func TestExecuteCounterFailures(t *testing.T) {
 		t.Errorf("backend failure: err = %v", err)
 	}
 
-	// A backend that cannot attach to another process is a structured
-	// refusal naming the backend.
+	// A session that cannot open on the frozen child fails the trial,
+	// which kills and reaps the child.
 	e = testExecutor()
-	e.newActivity = func(perf.Spec) (perf.ActivityMeter, error) { return noTaskMeter{}, nil }
+	e.newActivity = func(perf.Spec) (perf.ActivityMeter, error) {
+		return &scriptedTasks{err: fmt.Errorf("planted open failure")}, nil
+	}
 	if _, err := e.Execute(context.Background(), tr); err == nil ||
-		!strings.Contains(err.Error(), `cannot attach to another process`) {
-		t.Errorf("non-TaskMeter backend: err = %v", err)
+		!strings.Contains(err.Error(), `attaching counters to workload "counted"`) ||
+		!strings.Contains(err.Error(), "planted open failure") {
+		t.Errorf("open failure: err = %v", err)
 	}
 }
 
@@ -299,11 +292,12 @@ func (m *scriptedEnergy) Read() (meter.Reading, error) {
 	return meter.Reading{Counters: []uint64{m.total}}, nil
 }
 
-// scriptedTasks is a TaskMeter whose k-th opened session reads counts(k)
-// at its Stop.
+// scriptedTasks is an ActivityMeter whose k-th opened task session reads
+// counts(k) at its Stop; with err set, no task session opens.
 type scriptedTasks struct {
 	opened int
 	counts func(session int) perf.Counts
+	err    error
 }
 
 func (*scriptedTasks) Name() string     { return "scripted" }
@@ -312,6 +306,9 @@ func (*scriptedTasks) OpenThread(int, string) (perf.Session, error) {
 	return nil, fmt.Errorf("unused")
 }
 func (m *scriptedTasks) OpenTask(int, int, string) (perf.Session, error) {
+	if m.err != nil {
+		return nil, m.err
+	}
 	m.opened++
 	return &scriptedTaskSession{counts: m.counts(m.opened - 1)}, nil
 }
@@ -324,26 +321,24 @@ func (s *scriptedTaskSession) Poll() (perf.Counts, error) { return s.counts, nil
 func (s *scriptedTaskSession) Close() error               { return nil }
 
 // TestExternCountersCoverKeptReps: an external child's counters cover the
-// repetitions Measure kept. The child is one thread (CPU -1) whose counts
-// are its two task sessions' summed, and whose rates divide that sum by
-// the sample's wall time, not by the sessions' inherited enabled times.
+// repetitions Measure kept. The child is one thread (CPU -1) counted by one
+// task session per repetition, whose rates divide its counts by the
+// sample's wall time, not by the session's inherited enabled times.
 // Energies 1, 1 and 5 J drop the third repetition, whose counts dwarf the
-// others'; a multiplexed session marks its event multiplexed.
+// others'; an event multiplexed in a kept repetition is marked multiplexed.
 func TestExternCountersCoverKeptReps(t *testing.T) {
 	needCmd(t, "sh")
-	scaled := func(rep, task, event int) float64 {
+	scaled := func(rep, event int) float64 {
 		if rep == 2 {
 			return 5e9
 		}
-		return float64((rep+1)*(task+2)*(event+1)) * 1e6
+		return float64((rep+1)*(event+1)) * 1e6
 	}
-	const tasks = 2
-	activity := &scriptedTasks{counts: func(k int) perf.Counts {
-		rep, task := k/tasks, k%tasks
+	activity := &scriptedTasks{counts: func(rep int) perf.Counts {
 		var c perf.Counts
 		for i := range 2 {
-			v := perf.EventCount{Scaled: scaled(rep, task, i), TimeEnabledNS: 7e6, TimeRunningNS: 7e6}
-			if rep == 0 && task == 1 && i == 1 {
+			v := perf.EventCount{Scaled: scaled(rep, i), TimeEnabledNS: 7e6, TimeRunningNS: 7e6}
+			if rep == 0 && i == 1 {
 				v.TimeRunningNS = 3e6
 			}
 			c.Values = append(c.Values, v)
@@ -353,7 +348,6 @@ func TestExternCountersCoverKeptReps(t *testing.T) {
 	e := &ExternExecutor{
 		Meter:       &scriptedEnergy{uJ: []uint64{1e6, 1e6, 5e6}},
 		newActivity: func(perf.Spec) (perf.ActivityMeter, error) { return activity, nil },
-		tasks:       func(pid int) ([]int, error) { return []int{pid, pid + 1}, nil },
 	}
 	tr := externTrial("counted", []string{"sh", "-c", "exit 0"})
 	tr.MinReps, tr.MaxReps, tr.MaxCV = 3, 3, 0.2
@@ -366,6 +360,9 @@ func TestExternCountersCoverKeptReps(t *testing.T) {
 	if c == nil || res.EnergyJ.N != 2 || c.Reps != res.EnergyJ.N {
 		t.Fatalf("energy N %d, counters %+v; want counters over the 2 kept repetitions", res.EnergyJ.N, c)
 	}
+	if activity.opened != 3 {
+		t.Errorf("opened %d task sessions, want one per repetition", activity.opened)
+	}
 	if len(c.Threads) != 1 || c.Threads[0].CPU != -1 {
 		t.Fatalf("threads %+v, want the child as one thread on CPU -1", c.Threads)
 	}
@@ -373,12 +370,8 @@ func TestExternCountersCoverKeptReps(t *testing.T) {
 	for i, ev := range c.Events {
 		var total, rate float64
 		for rep := range 2 {
-			var sum float64
-			for task := range tasks {
-				sum += scaled(rep, task, i)
-			}
-			total += sum / 2
-			rate += sum / res.Samples[rep].TimeS / 2
+			total += scaled(rep, i) / 2
+			rate += scaled(rep, i) / res.Samples[rep].TimeS / 2
 		}
 		th := c.Threads[0]
 		if !near(ev.TotalMean, total) || !near(th.TotalMean[i], total) || !near(ev.RateHzMean, rate) || !near(th.RateHzMean[i], rate) {

@@ -2,12 +2,14 @@
 
 package extwork
 
-// Without SIGSTOP/SIGCONT the child runs as soon as it starts; the meter
-// window then includes a sliver of pre-setup execution. Extern trials stay
-// usable on non-Linux hosts (mock meters, tests) with that caveat.
-func stopProcess(int) error { return nil }
-func contProcess(int) error { return nil }
+import "os/exec"
 
-// listTasks has no procfs to read; the process-wide fallback (the PID
-// itself) is the only attachable task.
-func listTasks(pid int) ([]int, error) { return []int{pid}, nil }
+// startFrozen starts the child unfrozen: without ptrace the workload runs
+// as soon as it starts, so it may create threads or children before it is
+// pinned and its counters open, and the meter window misses that first
+// stretch. Extern trials stay usable on non-Linux hosts (mock meters,
+// tests) with that caveat. Cancelling cmd kills only the direct child.
+func startFrozen(cmd *exec.Cmd) error { return cmd.Start() }
+
+// resume has nothing to resume.
+func resume(int) error { return nil }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -54,8 +53,6 @@ type Agent struct {
 	Host HostInfo
 	// Runner executes leased batches; required.
 	Runner BatchRunner
-	// MaxBatch caps the trials requested per lease (0: coordinator's cap).
-	MaxBatch int
 	// Poll bounds how long the agent idles between empty leases (default,
 	// and upper bound for coordinator hints: 2s).
 	Poll time.Duration
@@ -154,7 +151,7 @@ func (a *Agent) session(ctx context.Context, reg registerResponse) error {
 		next = grant{}
 		if g.Batch == nil && g.RetryAfter <= 0 {
 			var resp leaseResponse
-			err := a.postJSON(ctx, "/agents/"+reg.AgentID+"/lease", leaseRequest{V: ProtocolVersion, Max: a.MaxBatch}, &resp)
+			err := a.postJSON(ctx, "/agents/"+reg.AgentID+"/lease", leaseRequest{V: ProtocolVersion}, &resp)
 			switch {
 			case errors.Is(err, ErrUnknownAgent):
 				return err
@@ -293,7 +290,7 @@ func (a *Agent) runBatch(ctx context.Context, reg registerResponse, b Batch) (gr
 // may have been granted a batch; like a lost lease response, that batch is
 // reclaimed when its lease expires.
 func (a *Agent) postResults(ctx context.Context, reg registerResponse, b Batch, body []byte) (grant, error) {
-	path := "/agents/" + reg.AgentID + "/results?next=" + strconv.Itoa(a.MaxBatch)
+	path := "/agents/" + reg.AgentID + "/results?next=0"
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 && !sleepCtx(ctx, time.Duration(attempt)*time.Second) {

@@ -50,10 +50,6 @@ type Options struct {
 	LeaseTTL time.Duration
 	// BatchSize caps the trials granted per lease (default 4).
 	BatchSize int
-	// Resume replays DataDir's existing jobs on startup: finished trials
-	// are recovered from each job's store and only the remainder is queued.
-	// When false, existing job directories are ignored (left on disk).
-	Resume bool
 	// Log, when non-nil, receives one line per significant event.
 	Log func(format string, args ...any)
 	// Now overrides the clock, for tests (default time.Now).
@@ -145,9 +141,9 @@ type Coordinator struct {
 	wg     sync.WaitGroup
 }
 
-// NewCoordinator creates the coordinator, its data directory, and — when
-// Resume is set — reloads every job found under DataDir/jobs, recovering
-// completed trials from each job's store so a restart re-runs nothing.
+// NewCoordinator creates the coordinator and its data directory, and
+// reloads every job found under DataDir/jobs, recovering completed trials
+// from each job's store so a restart re-runs nothing.
 func NewCoordinator(opts Options) (*Coordinator, error) {
 	if opts.DataDir == "" {
 		return nil, fmt.Errorf("fleet: coordinator needs a data directory")
@@ -216,8 +212,8 @@ type jobMeta struct {
 	Adaptive bool      `json:"adaptive,omitempty"`
 }
 
-// loadJobs replays DataDir/jobs after a restart. Job IDs always advance past
-// any directory present — even ones not resumed — so a new submission can
+// loadJobs replays DataDir/jobs after a restart. Job IDs advance past every
+// directory present, a half-created one included, so a new submission can
 // never collide with an on-disk job.
 func (c *Coordinator) loadJobs() error {
 	dir := filepath.Join(c.opts.DataDir, "jobs")
@@ -235,9 +231,6 @@ func (c *Coordinator) loadJobs() error {
 			c.jobSeq = n
 		}
 		ids = append(ids, e.Name())
-	}
-	if !c.opts.Resume {
-		return nil
 	}
 	sort.Strings(ids)
 	for _, id := range ids {

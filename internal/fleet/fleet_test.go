@@ -54,7 +54,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 func newTestCoordinator(t testing.TB, clk *fakeClock) *Coordinator {
 	t.Helper()
-	opts := Options{DataDir: t.TempDir(), LeaseTTL: 30 * time.Second, BatchSize: 2, Resume: true, Log: t.Logf}
+	opts := Options{DataDir: t.TempDir(), LeaseTTL: 30 * time.Second, BatchSize: 2, Log: t.Logf}
 	if clk != nil {
 		opts.Now = clk.Now
 	}
@@ -421,7 +421,7 @@ func TestIngestIgnoresErrorsForTrialsItDoesNotHold(t *testing.T) {
 
 func TestCoordinatorRestartResume(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, LeaseTTL: 30 * time.Second, BatchSize: 2, Resume: true, Log: t.Logf}
+	opts := Options{DataDir: dir, LeaseTTL: 30 * time.Second, BatchSize: 2, Log: t.Logf}
 	c1, err := NewCoordinator(opts)
 	if err != nil {
 		t.Fatal(err)

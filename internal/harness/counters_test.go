@@ -133,6 +133,9 @@ func (scriptedActivity) Events() []string { return []string{"instructions", "llc
 func (m scriptedActivity) OpenThread(_ int, hint string) (perf.Session, error) {
 	return &scriptedSession{hint: hint, counts: m.counts}, nil
 }
+func (scriptedActivity) OpenTask(int, int, string) (perf.Session, error) {
+	return nil, fmt.Errorf("unused")
+}
 
 type scriptedSession struct {
 	hint   string
@@ -271,5 +274,8 @@ type failingActivityMeter struct{}
 func (failingActivityMeter) Name() string     { return "failing" }
 func (failingActivityMeter) Events() []string { return []string{"instructions"} }
 func (failingActivityMeter) OpenThread(int, string) (perf.Session, error) {
+	return nil, fmt.Errorf("no PMU access")
+}
+func (failingActivityMeter) OpenTask(int, int, string) (perf.Session, error) {
 	return nil, fmt.Errorf("no PMU access")
 }

@@ -5,9 +5,10 @@
 // factors, not workload labels; this package supplies those measurements.
 //
 // Two backends implement the ActivityMeter interface: a Linux
-// perf_event_open backend (raw syscall, one grouped FD set per worker
-// thread, counts read with time_enabled/time_running so multiplexed
-// counters are scaled) and a deterministic mock whose planted per-component
-// event rates let CI and non-Linux hosts exercise the entire
-// counters-to-coefficients pipeline.
+// perf_event_open backend (raw syscall; one grouped FD set per worker
+// thread, or one inherited FD per event on an external process; counts
+// read with time_enabled/time_running so multiplexed counters are scaled)
+// and a deterministic mock whose planted per-component event rates let CI
+// and non-Linux hosts exercise the entire counters-to-coefficients
+// pipeline.
 package perf

@@ -164,8 +164,9 @@ type Counts struct {
 	Values []EventCount `json:"values"`
 }
 
-// ActivityMeter opens per-thread counting sessions. One meter serves many
-// concurrent sessions; all state lives in the Session.
+// ActivityMeter opens counting sessions on the calling thread or on another
+// process. One meter serves many concurrent sessions; all state lives in the
+// Session.
 type ActivityMeter interface {
 	// Name identifies the backend ("perf", "mock").
 	Name() string
@@ -178,29 +179,25 @@ type ActivityMeter interface {
 	// workload hints the mock backend at the planted rate row to use
 	// (the kernel's component name); the perf backend ignores it.
 	OpenThread(cpu int, workload string) (Session, error)
-}
-
-// TaskMeter is an optional ActivityMeter extension implemented by backends
-// that can attach counters to *another* process's task (thread) instead of
-// the calling thread — how the external-workload executor meters a launched
-// child. tid is the kernel task id to count (a TID from /proc/<pid>/task, or
-// the child's PID for process-wide counting); cpu restricts counting to one
-// logical CPU (-1: wherever the task runs); workload hints the mock backend
-// exactly as in OpenThread. Sessions count the task's descendants too
-// (threads spawned after the session opens), so attaching to the stopped
-// child's initial task is enough to cover whatever it forks once resumed.
-type TaskMeter interface {
-	OpenTask(tid, cpu int, workload string) (Session, error)
+	// OpenTask opens a counting session on process pid instead of the
+	// calling thread — how the external-workload executor meters a
+	// launched child. The session also counts every thread and child
+	// process pid creates after the open, so opening it on a child frozen
+	// before its first instruction covers all of the child's work. cpu
+	// and workload mean what they do for OpenThread. A task session is
+	// single-use: one Start/Stop around one run of the process.
+	OpenTask(pid, cpu int, workload string) (Session, error)
 }
 
 // Session counts events around one measured region. Start resets and
 // enables the counters; Stop disables them and reads the scaled counts.
-// Start/Stop may be called repeatedly (one pair per repetition); Close
-// releases the underlying resources. Poll reads the current repetition's
-// cumulative counts without disabling the counters, so an in-trial sampler
-// can observe event deltas while the measured region runs; after Stop (or
-// Close) it returns the repetition's final counts, making it safe to race a
-// trailing sampler tick against the worker's own Stop.
+// A thread session may Start/Stop repeatedly (one pair per repetition); a
+// task session once. Close releases the underlying resources. Poll reads
+// the current repetition's cumulative counts without disabling the
+// counters, so an in-trial sampler can observe event deltas while the
+// measured region runs; after Stop (or Close) it returns the repetition's
+// final counts, making it safe to race a trailing sampler tick against the
+// worker's own Stop.
 type Session interface {
 	Start() error
 	Stop() (Counts, error)

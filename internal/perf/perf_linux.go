@@ -73,8 +73,9 @@ type perfEventAttr struct {
 	_                  uint16
 }
 
-// linuxMeter opens grouped perf_event FDs on the calling thread. The meter
-// itself is pure configuration; every FD lives in a session.
+// linuxMeter opens perf_event FDs on the calling thread or on another
+// process. The meter itself is pure configuration; every FD lives in a
+// session.
 type linuxMeter struct {
 	events []string
 	defs   []eventDef
@@ -106,54 +107,53 @@ func (m *linuxMeter) Events() []string { return m.events }
 // onto the PMU (and multiplexes off it) as a unit and a single read returns
 // consistent counts plus the shared time_enabled/time_running pair.
 func (m *linuxMeter) OpenThread(cpu int, _ string) (Session, error) {
-	s := &linuxSession{n: len(m.defs), last: Counts{Values: make([]EventCount, len(m.defs))}}
-	for i, def := range m.defs {
-		attr := perfEventAttr{
-			Type:       def.typ,
-			Size:       attrSize,
-			Config:     def.config,
-			ReadFormat: formatGroup | formatTotalTimeEnabled | formatTotalTimeRunning,
-			// Counters start disabled and are enabled per repetition via
-			// ioctl, so setup work between Open and Start is never counted.
-			// Kernel and hypervisor exclusion keeps the measurement to the
-			// benchmark's own user-space work and lets the open succeed at
-			// perf_event_paranoid = 2, the common unprivileged default.
-			Bits: attrBitDisabled | attrBitExcludeKernel | attrBitExcludeHV,
-		}
-		group := -1
-		if i > 0 {
-			group = s.fds[0]
-		}
-		fd, err := perfEventOpen(&attr, 0, cpu, group, perfFlagFDCloexec)
-		if err != nil {
-			s.Close()
-			return nil, openError(m.events[i], err)
-		}
-		s.fds = append(s.fds, fd)
-	}
-	return s, nil
+	return m.open(0, cpu, true)
 }
 
-// OpenTask opens counters attached to another process's task (TID). The
-// inherit bit makes threads the task spawns later count too — essential for
-// an external workload attached before SIGCONT, whose worker threads don't
-// exist yet. The kernel rejects inherit combined with PERF_FORMAT_GROUP, so
-// unlike OpenThread each event gets its own ungrouped FD carrying its own
-// time_enabled/time_running pair and multiplex-scales independently.
-func (m *linuxMeter) OpenTask(tid, cpu int, _ string) (Session, error) {
-	if tid <= 0 {
-		return nil, fmt.Errorf("perf: OpenTask needs a positive tid, got %d", tid)
+// OpenTask opens inherited counters on process pid, so every thread and
+// child it creates after the open counts too. The kernel rejects inherit
+// combined with PERF_FORMAT_GROUP, so unlike OpenThread each event gets its
+// own FD carrying its own time_enabled/time_running pair and multiplex-scales
+// independently.
+func (m *linuxMeter) OpenTask(pid, cpu int, _ string) (Session, error) {
+	if pid <= 0 {
+		return nil, fmt.Errorf("perf: OpenTask needs a positive pid, got %d", pid)
 	}
-	s := &linuxTaskSession{n: len(m.defs), last: Counts{Values: make([]EventCount, len(m.defs))}}
+	return m.open(pid, cpu, false)
+}
+
+// open opens one FD per event on task pid (0: the calling thread). A grouped
+// session is a PERF_FORMAT_GROUP group led by its first FD; an ungrouped one
+// has an inherited FD per event.
+func (m *linuxMeter) open(pid, cpu int, grouped bool) (Session, error) {
+	s := &linuxSession{
+		grouped: grouped,
+		base:    make([]reading, len(m.defs)),
+		last:    Counts{Values: make([]EventCount, len(m.defs))},
+	}
 	for i, def := range m.defs {
 		attr := perfEventAttr{
 			Type:       def.typ,
 			Size:       attrSize,
 			Config:     def.config,
 			ReadFormat: formatTotalTimeEnabled | formatTotalTimeRunning,
-			Bits:       attrBitDisabled | attrBitInherit | attrBitExcludeKernel | attrBitExcludeHV,
+			// Counters start disabled and are enabled by Start, so setup
+			// work between the open and Start is never counted. Kernel and
+			// hypervisor exclusion keeps the measurement to user-space work
+			// and lets the open succeed at perf_event_paranoid = 2, the
+			// common unprivileged default.
+			Bits: attrBitDisabled | attrBitExcludeKernel | attrBitExcludeHV,
 		}
-		fd, err := perfEventOpen(&attr, tid, cpu, -1, perfFlagFDCloexec)
+		group := -1
+		if grouped {
+			attr.ReadFormat |= formatGroup
+			if i > 0 {
+				group = s.fds[0]
+			}
+		} else {
+			attr.Bits |= attrBitInherit
+		}
+		fd, err := perfEventOpen(&attr, pid, cpu, group, perfFlagFDCloexec)
 		if err != nil {
 			s.Close()
 			return nil, openError(m.events[i], err)
@@ -185,92 +185,120 @@ func perfEventOpen(attr *perfEventAttr, pid, cpu, groupFD int, flags uintptr) (i
 	return int(fd), nil
 }
 
-// linuxSession is one thread's counter group: fds[0] is the leader.
-// baseEnabled/baseRunning snapshot the group's cumulative time pair at the
-// last Start: PERF_EVENT_IOC_RESET zeroes only the counts, so per-repetition
-// times must be taken as deltas against this baseline or a reused session
+// reading is one event's count and the cumulative time pair it was counted
+// over.
+type reading struct{ raw, enabled, running uint64 }
+
+// linuxSession is one session's FDs: a group led by fds[0], or one inherited
+// FD per event. base snapshots each event's cumulative time pair at the last
+// Start: PERF_EVENT_IOC_RESET zeroes only the counts, so per-repetition times
+// must be taken as deltas against this baseline or a reused thread session
 // would scale one repetition's counts over every previous repetition's
 // enabled window. The mutex serializes the worker thread's Start/Stop/Close
 // against Poll calls from a sampling goroutine; last caches the most recent
 // full reading so Poll stays answerable after Close.
 type linuxSession struct {
-	mu          sync.Mutex
-	fds         []int
-	n           int
-	baseEnabled uint64
-	baseRunning uint64
-	last        Counts
+	mu      sync.Mutex
+	fds     []int
+	grouped bool
+	base    []reading
+	last    Counts
 }
 
-func (s *linuxSession) ioctlGroup(req uintptr) error {
-	_, _, errno := syscall.Syscall(syscall.SYS_IOCTL, uintptr(s.fds[0]), req, perfIOCFlagGroup)
-	if errno != 0 {
-		return fmt.Errorf("perf: ioctl %#x: %w", req, errno)
+// ioctl applies req to the group through its leader, or to every FD.
+func (s *linuxSession) ioctl(req uintptr) error {
+	fds, flag := s.fds, uintptr(0)
+	if s.grouped {
+		fds, flag = fds[:1], perfIOCFlagGroup
+	}
+	for _, fd := range fds {
+		if _, _, errno := syscall.Syscall(syscall.SYS_IOCTL, uintptr(fd), req, flag); errno != 0 {
+			return fmt.Errorf("perf: ioctl %#x: %w", req, errno)
+		}
 	}
 	return nil
 }
 
-// readGroup reads every member of the group in one syscall. The read format
-// is PERF_FORMAT_GROUP: {nr, time_enabled, time_running, value...}, all u64
-// in host byte order.
-func (s *linuxSession) readGroup() (enabled, running uint64, raws []uint64, err error) {
-	words := make([]uint64, 3+s.n)
-	buf := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8)
-	n, err := syscall.Read(s.fds[0], buf)
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("perf: reading counter group: %w", err)
+// read reads every event: a group in one syscall, whose PERF_FORMAT_GROUP
+// layout is {nr, time_enabled, time_running, value...}, or each FD's own
+// {value, time_enabled, time_running}; all u64 in host byte order.
+func (s *linuxSession) read() ([]reading, error) {
+	out := make([]reading, len(s.fds))
+	if s.grouped {
+		words := make([]uint64, 3+len(s.fds))
+		if err := readWords(s.fds[0], words); err != nil {
+			return nil, err
+		}
+		if got := int(words[0]); got != len(s.fds) {
+			return nil, fmt.Errorf("perf: counter group read reports %d members, want %d", got, len(s.fds))
+		}
+		for i := range out {
+			out[i] = reading{words[3+i], words[1], words[2]}
+		}
+		return out, nil
 	}
-	if n != len(buf) {
-		return 0, 0, nil, fmt.Errorf("perf: short counter read: %d bytes, want %d", n, len(buf))
+	var words [3]uint64
+	for i, fd := range s.fds {
+		if err := readWords(fd, words[:]); err != nil {
+			return nil, err
+		}
+		out[i] = reading{words[0], words[1], words[2]}
 	}
-	if got := int(words[0]); got != s.n {
-		return 0, 0, nil, fmt.Errorf("perf: counter group read reports %d members, want %d", got, s.n)
-	}
-	return words[1], words[2], words[3:], nil
+	return out, nil
 }
 
-// Start zeroes the group's counts, snapshots its cumulative
-// time_enabled/time_running as the repetition baseline (still disabled, so
-// the snapshot is exact), and enables it.
+// readWords fills words from one read of fd.
+func readWords(fd int, words []uint64) error {
+	buf := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8)
+	n, err := syscall.Read(fd, buf)
+	if err != nil {
+		return fmt.Errorf("perf: reading counters: %w", err)
+	}
+	if n != len(buf) {
+		return fmt.Errorf("perf: short counter read: %d bytes, want %d", n, len(buf))
+	}
+	return nil
+}
+
+// Start zeroes the counts, snapshots the cumulative time pairs as the
+// repetition baseline (still disabled, so the snapshot is exact), and
+// enables the counters. Inherited counters created afterwards (a task's new
+// threads and children) start enabled, so starting a task session while its
+// process is stopped covers all of the process's run.
 func (s *linuxSession) Start() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.fds) == 0 {
 		return fmt.Errorf("perf: session is closed")
 	}
-	if err := s.ioctlGroup(perfIOCReset); err != nil {
+	if err := s.ioctl(perfIOCReset); err != nil {
 		return err
 	}
-	enabled, running, _, err := s.readGroup()
+	base, err := s.read()
 	if err != nil {
 		return err
 	}
-	s.baseEnabled, s.baseRunning = enabled, running
-	return s.ioctlGroup(perfIOCEnable)
+	s.base = base
+	return s.ioctl(perfIOCEnable)
 }
 
-// Stop disables the group and reads it, reporting counts with times taken
-// relative to the Start baseline.
+// Stop disables the counters and reads them, reporting counts with times
+// taken relative to the Start baseline.
 func (s *linuxSession) Stop() (Counts, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.fds) == 0 {
 		return Counts{}, fmt.Errorf("perf: session is closed")
 	}
-	if err := s.ioctlGroup(perfIOCDisable); err != nil {
+	if err := s.ioctl(perfIOCDisable); err != nil {
 		return Counts{}, err
 	}
-	c, err := s.readCounts()
-	if err != nil {
-		return Counts{}, err
-	}
-	s.last = c
-	return c, nil
+	return s.readCounts()
 }
 
-// Poll reads the group without disabling it: counts keep accumulating while
-// the measured region runs. On a closed session it returns the last full
-// reading, so a sampler tick racing session teardown sees frozen counts
+// Poll reads the counters without disabling them: counts keep accumulating
+// while the measured region runs. On a closed session it returns the last
+// full reading, so a sampler tick racing session teardown sees frozen counts
 // instead of an error.
 func (s *linuxSession) Poll() (Counts, error) {
 	s.mu.Lock()
@@ -278,144 +306,34 @@ func (s *linuxSession) Poll() (Counts, error) {
 	if len(s.fds) == 0 {
 		return s.last, nil
 	}
-	c, err := s.readCounts()
-	if err != nil {
-		return Counts{}, err
-	}
-	s.last = c
-	return c, nil
+	return s.readCounts()
 }
 
-// readCounts reads the group and scales it against the Start baseline.
+// readCounts reads the counters, scales them against the Start baseline and
+// keeps the reading as last. With inherit, a task session's counts and times
+// are sums over the task and its descendants; rate consumers should divide
+// by a wall clock, not time_enabled, to get the process-aggregate rate.
 // Callers hold s.mu.
 func (s *linuxSession) readCounts() (Counts, error) {
-	enabled, running, raws, err := s.readGroup()
+	rs, err := s.read()
 	if err != nil {
 		return Counts{}, err
 	}
-	enabled -= s.baseEnabled
-	running -= s.baseRunning
-	c := Counts{Values: make([]EventCount, s.n)}
-	for i, raw := range raws {
+	c := Counts{Values: make([]EventCount, len(rs))}
+	for i, r := range rs {
+		enabled, running := r.enabled-s.base[i].enabled, r.running-s.base[i].running
 		c.Values[i] = EventCount{
-			Raw:           raw,
-			Scaled:        scaleCount(raw, enabled, running),
+			Raw:           r.raw,
+			Scaled:        scaleCount(r.raw, enabled, running),
 			TimeEnabledNS: enabled,
 			TimeRunningNS: running,
 		}
 	}
+	s.last = c
 	return c, nil
 }
 
 func (s *linuxSession) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var first error
-	for _, fd := range s.fds {
-		if err := syscall.Close(fd); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.fds = nil
-	return first
-}
-
-// linuxTaskSession is one attached task's counters: per-event ungrouped FDs
-// (the inherit bit forbids group reads), each read yielding its own
-// {value, time_enabled, time_running} triple. Counters open disabled and
-// the session is used for one Start/Stop cycle around one child run, so no
-// reset/baseline bookkeeping is needed: values and times start at zero and,
-// with inherit, aggregate over the task and every descendant it spawns.
-type linuxTaskSession struct {
-	mu   sync.Mutex
-	fds  []int
-	n    int
-	last Counts
-}
-
-func (s *linuxTaskSession) ioctlAll(req uintptr) error {
-	for _, fd := range s.fds {
-		// Flag 0, not PERF_IOC_FLAG_GROUP: each fd stands alone.
-		if _, _, errno := syscall.Syscall(syscall.SYS_IOCTL, uintptr(fd), req, 0); errno != 0 {
-			return fmt.Errorf("perf: ioctl %#x: %w", req, errno)
-		}
-	}
-	return nil
-}
-
-// Start enables the counters. Inherited instances created afterwards (the
-// task's new threads) start enabled, so enabling while the child is still
-// stopped covers its whole lifetime.
-func (s *linuxTaskSession) Start() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.fds) == 0 {
-		return fmt.Errorf("perf: task session is closed")
-	}
-	return s.ioctlAll(perfIOCEnable)
-}
-
-// Stop disables the counters and reads the aggregated counts.
-func (s *linuxTaskSession) Stop() (Counts, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.fds) == 0 {
-		return Counts{}, fmt.Errorf("perf: task session is closed")
-	}
-	if err := s.ioctlAll(perfIOCDisable); err != nil {
-		return Counts{}, err
-	}
-	c, err := s.readCounts()
-	if err != nil {
-		return Counts{}, err
-	}
-	s.last = c
-	return c, nil
-}
-
-// Poll reads the counters without disabling them; on a closed session it
-// returns the last full reading, mirroring linuxSession.
-func (s *linuxTaskSession) Poll() (Counts, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.fds) == 0 {
-		return s.last, nil
-	}
-	c, err := s.readCounts()
-	if err != nil {
-		return Counts{}, err
-	}
-	s.last = c
-	return c, nil
-}
-
-// readCounts reads each fd's {value, time_enabled, time_running} triple.
-// With inherit, all three are sums over the task and its descendants; rate
-// consumers should divide by a wall clock, not time_enabled, to get the
-// process-aggregate rate. Callers hold s.mu.
-func (s *linuxTaskSession) readCounts() (Counts, error) {
-	c := Counts{Values: make([]EventCount, s.n)}
-	var words [3]uint64
-	buf := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8)
-	for i, fd := range s.fds {
-		n, err := syscall.Read(fd, buf)
-		if err != nil {
-			return Counts{}, fmt.Errorf("perf: reading task counter: %w", err)
-		}
-		if n != len(buf) {
-			return Counts{}, fmt.Errorf("perf: short task counter read: %d bytes, want %d", n, len(buf))
-		}
-		c.Values[i] = EventCount{
-			Raw:           words[0],
-			Scaled:        scaleCount(words[0], words[1], words[2]),
-			TimeEnabledNS: words[1],
-			TimeRunningNS: words[2],
-		}
-	}
-	return c, nil
-}
-
-func (s *linuxTaskSession) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error

@@ -299,8 +299,8 @@ func TestMockPollMidRepetition(t *testing.T) {
 	}
 }
 
-// TestMockOpenTask pins the TaskMeter extension the external-workload
-// executor attaches with: an OpenTask session must be a full mock session —
+// TestMockOpenTask pins the OpenTask the external-workload executor
+// attaches with: an OpenTask session must be a full mock session —
 // planted rate × elapsed time under the workload hint — so extern trials
 // against the mock backend recover the same rates kernel trials do.
 func TestMockOpenTask(t *testing.T) {
@@ -308,7 +308,7 @@ func TestMockOpenTask(t *testing.T) {
 	clock := func() time.Time { return now }
 	m := NewMockWithClock([]string{"instructions", "llc-misses"}, clock)
 
-	var tm TaskMeter = m // the mock must satisfy the extension
+	var tm ActivityMeter = m
 	s, err := tm.OpenTask(4321, -1, "int-alu")
 	if err != nil {
 		t.Fatal(err)
